@@ -14,10 +14,14 @@ on analytic test families, together with a sweep harness that validates the
 certified rates against measured ones.
 """
 
+# Set before the submodule imports: harness stamps it into every report.
+__version__ = "0.1.0"
+
 from .bounds import (
     BoundCertificate,
     BoundParams,
     ConstantLedger,
+    PairEvaluation,
     c_bar,
     c_hat,
     c_ring,
@@ -84,8 +88,6 @@ from .transport import (
     wasserstein_1d,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "AtomSet",
     "BoundCertificate",
@@ -100,6 +102,7 @@ __all__ = [
     "GridDensity",
     "MassDefectError",
     "NumericalError",
+    "PairEvaluation",
     "PolyEnvelopeTable",
     "PreconditionError",
     "ResolutionError",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,12 +43,13 @@ from .spectral import (
     poly_envelope,
 )
 from .transport import rho_p as _rho_p
-from .transport import wasserstein_1d
+from .transport import tv_mass, wasserstein_1d
 
 __all__ = [
     "BoundParams",
     "ConstantLedger",
     "BoundCertificate",
+    "PairEvaluation",
     "gamma_k",
     "c_ring",
     "h_p_const",
@@ -320,41 +322,74 @@ class BoundCertificate:
 
 
 # ---------------------------------------------------------------------------
-# shared assembly pieces
+# the pair evaluation and shared assembly pieces
 # ---------------------------------------------------------------------------
 
-def _check_pair(a: GaussianMixture, b: GaussianMixture, params: BoundParams):
-    if a.d != b.d or a.d != params.d:
-        raise PreconditionError("pair and parameter dimensions disagree")
-    if params.d != 1:
-        raise PreconditionError(
-            "certificates require an exact Wasserstein gap, which is only "
-            "available in dimension one for analytic inputs"
-        )
+class PairEvaluation:
+    """The quantities every certificate reads off one pair of laws.
 
+    The W_q gap, rho_p and tv, the two laws' grid densities and
+    characteristic functions, and the pair's combined decay-envelope tables
+    are each computed on first use and then kept, so certificates built from
+    one evaluation share them and a certificate computes only what it reads.
+    ``grid`` is the shared space grid (the pair's common sigma-box grid when
+    omitted).  Concurrent first uses recompute the same deterministic value.
+    """
 
-def _measured_gap(a, b, params) -> float:
-    if a == b:
-        return 0.0
-    return wasserstein_1d(a, b, params.q).value
+    def __init__(
+        self,
+        a: GaussianMixture,
+        b: GaussianMixture,
+        params: BoundParams,
+        grid: SpaceGrid | None = None,
+    ):
+        if a.d != b.d or a.d != params.d:
+            raise PreconditionError("pair and parameter dimensions disagree")
+        if params.d != 1:
+            raise PreconditionError(
+                "certificates require an exact Wasserstein gap, which is only "
+                "available in dimension one for analytic inputs"
+            )
+        self.a, self.b, self.params = a, b, params
+        self.grid = grid if grid is not None else common_grid(a, b)
+        self._poly_envelopes = {}
 
+    @cached_property
+    def gap(self) -> float:
+        """The measured gap A = W_q(a, b); exactly 0 for identical laws."""
+        if self.a == self.b:
+            return 0.0
+        return wasserstein_1d(self.a, self.b, self.params.q).value
 
-def _pair_grid(a, b, grid):
-    return grid if grid is not None else common_grid(a, b)
+    @cached_property
+    def rho(self) -> float:
+        return _rho_p(self.a, self.b, self.params.p, grid=self.grid).value
 
+    @cached_property
+    def tv(self) -> float:
+        return tv_mass(self.a, self.b, grid=self.grid).value
 
-def _pair_poly_envelopes(a, b, grid, K: int, L: int) -> PolyEnvelopeTable:
-    box = np.stack([grid.lo, grid.hi], axis=1)
-    ta = poly_envelope(char_fn_grid(discretize(a, box, grid.shape)), K, L)
-    tb = poly_envelope(char_fn_grid(discretize(b, box, grid.shape)), K, L)
-    return ta.combine_max(tb)
+    @cached_property
+    def densities(self) -> tuple:
+        box = np.stack([self.grid.lo, self.grid.hi], axis=1)
+        return tuple(discretize(x, box, self.grid.shape) for x in (self.a, self.b))
 
+    @cached_property
+    def char_grids(self) -> tuple:
+        return tuple(char_fn_grid(f) for f in self.densities)
 
-def _pair_exp_envelopes(a, b, grid, K: int) -> ExpEnvelopeTable:
-    box = np.stack([grid.lo, grid.hi], axis=1)
-    ea = exp_envelope(char_fn_grid(discretize(a, box, grid.shape)), K)
-    eb = exp_envelope(char_fn_grid(discretize(b, box, grid.shape)), K)
-    return ea.combine(eb)
+    def poly_envelopes(self, L: int) -> PolyEnvelopeTable:
+        """Frequency-side table valid for both laws, k <= p_even, l <= L."""
+        if L not in self._poly_envelopes:
+            ta, tb = (poly_envelope(cg, self.params.p_even, L) for cg in self.char_grids)
+            self._poly_envelopes[L] = ta.combine_max(tb)
+        return self._poly_envelopes[L]
+
+    @cached_property
+    def exp_envelopes(self) -> ExpEnvelopeTable:
+        """Exponential-decay table valid for both laws, k <= p_even."""
+        ea, eb = (exp_envelope(cg, self.params.p_even) for cg in self.char_grids)
+        return ea.combine(eb)
 
 
 def _trivial_rho_bound(a, b, p: float) -> float:
@@ -374,37 +409,21 @@ def _zero_certificate(params, regime, l) -> BoundCertificate:
 # polynomial-decay regime
 # ---------------------------------------------------------------------------
 
-def polynomial_rate_certificate(
-    a: GaussianMixture,
-    b: GaussianMixture,
-    params: BoundParams,
-    envelopes: PolyEnvelopeTable | None = None,
-    grid: SpaceGrid | None = None,
-) -> BoundCertificate:
+def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
     """Certificate for rho_p <= (2 Cbar_{l,p} + Cbar_{l,0}) A^{theta_{l,p}}.
 
-    ``envelopes`` must be a frequency-side table valid for *both* laws
-    (combine per-law tables with :meth:`PolyEnvelopeTable.combine_max`);
-    omitted, it is measured from the pair on a shared grid.  The measured
-    left side uses the original weight power; when that power is not an even
+    The envelopes are the pair's frequency-side table.  The measured left
+    side uses the original weight power; when that power is not an even
     integer the right side carries the supplement 2 Cbar_{l,0} A^{theta_{l,0}}
     coming from rho_p <= rho_{p_even} + 2 tv.
     """
-    _check_pair(a, b, params)
+    a, b, params = pair.a, pair.b, pair.params
     p, d = params.p_even, params.d
     l = choose_l(params.epsilon, p, d)
-    A = _measured_gap(a, b, params)
+    A = pair.gap
     if A <= ZERO_GAP:
         return _zero_certificate(params, "lemma1-poly", l)
-    if envelopes is None:
-        g = _pair_grid(a, b, grid)
-        envelopes = _pair_poly_envelopes(a, b, g, p, l + d + 1)
-    if envelopes.side != "frequency":
-        raise PreconditionError("certificates use the frequency-side table")
-    if envelopes.max_k < p or envelopes.max_l < l:
-        raise PreconditionError(
-            f"insufficient envelope coverage: need k <= {p}, l <= {l}"
-        )
+    envelopes = pair.poly_envelopes(l + d + 1)
 
     ledger = ConstantLedger()
     mom_a, mom_b = a.abs_moment, b.abs_moment
@@ -442,43 +461,29 @@ def polynomial_rate_certificate(
         rhs = triv * A
     ledger.validate()
 
-    lhs = _rho_p(a, b, params.p, grid=grid).value
     note = f"empirical frequency-side envelopes, k <= {envelopes.max_k}, l <= {envelopes.max_l}"
-    return BoundCertificate(params, "lemma1-poly", l, M, A, lhs, rhs, ledger, note)
+    return BoundCertificate(params, "lemma1-poly", l, M, A, pair.rho, rhs, ledger, note)
 
 
 # ---------------------------------------------------------------------------
 # pointwise regime
 # ---------------------------------------------------------------------------
 
-def pointwise_certificate(
-    a: GaussianMixture,
-    b: GaussianMixture,
-    params: BoundParams,
-    alpha=None,
-    envelopes: PolyEnvelopeTable | None = None,
-    grid: SpaceGrid | None = None,
-) -> BoundCertificate:
+def pointwise_certificate(pair: PairEvaluation, alpha=None) -> BoundCertificate:
     """Sup-norm certificate: ||(d^alpha f_a - d^alpha f_b)(1 + |x|^p)||_inf
     <= K A^{(l - d - |alpha|)/(l + 1)} with K assembled from the pair's
     moments and the frequency-side envelope at orders 0 and p_even."""
-    _check_pair(a, b, params)
+    a, b, params = pair.a, pair.b, pair.params
     p, d = params.p_even, params.d
     alpha = tuple(int(x) for x in (alpha if alpha is not None else (0,) * d))
     if len(alpha) != d or any(x < 0 for x in alpha):
         raise PreconditionError("alpha must be a nonnegative multiindex of rank d")
     k_a = sum(alpha)
     l = max(choose_l(params.epsilon, p, d), d + k_a + 1)
-    A = _measured_gap(a, b, params)
+    A = pair.gap
     if A <= ZERO_GAP:
         return _zero_certificate(params, "pointwise", l)
-    if envelopes is None:
-        g = _pair_grid(a, b, grid)
-        envelopes = _pair_poly_envelopes(a, b, g, p, l + d + 1)
-    if envelopes.max_k < p or envelopes.max_l < l:
-        raise PreconditionError(
-            f"insufficient envelope coverage: need k <= {p}, l <= {l}"
-        )
+    envelopes = pair.poly_envelopes(l + d + 1)
 
     ledger = ConstantLedger()
     ledger.c_ring[0] = 1.0
@@ -513,15 +518,12 @@ def pointwise_certificate(
         ledger.extra["branch"] = "constant"
     ledger.validate()
 
-    g = _pair_grid(a, b, grid)
-    box = np.stack([g.lo, g.hi], axis=1)
-    fa = discretize(a, box, g.shape)
-    fb = discretize(b, box, g.shape)
+    fa, fb = pair.densities
     if k_a == 0:
         diff = np.abs(fa.values - fb.values)
     else:
         diff = np.abs(density_derivative(fa, alpha) - density_derivative(fb, alpha))
-    weight = 1.0 + g.radii() ** params.p
+    weight = 1.0 + pair.grid.radii() ** params.p
     lhs = float(np.max(diff * weight))
     note = f"empirical frequency-side envelopes, k <= {envelopes.max_k}, l <= {envelopes.max_l}"
     return BoundCertificate(params, "pointwise", l, M, A, lhs, rhs, ledger, note)
@@ -542,41 +544,25 @@ def _radial_tail_coef(rate: float, d: int, m_floor: float) -> float:
     )
 
 
-def exponential_rate_certificate(
-    a: GaussianMixture,
-    b: GaussianMixture,
-    params: BoundParams,
-    exp_envelopes: ExpEnvelopeTable | None = None,
-    r: float = 1.0,
-    c_sharp: float | None = None,
-    grid: SpaceGrid | None = None,
-) -> BoundCertificate:
+def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundCertificate:
     """Certificate for rho_p <= C'''' A |ln A|^{2d+1} in the small-gap regime.
 
-    ``r`` is the exponential-moment rate and ``c_sharp`` bounds
-    E e^{r|X_a|} + E e^{r|X_b|} (computed in closed form when omitted).
+    ``r`` is the exponential-moment rate; ``c_sharp`` = E e^{r|X_a|} +
+    E e^{r|X_b|} is evaluated in closed form.
     The regime requires |ln A| > Lambda = max(r_p, r_0, r/s, p_even/s) so
     that both truncation radii exceed their floors; otherwise the certificate
     falls back to ``rhs = C max(A, 1)`` with the trivial moment constant C.
     Every chain constant lands in the ledger under ``extra``.
     """
-    _check_pair(a, b, params)
+    a, b, params = pair.a, pair.b, pair.params
     p, d = params.p_even, params.d
     if r <= 0:
         raise PreconditionError("exponential moment rate must be > 0")
-    A = _measured_gap(a, b, params)
+    A = pair.gap
     if A <= ZERO_GAP:
         return _zero_certificate(params, "lemma2-exp", d + 1)
-    g = _pair_grid(a, b, grid)
-    if exp_envelopes is None:
-        exp_envelopes = _pair_exp_envelopes(a, b, g, p)
-    if not exp_envelopes.sups:
-        raise PreconditionError(
-            "exponential envelopes must carry grid suprema; regenerate them "
-            "with exp_envelope rather than loading from JSON"
-        )
-    if c_sharp is None:
-        c_sharp = a.exp_abs_moment(r) + b.exp_abs_moment(r)
+    exp_envelopes = pair.exp_envelopes
+    c_sharp = a.exp_abs_moment(r) + b.exp_abs_moment(r)
 
     r_p, c_p = exp_envelopes.get(p)
     r_0, c_0 = exp_envelopes.get(0)
@@ -596,7 +582,7 @@ def exponential_rate_certificate(
             "s_factor": s_fac,
         }
     )
-    lhs = _rho_p(a, b, params.p, grid=grid).value
+    lhs = pair.rho
 
     in_regime = 0.0 < A < math.exp(-lam)
     if not in_regime:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .bounds import (
     BoundParams,
+    PairEvaluation,
     exponential_rate_certificate,
     pointwise_certificate,
     polynomial_rate_certificate,
@@ -66,15 +67,16 @@ def _cmd_certify(args) -> int:
     a = _load_mixture(args.a)
     b = _load_mixture(args.b)
     params = BoundParams(p=args.p, q=args.q, epsilon=args.eps, d=a.d)
+    pair = PairEvaluation(a, b, params)
     if args.regime == "lemma1":
-        cert = polynomial_rate_certificate(a, b, params)
+        cert = polynomial_rate_certificate(pair)
     elif args.regime == "lemma2":
-        cert = exponential_rate_certificate(a, b, params, r=args.r)
+        cert = exponential_rate_certificate(pair, r=args.r)
     else:
         alpha = None
         if args.alpha:
             alpha = tuple(int(x) for x in args.alpha.split(","))
-        cert = pointwise_certificate(a, b, params, alpha=alpha)
+        cert = pointwise_certificate(pair, alpha=alpha)
     print(json.dumps(cert.to_json(), sort_keys=True))
     return EXIT_OK
 

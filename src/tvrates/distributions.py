@@ -286,19 +286,23 @@ class GaussianMixture:
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
             raise PreconditionError("quantile level must lie in (0, 1)")
+        # weights sum to 1 only within 1e-12: levels are fractions of their
+        # sum, and the upper bracket stops growing once the CDF reaches it
+        total = float(self._w.sum())
+        levels = u_arr * total
         s = np.sqrt(self._c[:, 0, 0])
         lo = float(np.min(self._m[:, 0] - 10.0 * s))
         hi = float(np.max(self._m[:, 0] + 10.0 * s))
         # expand the bracket until it surrounds every requested level
-        while self.cdf(lo) >= u_arr.min():
+        while self.cdf(lo) >= levels.min():
             lo -= (hi - lo)
-        while self.cdf(hi) <= u_arr.max():
+        while (top := self.cdf(hi)) <= levels.max() and top < total:
             hi += (hi - lo)
         a = np.full(u_arr.shape, lo)
         b = np.full(u_arr.shape, hi)
         for _ in range(200):
             mid = 0.5 * (a + b)
-            below = self.cdf(mid) < u_arr
+            below = self.cdf(mid) < levels
             a = np.where(below, mid, a)
             b = np.where(below, b, mid)
             if np.max(b - a) < 1e-14 * max(1.0, abs(lo), abs(hi)):

@@ -9,7 +9,6 @@ produce byte-identical CSV and JSON files.
 
 from __future__ import annotations
 
-import importlib.metadata
 import json
 import math
 import os
@@ -17,15 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .bounds import (
     BoundParams,
+    PairEvaluation,
     exponential_rate_certificate,
     pointwise_certificate,
     polynomial_rate_certificate,
 )
 from .distributions import GaussianMixture, common_grid
 from .errors import NumericalError, PreconditionError, TvratesError
-from .transport import ot_entropic, rho_p, tv_mass, wasserstein_1d
+from .transport import ot_entropic
 
 __all__ = [
     "Scenario",
@@ -42,13 +43,6 @@ PERTURBATION_KINDS = ("translate", "scale", "mixture-weight", "smoothed-sequence
 
 CSV_COLUMNS = ("h", "A", "rho_p", "tv", "rhs1", "rhs2", "psup", "prhs",
                "ok1", "ok2", "okp")
-
-
-def _package_version() -> str:
-    try:
-        return importlib.metadata.version("tvrates")
-    except importlib.metadata.PackageNotFoundError:
-        return "unknown"
 
 
 @dataclass(frozen=True)
@@ -233,17 +227,15 @@ class SweepReport:
 
 def _sweep_row(sc: Scenario, h: float, grid) -> dict:
     a, b = perturb_pair(sc, h)
-    gap = wasserstein_1d(a, b, sc.params.q).value
-    rho = rho_p(a, b, sc.params.p, grid=grid).value
-    tv = tv_mass(a, b, grid=grid).value
-    cert1 = polynomial_rate_certificate(a, b, sc.params, grid=grid)
-    cert2 = exponential_rate_certificate(a, b, sc.params, r=sc.r_exp, grid=grid)
-    certp = pointwise_certificate(a, b, sc.params, grid=grid)
+    pair = PairEvaluation(a, b, sc.params, grid)
+    cert1 = polynomial_rate_certificate(pair)
+    cert2 = exponential_rate_certificate(pair, r=sc.r_exp)
+    certp = pointwise_certificate(pair)
     row = {
         "h": float(h),
-        "A": float(gap),
-        "rho_p": float(rho),
-        "tv": float(tv),
+        "A": float(pair.gap),
+        "rho_p": float(pair.rho),
+        "tv": float(pair.tv),
         "rhs1": float(cert1.rhs),
         "rhs2": float(cert2.rhs),
         "psup": float(certp.lhs),
@@ -288,7 +280,7 @@ def run_sweep(sc: Scenario) -> SweepReport:
         "seed": sc.seed,
         "resolution": sc.resolution,
         "box_sigmas": sc.box_sigmas,
-        "version": _package_version(),
+        "version": __version__,
     }
     return SweepReport(
         scenario=sc.to_json(),

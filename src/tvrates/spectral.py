@@ -412,7 +412,7 @@ class ExpEnvelopeTable:
 
     def __post_init__(self):
         for k, r in self.rates.items():
-            if not (r > 0 and math.isfinite(self.integrals[k])):
+            if not (r > 0 and math.isfinite(self.integrals.get(k, math.nan))):
                 raise PreconditionError("exponential envelopes need r > 0, c finite")
 
     @property

@@ -99,6 +99,8 @@ def _pair_grids(a, b, grid: SpaceGrid | None):
         return a, b, None
     if isinstance(a, GaussianMixture) and isinstance(b, GaussianMixture):
         g = grid if grid is not None else common_grid(a, b)
+        if g.d not in MAX_REFINEMENTS:
+            raise PreconditionError("mixture quadrature needs dimension <= 3")
         box = np.stack([g.lo, g.hi], axis=1)
         return discretize(a, box, g.shape), discretize(b, box, g.shape), (a, b)
     raise PreconditionError("inputs must both be mixtures or both be grid densities")

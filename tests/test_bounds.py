@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import mc_pair_moment
 from tvrates import (
     BoundParams,
+    PairEvaluation,
     PolyEnvelopeTable,
     PreconditionError,
     c_bar,
@@ -186,13 +187,15 @@ class TestChatCbar:
 
 class TestPolynomialCertificate:
     def test_identical_inputs_short_circuit(self, std_normal, default_params):
-        cert = polynomial_rate_certificate(std_normal, std_normal, default_params)
+        cert = polynomial_rate_certificate(
+            PairEvaluation(std_normal, std_normal, default_params)
+        )
         assert cert.A == 0.0 and cert.lhs == 0.0 and cert.rhs == 0.0
         assert cert.satisfied
 
     def test_translate_pair_satisfied_with_slack(self, std_normal, default_params):
         cert = polynomial_rate_certificate(
-            std_normal, gaussian(0.1, 1.0), default_params
+            PairEvaluation(std_normal, gaussian(0.1, 1.0), default_params)
         )
         assert cert.satisfied
         assert cert.rhs / cert.lhs > 1.0
@@ -204,35 +207,34 @@ class TestPolynomialCertificate:
         rhs = []
         for h in (1e-3, 1e-2, 0.1, 0.5, 1.0):
             cert = polynomial_rate_certificate(
-                std_normal, gaussian(h, 1.0), default_params
+                PairEvaluation(std_normal, gaussian(h, 1.0), default_params)
             )
             rhs.append(cert.rhs)
         assert all(b > a for a, b in zip(rhs, rhs[1:]))
 
     def test_large_gap_constant_branch(self, std_normal, default_params):
         cert = polynomial_rate_certificate(
-            std_normal, gaussian(5.0, 1.0), default_params
+            PairEvaluation(std_normal, gaussian(5.0, 1.0), default_params)
         )
         assert cert.ledger.extra["branch"] == "constant"
         assert cert.satisfied
 
     def test_odd_p_supplement_recorded(self, std_normal):
         params = BoundParams(p=3.0, q=2.0, epsilon=0.2, d=1)
-        cert = polynomial_rate_certificate(std_normal, gaussian(0.1, 1.0), params)
+        cert = polynomial_rate_certificate(
+            PairEvaluation(std_normal, gaussian(0.1, 1.0), params)
+        )
         assert "odd_p_tv_supplement" in cert.ledger.extra
         assert cert.satisfied
 
     def test_ledger_determinism(self, std_normal, default_params):
-        c1 = polynomial_rate_certificate(std_normal, gaussian(0.2, 1.0), default_params)
-        c2 = polynomial_rate_certificate(std_normal, gaussian(0.2, 1.0), default_params)
+        c1 = polynomial_rate_certificate(
+            PairEvaluation(std_normal, gaussian(0.2, 1.0), default_params)
+        )
+        c2 = polynomial_rate_certificate(
+            PairEvaluation(std_normal, gaussian(0.2, 1.0), default_params)
+        )
         assert c1.to_json_str() == c2.to_json_str()
-
-    def test_insufficient_coverage_rejected(self, std_normal, default_params):
-        tab = _const_table(1.0, max_k=2, max_l=10)  # l = 75 needed
-        with pytest.raises(PreconditionError):
-            polynomial_rate_certificate(
-                std_normal, gaussian(0.1, 1.0), default_params, envelopes=tab
-            )
 
     def test_intermediate_product_step_sound(self, std_normal, default_params):
         # the assembled Chat also bounds the measurable intermediate step:
@@ -263,10 +265,14 @@ class TestPolynomialCertificate:
         g2 = gaussian([0.0, 0.0], np_.eye(2))
         params = BoundParams(p=2.0, q=2.0, epsilon=0.1, d=2)
         with pytest.raises(PreconditionError, match="dimension one"):
-            polynomial_rate_certificate(g2, g2.translate([0.1, 0.0]), params)
+            polynomial_rate_certificate(
+                PairEvaluation(g2, g2.translate([0.1, 0.0]), params)
+            )
 
     def test_json_schema(self, std_normal, default_params):
-        cert = polynomial_rate_certificate(std_normal, gaussian(0.1, 1.0), default_params)
+        cert = polynomial_rate_certificate(
+            PairEvaluation(std_normal, gaussian(0.1, 1.0), default_params)
+        )
         doc = cert.to_json()
         assert set(doc) == {
             "regime", "params", "l", "M", "A", "constants", "rhs", "lhs",
@@ -278,12 +284,14 @@ class TestPolynomialCertificate:
 
 class TestPointwiseCertificate:
     def test_identical_inputs(self, std_normal, default_params):
-        cert = pointwise_certificate(std_normal, std_normal, default_params)
+        cert = pointwise_certificate(
+            PairEvaluation(std_normal, std_normal, default_params)
+        )
         assert cert.lhs == 0.0 and cert.rhs == 0.0 and cert.satisfied
 
     def test_order_zero_matches_reconstruction(self, std_normal, default_params):
         b = gaussian(0.05, 1.0)
-        cert = pointwise_certificate(std_normal, b, default_params)
+        cert = pointwise_certificate(PairEvaluation(std_normal, b, default_params))
         assert cert.satisfied
         # spectral-reconstruction oracle for the weighted sup
         grid, vals = weighted_diff_reconstruct(std_normal, b, 2)
@@ -293,25 +301,29 @@ class TestPointwiseCertificate:
 
     def test_first_derivative_multiindex(self, std_normal, default_params):
         cert = pointwise_certificate(
-            std_normal, gaussian(0.05, 1.0), default_params, alpha=(1,)
+            PairEvaluation(std_normal, gaussian(0.05, 1.0), default_params), alpha=(1,)
         )
         assert cert.satisfied
         expected = (cert.l - 1 - 1) / (cert.l + 1.0)
         np.testing.assert_allclose(cert.ledger.extra["exponent"], expected)
 
     def test_regime_tag(self, std_normal, default_params):
-        cert = pointwise_certificate(std_normal, gaussian(0.05, 1.0), default_params)
+        cert = pointwise_certificate(
+            PairEvaluation(std_normal, gaussian(0.05, 1.0), default_params)
+        )
         assert cert.to_json()["regime"] == "pointwise"
 
 
 class TestExponentialCertificate:
     def test_identical_inputs(self, std_normal, default_params):
-        cert = exponential_rate_certificate(std_normal, std_normal, default_params)
+        cert = exponential_rate_certificate(
+            PairEvaluation(std_normal, std_normal, default_params)
+        )
         assert cert.satisfied and cert.rhs == 0.0
 
     def test_small_gap_polylog_branch(self, std_normal, default_params):
         cert = exponential_rate_certificate(
-            std_normal, gaussian(1e-3, 1.0), default_params
+            PairEvaluation(std_normal, gaussian(1e-3, 1.0), default_params)
         )
         assert cert.satisfied
         assert cert.ledger.extra["branch"] == "polylog"
@@ -323,27 +335,31 @@ class TestExponentialCertificate:
         ratios = []
         for h in (1e-2, 1e-3, 1e-4):
             cert = exponential_rate_certificate(
-                std_normal, gaussian(h, 1.0), default_params
+                PairEvaluation(std_normal, gaussian(h, 1.0), default_params)
             )
             ratios.append(cert.rhs / (cert.A * abs(math.log(cert.A)) ** 3))
         assert (max(ratios) - min(ratios)) / min(ratios) < 0.01
 
     def test_beats_polynomial_regime_for_small_gaps(self, std_normal, default_params):
         for h in (1e-2, 1e-3):
-            c1 = polynomial_rate_certificate(std_normal, gaussian(h, 1.0), default_params)
-            c2 = exponential_rate_certificate(std_normal, gaussian(h, 1.0), default_params)
+            c1 = polynomial_rate_certificate(
+                PairEvaluation(std_normal, gaussian(h, 1.0), default_params)
+            )
+            c2 = exponential_rate_certificate(
+                PairEvaluation(std_normal, gaussian(h, 1.0), default_params)
+            )
             assert c2.rhs < c1.rhs
 
     def test_large_gap_falls_back(self, std_normal, default_params):
         cert = exponential_rate_certificate(
-            std_normal, gaussian(0.5, 1.0), default_params
+            PairEvaluation(std_normal, gaussian(0.5, 1.0), default_params)
         )
         assert cert.ledger.extra["branch"] == "constant"
         assert cert.satisfied
 
     def test_chain_constants_recorded(self, std_normal, default_params):
         cert = exponential_rate_certificate(
-            std_normal, gaussian(1e-3, 1.0), default_params
+            PairEvaluation(std_normal, gaussian(1e-3, 1.0), default_params)
         )
         for key in ("r_p", "c_p", "r_0", "c_0", "c_sharp", "lambda", "kappa_p",
                     "c2_weighted", "c2_flat", "c3_weighted", "c3_flat",
@@ -368,3 +384,37 @@ class TestParams:
         assert BoundParams(p=2.5, q=2, epsilon=0.5, d=1).p_even == 4
         assert BoundParams(p=3, q=2, epsilon=0.5, d=1).p_even == 4
         assert BoundParams(p=4, q=2, epsilon=0.5, d=1).p_even == 4
+
+
+class TestPairEvaluation:
+    def test_polynomial_certificate_alone_fits_no_exp_envelopes(
+        self, std_normal, default_params, monkeypatch
+    ):
+        import tvrates.bounds as bmod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exp_envelope called")
+
+        monkeypatch.setattr(bmod, "exp_envelope", forbidden)
+        pair = PairEvaluation(std_normal, gaussian(0.1, 1.0), default_params)
+        assert polynomial_rate_certificate(pair).satisfied
+
+    @pytest.mark.parametrize(
+        "h, params",
+        [
+            (1e-3, BoundParams(p=2.0, q=2.0, epsilon=0.1, d=1)),  # rate branch
+            (5.0, BoundParams(p=2.0, q=2.0, epsilon=0.1, d=1)),  # constant branch
+            (0.1, BoundParams(p=3.0, q=2.0, epsilon=0.2, d=1)),  # odd p
+        ],
+    )
+    def test_shared_evaluation_matches_fresh_ones(self, std_normal, h, params):
+        b = gaussian(h, 1.0)
+        builders = (
+            polynomial_rate_certificate,
+            exponential_rate_certificate,
+            pointwise_certificate,
+        )
+        shared = PairEvaluation(std_normal, b, params)
+        for build in builders:
+            fresh = PairEvaluation(std_normal, b, params)
+            assert build(shared).to_json_str() == build(fresh).to_json_str()

@@ -1,0 +1,10 @@
+import os
+import runpy
+
+DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+
+
+def test_certificate_demo_runs(capsys):
+    # the one demo that builds certificates, kept in step with their API
+    runpy.run_path(os.path.join(DEMOS, "04_envelopes_and_certificates.py"))
+    assert "satisfied = True" in capsys.readouterr().out

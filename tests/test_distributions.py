@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tvrates import (
     discretize,
     gaussian,
     sigma_box,
+    wasserstein_1d,
 )
 from tvrates.distributions import tail_mass_bound
 
@@ -193,6 +195,26 @@ class TestQuantile:
         for u in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(PreconditionError):
                 std_normal.quantile(u)
+
+    def test_weights_short_of_one_terminate(self, std_normal, bimodal):
+        # weights summing to 1 - 5e-13 pass the constructor, so the CDF never
+        # reaches the top quadrature level; bracket expansion must still end
+        short = GaussianMixture(
+            [0.5, 0.4999999999995], [[-1.0], [1.0]], [[[1.0]], [[1.0]]]
+        )
+
+        def deadline(signum, frame):
+            raise TimeoutError("wasserstein_1d did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, deadline)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            got = wasserstein_1d(std_normal, short, 2).value
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        want = wasserstein_1d(std_normal, bimodal, 2).value
+        np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
 class TestSampling:

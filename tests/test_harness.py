@@ -136,6 +136,49 @@ class TestRunSweep:
             "seed", "resolution", "box_sigmas", "version",
         }
 
+    def test_version_is_package_version(self, translate_report):
+        import tvrates
+
+        assert translate_report.metadata["version"] == tvrates.__version__
+
+    def test_row_computes_each_shared_quantity_once(self, monkeypatch):
+        import tvrates.harness as hmod
+        from tvrates import bounds, common_grid, distributions, spectral, transport
+
+        counted = {
+            transport.wasserstein_1d: "wasserstein_1d",
+            transport.rho_p: "rho_p",
+            spectral.char_fn_grid: "char_fn_grid",
+            spectral.poly_envelope: "poly_envelope",
+            spectral.exp_envelope: "exp_envelope",
+        }
+        calls = dict.fromkeys(counted.values(), 0)
+
+        def counting(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # every binding site, including the ``from ... import`` copies
+        for mod in (bounds, distributions, hmod, spectral, transport):
+            for attr, val in list(vars(mod).items()):
+                if callable(val) and val in counted:
+                    monkeypatch.setattr(mod, attr, counting(val, counted[val]))
+
+        sc = tiny_scenario()
+        grid = common_grid(*perturb_pair(sc, sc.h_grid[0]), sc.box_sigmas, sc.resolution)
+        row = hmod._sweep_row(sc, 1e-3, grid)
+        assert row["ok1"] and row["ok2"] and row["okp"]
+        assert calls == {
+            "wasserstein_1d": 1,
+            "rho_p": 2,  # once for p, once for tv
+            "char_fn_grid": 2,
+            "poly_envelope": 2,
+            "exp_envelope": 2,
+        }
+
     def test_smoothed_sequence_rate_beats_certified_exponent(self):
         # contaminated sequence at rates h_n, compared after smoothing:
         # the measured rate should dominate 1 - epsilon

@@ -275,6 +275,10 @@ class TestExpEnvelope:
         back = ExpEnvelopeTable.from_json(doc)
         assert back.rates == tab.rates
 
+    def test_rate_without_integral_rejected(self):
+        with pytest.raises(PreconditionError):
+            ExpEnvelopeTable({0: 1.0}, {}, {})
+
 
 class TestMultiindices:
     def test_counts(self):

@@ -7,6 +7,7 @@ from tvrates import (
     AtomSet,
     GaussianMixture,
     PreconditionError,
+    SpaceGrid,
     discretize,
     fm_upper,
     gaussian,
@@ -72,6 +73,12 @@ class TestRhoAndTv:
         fb = discretize(gaussian(1.0, 1.0), box, 4096)
         got = tv_mass(fa, fb)
         np.testing.assert_allclose(got.value, TV_UNIT_TRANSLATE, atol=1e-4)
+
+    def test_mixture_grid_beyond_refinable_dimensions_rejected(self):
+        g4 = gaussian(np.zeros(4), np.eye(4))
+        grid = SpaceGrid((-6.0,) * 4, (6.0,) * 4, (16,) * 4)
+        with pytest.raises(PreconditionError, match="dimension <= 3"):
+            rho_p(g4, g4.translate(np.full(4, 0.1)), 2.0, grid=grid)
 
 
 class TestWasserstein1d:
