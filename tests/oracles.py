@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the package's own code paths: moments by
 adaptive quadrature, distances by dense quadrature over scipy densities,
-discrete transport by exhaustive enumeration.
+discrete transport by exhaustive enumeration or by assignment.
 """
 
 import itertools
@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import linear_sum_assignment
 from scipy.stats import norm
 
 
@@ -54,6 +55,14 @@ def brute_force_ot_uniform(xa, xb, q):
         c = sum(cost[i, perm[i]] for i in range(n)) / n
         best = min(best, c)
     return best ** (1.0 / q)
+
+
+def assignment_cost(xa, xb, q):
+    """Optimal cost (W_q^q) between equal-count, uniform-mass atom sets: a
+    permutation matching, found by the Hungarian method."""
+    cost = np.linalg.norm(xa[:, None, :] - xb[None, :, :], axis=-1) ** q
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
 
 
 def mc_pair_moment(fn, n=10**6, seed=12345):

@@ -8,3 +8,8 @@ def test_certificate_demo_runs(capsys):
     # the one demo that builds certificates, kept in step with their API
     runpy.run_path(os.path.join(DEMOS, "04_envelopes_and_certificates.py"))
     assert "satisfied = True" in capsys.readouterr().out
+
+
+def test_transport_demo_runs(capsys):
+    runpy.run_path(os.path.join(DEMOS, "02_discrete_transport.py"))
+    assert "n =  512" in capsys.readouterr().out

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from oracles import brute_force_ot_uniform, mixture_pdf, quad_weighted_tv
+import tvrates.transport
+from oracles import (
+    assignment_cost,
+    brute_force_ot_uniform,
+    mixture_pdf,
+    quad_weighted_tv,
+)
 from tvrates import (
     AtomSet,
+    ConvergenceError,
     GaussianMixture,
     PreconditionError,
     SpaceGrid,
@@ -23,6 +32,18 @@ TV_UNIT_TRANSLATE = 2.0 * (2.0 * norm.cdf(0.5) - 1.0)  # 0.76584862...
 
 def uniform_atoms(rng, n, d, shift=0.0, scale=1.0):
     return AtomSet(rng.normal(size=(n, d)) * scale + shift, np.full(n, 1.0 / n))
+
+
+def uniform_cloud(x):
+    return AtomSet(x, np.full(len(x), 1.0 / len(x)))
+
+
+def benchmark_cloud_seed0():
+    """The 64-atom 1-D cloud of the transport benchmark at seed 0: its
+    generator first draws 32 pairs of 16-atom 2-D clouds."""
+    rng = np.random.default_rng(0)
+    rng.uniform(size=(32, 2, 16, 2))
+    return rng.uniform(size=(64, 1))
 
 
 class TestRhoAndTv:
@@ -169,6 +190,56 @@ class TestOtExact:
         with pytest.raises(PreconditionError):
             ot_exact(big, other, 2)
 
+    @pytest.mark.parametrize("shift", [0.02, 0.4])
+    def test_benchmark_translate_pairs_match_assignment(self, shift):
+        # an LP stopping within its dual tolerance landed ~1e-9 above these
+        x = benchmark_cloud_seed0()
+        res, _ = ot_exact(uniform_cloud(x), uniform_cloud(x + shift), 2)
+        assert abs(res.value**2 - assignment_cost(x, x + shift, 2)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(1, 40),
+        q=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sorted_1d_matches_lp(self, n, m, q, ties, seed):
+        rng = np.random.default_rng(seed)
+
+        def atoms(k):
+            x = rng.integers(0, 5, k) / 4.0 if ties else rng.uniform(size=k)
+            return x, rng.dirichlet(np.ones(k))
+
+        (xa, ma), (xb, mb) = atoms(n), atoms(m)
+        res, plan = ot_exact(AtomSet(xa[:, None], ma), AtomSet(xb[:, None], mb), q)
+        # a zero second coordinate keeps the costs and forces the LP path
+        lp, _ = ot_exact(
+            AtomSet(np.column_stack([xa, np.zeros(n)]), ma),
+            AtomSet(np.column_stack([xb, np.zeros(m)]), mb),
+            q,
+        )
+        # HiGHS itself can stop ~1e-9 above the optimum; its err certifies how far
+        lp_gap = lp.value**q - (lp.value - lp.err) ** q
+        assert lp.value**q - lp_gap - 1e-9 <= res.value**q <= lp.value**q + 1e-9
+        np.testing.assert_allclose(plan.matrix.sum(axis=1), ma, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(plan.matrix.sum(axis=0), mb, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [*range(8), "embedded-translate"])
+    def test_lp_err_is_a_duality_gap(self, seed):
+        if seed == "embedded-translate":
+            # the LP stops ~1e-9 above the optimum on this pair
+            x = np.column_stack([benchmark_cloud_seed0(), np.zeros(64)])
+            xa, xb = x, x + [0.02, 0.0]
+        else:
+            rng = np.random.default_rng(seed)
+            xa, xb = rng.uniform(size=(16, 2)), rng.uniform(size=(16, 2))
+        res, _ = ot_exact(uniform_cloud(xa), uniform_cloud(xb), 2)
+        excess = res.value - assignment_cost(xa, xb, 2) ** 0.5
+        assert res.err >= 0.0
+        assert res.err >= excess - 1e-12
+
     def test_plan_marginals(self):
         rng = np.random.default_rng(11)
         a = uniform_atoms(rng, 8, 2)
@@ -199,6 +270,28 @@ class TestOtEntropic:
             assert ent.value >= exact.value - 1e-10
             assert (ent.value - exact.value) / exact.value <= 0.01
             assert ent.err >= ent.value - exact.value - 1e-12
+
+    def test_stage_exits_bound_the_work(self, monkeypatch):
+        # the near-identical pair needs the deep annealing tail; count the
+        # log-sum-exp half sweeps rather than time them
+        calls = []
+        lse = tvrates.transport._logsumexp_rows
+        monkeypatch.setattr(
+            tvrates.transport, "_logsumexp_rows", lambda M: calls.append(1) or lse(M)
+        )
+        x = benchmark_cloud_seed0()
+        a, b = uniform_cloud(x), uniform_cloud(x + 0.02)
+        ent = ot_entropic(a, b, 2)
+        exact = assignment_cost(x, x + 0.02, 2)
+        assert exact - 1e-10 <= ent.value**2 <= exact / (1 - 5e-3)
+        assert len(calls) <= 2000
+
+    def test_marginal_exit_never_skips_the_certificate(self):
+        # one coarse stage meets the marginal exit but not the duality gap
+        x = benchmark_cloud_seed0()
+        a, b = uniform_cloud(x), uniform_cloud(x + 0.02)
+        with pytest.raises(ConvergenceError):
+            ot_entropic(a, b, 2, reg_schedule=(0.3,))
 
     def test_schedule_must_decrease(self):
         rng = np.random.default_rng(2)
