@@ -42,13 +42,19 @@ from .spectral import (
     exp_envelope,
     poly_envelope,
 )
-from .transport import rho_p as _rho_p
-from .transport import tv_mass, wasserstein_1d
+from .transport import (
+    MAX_REFINEMENTS,
+    QUADRATURE_TOL,
+    normal_levels,
+    quantile_distance,
+    refine_weighted_l1,
+)
 
 __all__ = [
     "BoundParams",
     "ConstantLedger",
     "BoundCertificate",
+    "LawEvaluation",
     "PairEvaluation",
     "gamma_k",
     "c_ring",
@@ -325,15 +331,71 @@ class BoundCertificate:
 # the pair evaluation and shared assembly pieces
 # ---------------------------------------------------------------------------
 
+class LawEvaluation:
+    """The quantities certificates read off one law on one space grid.
+
+    The quantiles at the Gauss-Hermite levels of each rule order, the law
+    discretized on ``grid`` refined ``level`` times, its characteristic
+    grid, its order-``K`` decay-envelope tables and its absolute and
+    exponential moments are each computed on first use and then kept, so
+    every pair that holds this evaluation shares them.  Concurrent first
+    uses recompute the same deterministic value.
+    """
+
+    def __init__(self, law: GaussianMixture, grid: SpaceGrid, K: int):
+        self.law, self.grid, self.K = law, grid, K
+        self._kept = {}
+
+    def _keep(self, key, compute):
+        if key not in self._kept:
+            self._kept[key] = compute()
+        return self._kept[key]
+
+    def quantiles(self, n_nodes: int) -> np.ndarray:
+        return self._keep(
+            ("quantiles", n_nodes), lambda: self.law.quantile(normal_levels(n_nodes))
+        )
+
+    def density(self, level: int):
+        def compute():
+            box = np.stack([self.grid.lo, self.grid.hi], axis=1)
+            return discretize(self.law, box, self.grid.refined(2**level).shape)
+
+        return self._keep(("density", level), compute)
+
+    @cached_property
+    def char_grid(self):
+        return char_fn_grid(self.density(0))
+
+    def poly_envelope(self, L: int) -> PolyEnvelopeTable:
+        return self._keep(
+            ("poly_envelope", L), lambda: poly_envelope(self.char_grid, self.K, L)
+        )
+
+    @cached_property
+    def exp_envelope(self) -> ExpEnvelopeTable:
+        return exp_envelope(self.char_grid, self.K)
+
+    def abs_moment(self, m: float) -> float:
+        return self._keep(("abs_moment", m), lambda: self.law.abs_moment(m))
+
+    def exp_abs_moment(self, r: float) -> float:
+        return self._keep(("exp_abs_moment", r), lambda: self.law.exp_abs_moment(r))
+
+
 class PairEvaluation:
     """The quantities every certificate reads off one pair of laws.
 
-    The W_q gap, rho_p and tv, the two laws' grid densities and
-    characteristic functions, and the pair's combined decay-envelope tables
-    are each computed on first use and then kept, so certificates built from
-    one evaluation share them and a certificate computes only what it reads.
-    ``grid`` is the shared space grid (the pair's common sigma-box grid when
-    omitted).  Concurrent first uses recompute the same deterministic value.
+    A pair holds one :class:`LawEvaluation` per law (``laws``) and derives
+    from them, on first use and then kept, the W_q gap (from the two laws'
+    quantiles), rho_p and tv (one refinement ladder over the two laws'
+    kept densities) and the pair's combined decay-envelope tables, so
+    certificates built from one evaluation share them and a certificate
+    computes only what it reads.  ``grid`` is the shared space grid (the
+    pair's common sigma-box grid when omitted).  :meth:`of_laws` builds a
+    pair from evaluations that other pairs share, as a sweep does for its
+    reference law.  Concurrent first uses recompute the same deterministic
+    value.
     """
 
     def __init__(
@@ -343,15 +405,27 @@ class PairEvaluation:
         params: BoundParams,
         grid: SpaceGrid | None = None,
     ):
-        if a.d != b.d or a.d != params.d:
-            raise PreconditionError("pair and parameter dimensions disagree")
-        if params.d != 1:
-            raise PreconditionError(
-                "certificates require an exact Wasserstein gap, which is only "
-                "available in dimension one for analytic inputs"
-            )
-        self.a, self.b, self.params = a, b, params
-        self.grid = grid if grid is not None else common_grid(a, b)
+        _check_pair(a, b, params)
+        grid = grid if grid is not None else common_grid(a, b)
+        self._setup(
+            LawEvaluation(a, grid, params.p_even),
+            LawEvaluation(b, grid, params.p_even),
+            params,
+        )
+
+    @classmethod
+    def of_laws(cls, la: LawEvaluation, lb: LawEvaluation, params: BoundParams):
+        """The pair of two law evaluations on one grid, at order p_even."""
+        _check_pair(la.law, lb.law, params)
+        if la.grid != lb.grid or la.K != params.p_even or lb.K != params.p_even:
+            raise PreconditionError("law evaluations disagree on the grid or order")
+        pair = cls.__new__(cls)
+        pair._setup(la, lb, params)
+        return pair
+
+    def _setup(self, la, lb, params):
+        self.laws = (la, lb)
+        self.a, self.b, self.params, self.grid = la.law, lb.law, params, la.grid
         self._poly_envelopes = {}
 
     @cached_property
@@ -359,37 +433,54 @@ class PairEvaluation:
         """The measured gap A = W_q(a, b); exactly 0 for identical laws."""
         if self.a == self.b:
             return 0.0
-        return wasserstein_1d(self.a, self.b, self.params.q).value
+        la, lb = self.laws
+        return quantile_distance(
+            lambda n: (la.quantiles(n), lb.quantiles(n)), self.params.q
+        ).value
 
     @cached_property
+    def distances(self) -> tuple:
+        """The :class:`DistanceResult` of rho_p and of tv, from one ladder;
+        each equals its standalone :func:`tvrates.transport.rho_p` value on
+        ``grid``, but if either does not resolve, reading both raises."""
+        la, lb = self.laws
+        return refine_weighted_l1(
+            lambda level: (la.density(level), lb.density(level)),
+            (self.params.p, 0.0),
+            QUADRATURE_TOL,
+            MAX_REFINEMENTS[self.grid.d],
+        )
+
+    @property
     def rho(self) -> float:
-        return _rho_p(self.a, self.b, self.params.p, grid=self.grid).value
+        return self.distances[0].value
 
-    @cached_property
+    @property
     def tv(self) -> float:
-        return tv_mass(self.a, self.b, grid=self.grid).value
-
-    @cached_property
-    def densities(self) -> tuple:
-        box = np.stack([self.grid.lo, self.grid.hi], axis=1)
-        return tuple(discretize(x, box, self.grid.shape) for x in (self.a, self.b))
-
-    @cached_property
-    def char_grids(self) -> tuple:
-        return tuple(char_fn_grid(f) for f in self.densities)
+        return self.distances[1].value
 
     def poly_envelopes(self, L: int) -> PolyEnvelopeTable:
         """Frequency-side table valid for both laws, k <= p_even, l <= L."""
         if L not in self._poly_envelopes:
-            ta, tb = (poly_envelope(cg, self.params.p_even, L) for cg in self.char_grids)
-            self._poly_envelopes[L] = ta.combine_max(tb)
+            la, lb = self.laws
+            self._poly_envelopes[L] = la.poly_envelope(L).combine_max(lb.poly_envelope(L))
         return self._poly_envelopes[L]
 
     @cached_property
     def exp_envelopes(self) -> ExpEnvelopeTable:
         """Exponential-decay table valid for both laws, k <= p_even."""
-        ea, eb = (exp_envelope(cg, self.params.p_even) for cg in self.char_grids)
-        return ea.combine(eb)
+        la, lb = self.laws
+        return la.exp_envelope.combine(lb.exp_envelope)
+
+
+def _check_pair(a: GaussianMixture, b: GaussianMixture, params: BoundParams):
+    if a.d != b.d or a.d != params.d:
+        raise PreconditionError("pair and parameter dimensions disagree")
+    if params.d != 1:
+        raise PreconditionError(
+            "certificates require an exact Wasserstein gap, which is only "
+            "available in dimension one for analytic inputs"
+        )
 
 
 def _trivial_rho_bound(a, b, p: float) -> float:
@@ -417,7 +508,8 @@ def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
     integer the right side carries the supplement 2 Cbar_{l,0} A^{theta_{l,0}}
     coming from rho_p <= rho_{p_even} + 2 tv.
     """
-    a, b, params = pair.a, pair.b, pair.params
+    a, b = pair.laws
+    params = pair.params
     p, d = params.p_even, params.d
     l = choose_l(params.epsilon, p, d)
     A = pair.gap
@@ -473,7 +565,8 @@ def pointwise_certificate(pair: PairEvaluation, alpha=None) -> BoundCertificate:
     """Sup-norm certificate: ||(d^alpha f_a - d^alpha f_b)(1 + |x|^p)||_inf
     <= K A^{(l - d - |alpha|)/(l + 1)} with K assembled from the pair's
     moments and the frequency-side envelope at orders 0 and p_even."""
-    a, b, params = pair.a, pair.b, pair.params
+    a, b = pair.laws
+    params = pair.params
     p, d = params.p_even, params.d
     alpha = tuple(int(x) for x in (alpha if alpha is not None else (0,) * d))
     if len(alpha) != d or any(x < 0 for x in alpha):
@@ -518,7 +611,7 @@ def pointwise_certificate(pair: PairEvaluation, alpha=None) -> BoundCertificate:
         ledger.extra["branch"] = "constant"
     ledger.validate()
 
-    fa, fb = pair.densities
+    fa, fb = a.density(0), b.density(0)
     if k_a == 0:
         diff = np.abs(fa.values - fb.values)
     else:
@@ -554,7 +647,8 @@ def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundC
     falls back to ``rhs = C max(A, 1)`` with the trivial moment constant C.
     Every chain constant lands in the ledger under ``extra``.
     """
-    a, b, params = pair.a, pair.b, pair.params
+    a, b = pair.laws
+    params = pair.params
     p, d = params.p_even, params.d
     if r <= 0:
         raise PreconditionError("exponential moment rate must be > 0")

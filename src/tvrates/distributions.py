@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
-from scipy.stats import norm
 
 from .errors import MassDefectError, PreconditionError
 
@@ -273,7 +272,7 @@ class GaussianMixture:
         x = np.asarray(x, dtype=float)
         s = np.sqrt(self._c[:, 0, 0])
         z = (x[..., None] - self._m[:, 0]) / s
-        return np.sum(self._w * norm.cdf(z), axis=-1)
+        return np.sum(self._w * special.ndtr(z), axis=-1)
 
     def quantile(self, u):
         """Inverse CDF by bracketed bisection; |F(result) - u| <= 1e-12.
@@ -369,8 +368,8 @@ class GaussianMixture:
             # E e^{r|X|} = e^{rm + r^2 s^2/2} Phi(m/s + rs) + e^{-rm + r^2 s^2/2} Phi(-m/s + rs)
             half = 0.5 * r * r * c
             total += w * (
-                math.exp(r * m + half) * norm.cdf(m / s + r * s)
-                + math.exp(-r * m + half) * norm.cdf(-m / s + r * s)
+                math.exp(r * m + half) * special.ndtr(m / s + r * s)
+                + math.exp(-r * m + half) * special.ndtr(-m / s + r * s)
             )
         return total
 
@@ -495,7 +494,7 @@ def auto_box(dist: GaussianMixture, delta: float) -> np.ndarray:
     delta of the mass; shape (d, 2)."""
     if not 0 < delta < 1:
         raise PreconditionError("delta must lie in (0, 1)")
-    z = float(norm.isf(delta / (2.0 * dist.d)))
+    z = -float(special.ndtri(delta / (2.0 * dist.d)))
     return sigma_box(dist, z)
 
 
@@ -504,8 +503,8 @@ def tail_mass_bound(dist: GaussianMixture, box) -> float:
     marginal Gaussian tails."""
     box = np.asarray(box, dtype=float).reshape(dist.d, 2)
     s = np.sqrt(np.einsum("kjj->kj", dist.covs))
-    lo_tail = norm.cdf((box[:, 0] - dist.means) / s)
-    hi_tail = norm.sf((box[:, 1] - dist.means) / s)
+    lo_tail = special.ndtr((box[:, 0] - dist.means) / s)
+    hi_tail = special.ndtr(-((box[:, 1] - dist.means) / s))
     per_comp = np.sum(lo_tail + hi_tail, axis=1)
     return float(np.sum(dist.weights * np.minimum(per_comp, 1.0)))
 

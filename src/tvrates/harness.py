@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .bounds import (
     BoundParams,
+    LawEvaluation,
     PairEvaluation,
     exponential_rate_certificate,
     pointwise_certificate,
@@ -225,9 +226,13 @@ class SweepReport:
         )
 
 
-def _sweep_row(sc: Scenario, h: float, grid) -> dict:
+def _sweep_row(sc: Scenario, h: float, evaluate) -> dict:
+    """One report row; ``evaluate(law, keep=...)`` returns the sweep's
+    :class:`LawEvaluation` of a law (see :func:`run_sweep`)."""
     a, b = perturb_pair(sc, h)
-    pair = PairEvaluation(a, b, sc.params, grid)
+    pair = PairEvaluation.of_laws(
+        evaluate(a, keep=True), evaluate(b, keep=False), sc.params
+    )
     cert1 = polynomial_rate_certificate(pair)
     cert2 = exponential_rate_certificate(pair, r=sc.r_exp)
     certp = pointwise_certificate(pair)
@@ -260,14 +265,30 @@ def run_sweep(sc: Scenario) -> SweepReport:
 
     One grid serves the whole sweep, sized for the largest scale (whose box
     covers all smaller ones); per-row boxes would let the tail-fit window
-    shift with h and add spurious jitter to the certified constants.
+    shift with h and add spurious jitter to the certified constants.  The
+    sweep keeps one :class:`LawEvaluation` per distinct reference law
+    (found by ``==``), so a reference law that stays fixed over the scale
+    grid has its quantiles, densities, envelopes and moments computed once;
+    each row's perturbed law is evaluated afresh and dropped with its row.
+    Nothing is kept past the call.
     """
     a0, b0 = perturb_pair(sc, sc.h_grid[0])
     grid = common_grid(a0, b0, sc.box_sigmas, sc.resolution)
+    kept = []
+
+    def evaluate(law, keep):
+        for ev in kept:
+            if ev.law == law:
+                return ev
+        ev = LawEvaluation(law, grid, sc.params.p_even)
+        if keep:
+            kept.append(ev)
+        return ev
+
     rows, failures = [], []
     for h in sc.h_grid:
         try:
-            rows.append(_sweep_row(sc, h, grid))
+            rows.append(_sweep_row(sc, h, evaluate))
         except TvratesError as exc:
             failures.append((h, str(exc)))
     if len(failures) > 0.2 * len(sc.h_grid):

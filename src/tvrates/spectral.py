@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,9 @@ __all__ = [
 # FFT round-off on moment-weighted transforms reaches ~1e-12 relative at the
 # resolutions used here, so anything below this floor is not trustworthy.
 RESOLVED_FLOOR = 1e-11
+
+# Largest log of a finite double: envelope entries above it overflow.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +543,9 @@ def poly_envelope(obj, K: int, L: int) -> PolyEnvelopeTable:
         for alpha, mag in stacks[k]:
             for l in range(L + 1):
                 v = _resolved_log_max(mag, log_weight, l)
-                if v > -math.inf:
+                if v > LOG_FLOAT_MAX:
+                    table[k, l] = math.inf
+                elif v > -math.inf:
                     table[k, l] = max(table[k, l], math.exp(v))
     if not np.all(np.isfinite(table)):
         raise ResolutionError("envelope entries overflowed; lower the weight power")

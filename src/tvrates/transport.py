@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 from scipy.optimize import linprog
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .distributions import (
     AtomSet,
@@ -93,20 +93,6 @@ class TransportPlan:
 # grid quadrature distances
 # ---------------------------------------------------------------------------
 
-def _pair_grids(a, b, grid: SpaceGrid | None):
-    if isinstance(a, GridDensity) and isinstance(b, GridDensity):
-        if a.grid != b.grid:
-            raise PreconditionError("grid densities must share one grid")
-        return a, b, None
-    if isinstance(a, GaussianMixture) and isinstance(b, GaussianMixture):
-        g = grid if grid is not None else common_grid(a, b)
-        if g.d not in MAX_REFINEMENTS:
-            raise PreconditionError("mixture quadrature needs dimension <= 3")
-        box = np.stack([g.lo, g.hi], axis=1)
-        return discretize(a, box, g.shape), discretize(b, box, g.shape), (a, b)
-    raise PreconditionError("inputs must both be mixtures or both be grid densities")
-
-
 def _weighted_l1(fa: GridDensity, fb: GridDensity, p: float) -> float:
     diff = np.abs(fa.values - fb.values)
     if p > 0:
@@ -136,49 +122,86 @@ def _coarsen_value(fa: GridDensity, fb: GridDensity, p: float) -> float:
 
 MAX_REFINEMENTS = {1: 4, 2: 2, 3: 1}
 
+# Default refinement tolerance of the grid quadrature distances.
+QUADRATURE_TOL = 1e-4
 
-def rho_p(a, b, p: float, tol: float = 1e-4, grid: SpaceGrid | None = None) -> DistanceResult:
-    """Weighted total variation int (1 + |x|^p) |f_a - f_b| dx for p > 0.
 
-    The zero-power weight is the constant 1, so rho_p(a, b, 0) equals the
-    total variation mass int |f_a - f_b| dx (twice the usual TV probability
-    metric).  Mixture inputs are discretized on a shared sigma-box grid and
-    refined until the refinement difference drops below ``tol``; grid inputs
-    cannot be refined, so their error estimate comes from coarsening and the
-    tolerance is enforced as-is.
+def refine_weighted_l1(densities, powers, tol: float, max_refinements: int) -> tuple:
+    """One refinement ladder for several weight powers of one pair.
+
+    ``densities(level)`` returns the pair's grid densities on the base grid
+    refined ``level`` times (doubling every axis each time).  Each power's
+    value is the weighted L1 difference at the first level whose change
+    against the level below is at most ``tol``, with that change as its
+    error, so the result for a power does not depend on the other powers.
+    The ladder stops once every power has resolved and returns one
+    :class:`DistanceResult` per power, in order.
     """
-    if p < 0:
-        raise PreconditionError("weight power must be >= 0")
-    fa, fb, analytic = _pair_grids(a, b, grid)
-    if analytic is None:
-        value = _weighted_l1(fa, fb, p)
-        err = abs(value - _coarsen_value(fa, fb, p))
-        if err > tol:
-            raise NumericalError(
-                f"grid quadrature error estimate {err:.3e} exceeds tol {tol:.3e}"
-            )
-        return DistanceResult(value, "grid-quadrature", err)
-    dist_a, dist_b = analytic
-    g = fa.grid
-    value = _weighted_l1(fa, fb, p)
+    fa, fb = densities(0)
+    values = [_weighted_l1(fa, fb, p) for p in powers]
+    results = [None] * len(powers)
     err = math.inf
-    for _ in range(MAX_REFINEMENTS[g.d]):
-        g = g.refined()
-        box = np.stack([g.lo, g.hi], axis=1)
-        fa2 = discretize(dist_a, box, g.shape)
-        fb2 = discretize(dist_b, box, g.shape)
-        value2 = _weighted_l1(fa2, fb2, p)
-        err = abs(value2 - value)
-        value = value2
-        if err <= tol:
-            return DistanceResult(value, "grid-quadrature", err)
+    for level in range(1, max_refinements + 1):
+        fa, fb = densities(level)
+        for i, p in enumerate(powers):
+            if results[i] is None:
+                value = _weighted_l1(fa, fb, p)
+                err = abs(value - values[i])
+                values[i] = value
+                if err <= tol:
+                    results[i] = DistanceResult(value, "grid-quadrature", err)
+        if all(r is not None for r in results):
+            return tuple(results)
     raise NumericalError(
         f"quadrature did not reach tol {tol:.3e} (last estimate {err:.3e}); "
         "the pair is unresolvable at the allowed resolutions"
     )
 
 
-def tv_mass(a, b, tol: float = 1e-4, grid: SpaceGrid | None = None) -> DistanceResult:
+def rho_p(
+    a, b, p: float, tol: float = QUADRATURE_TOL, grid: SpaceGrid | None = None
+) -> DistanceResult:
+    """Weighted total variation int (1 + |x|^p) |f_a - f_b| dx for p > 0.
+
+    The zero-power weight is the constant 1, so rho_p(a, b, 0) equals the
+    total variation mass int |f_a - f_b| dx (twice the usual TV probability
+    metric).  Mixture inputs are discretized on a shared sigma-box grid and
+    refined until the refinement difference drops below ``tol``, through
+    :func:`refine_weighted_l1`, the ladder that
+    :class:`tvrates.bounds.PairEvaluation` runs once for rho_p and tv
+    together on its laws' kept densities, so both paths give the same bits.
+    Grid inputs cannot be refined, so their error estimate comes from
+    coarsening and the tolerance is enforced as-is.
+    """
+    if p < 0:
+        raise PreconditionError("weight power must be >= 0")
+    if isinstance(a, GridDensity) and isinstance(b, GridDensity):
+        if a.grid != b.grid:
+            raise PreconditionError("grid densities must share one grid")
+        value = _weighted_l1(a, b, p)
+        err = abs(value - _coarsen_value(a, b, p))
+        if err > tol:
+            raise NumericalError(
+                f"grid quadrature error estimate {err:.3e} exceeds tol {tol:.3e}"
+            )
+        return DistanceResult(value, "grid-quadrature", err)
+    if not (isinstance(a, GaussianMixture) and isinstance(b, GaussianMixture)):
+        raise PreconditionError("inputs must both be mixtures or both be grid densities")
+    g = grid if grid is not None else common_grid(a, b)
+    if g.d not in MAX_REFINEMENTS:
+        raise PreconditionError("mixture quadrature needs dimension <= 3")
+    box = np.stack([g.lo, g.hi], axis=1)
+
+    def densities(level):
+        shape = g.refined(2**level).shape
+        return discretize(a, box, shape), discretize(b, box, shape)
+
+    return refine_weighted_l1(densities, (p,), tol, MAX_REFINEMENTS[g.d])[0]
+
+
+def tv_mass(
+    a, b, tol: float = QUADRATURE_TOL, grid: SpaceGrid | None = None
+) -> DistanceResult:
     """Total variation mass int |f_a - f_b| dx."""
     return rho_p(a, b, 0.0, tol=tol, grid=grid)
 
@@ -215,17 +238,32 @@ def _quantile_fn(obj):
 def _normal_rule(n_nodes: int):
     """Gauss-Hermite weights and their levels u = Phi(sqrt(2) s), read-only."""
     s, w = np.polynomial.hermite.hermgauss(n_nodes)
-    u = np.clip(norm.cdf(math.sqrt(2.0) * s), 1e-16, 1.0 - 1e-16)
+    u = np.clip(ndtr(math.sqrt(2.0) * s), 1e-16, 1.0 - 1e-16)
     u.flags.writeable = False
     w.flags.writeable = False
     return u, w
 
 
-def _quantile_wq(qa, qb, q: float, n_nodes: int) -> float:
+def normal_levels(n_nodes: int) -> np.ndarray:
+    """The quantile levels at which the order-``n_nodes`` rule of
+    :func:`quantile_distance` reads both laws' quantile functions."""
+    return _normal_rule(n_nodes)[0]
+
+
+def _quantile_wq(xa, xb, q: float, n_nodes: int) -> float:
     # int_0^1 |Qa - Qb|^q du with u = Phi(t): Gauss-Hermite after t = sqrt(2) s
-    u, w = _normal_rule(n_nodes)
-    g = np.abs(qa(u) - qb(u)) ** q
+    w = _normal_rule(n_nodes)[1]
+    g = np.abs(xa - xb) ** q
     return float(np.sum(w * g) / math.sqrt(math.pi)) ** (1.0 / q)
+
+
+def quantile_distance(quantiles, q: float, n_nodes: int = 128) -> DistanceResult:
+    """W_q from quantile values: ``quantiles(n)`` returns both laws'
+    quantiles at ``normal_levels(n)``; the rule of order ``n_nodes`` is
+    checked against the doubled one, which gives the value."""
+    v1 = _quantile_wq(*quantiles(n_nodes), q, n_nodes)
+    v2 = _quantile_wq(*quantiles(2 * n_nodes), q, 2 * n_nodes)
+    return DistanceResult(v2, "quantile-quadrature", abs(v2 - v1))
 
 
 def wasserstein_1d(a, b, q: float, n_nodes: int = 128) -> DistanceResult:
@@ -240,9 +278,12 @@ def wasserstein_1d(a, b, q: float, n_nodes: int = 128) -> DistanceResult:
     if q <= 1:
         raise PreconditionError("quantile quadrature requires q > 1")
     qa, qb = _quantile_fn(a), _quantile_fn(b)
-    v1 = _quantile_wq(qa, qb, q, n_nodes)
-    v2 = _quantile_wq(qa, qb, q, 2 * n_nodes)
-    return DistanceResult(v2, "quantile-quadrature", abs(v2 - v1))
+
+    def quantiles(n):
+        u = normal_levels(n)
+        return qa(u), qb(u)
+
+    return quantile_distance(quantiles, q, n_nodes)
 
 
 def _w1_cdf_1d(a, b, n: int = 16384) -> DistanceResult:

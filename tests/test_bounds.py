@@ -11,6 +11,7 @@ from tvrates import (
     PairEvaluation,
     PolyEnvelopeTable,
     PreconditionError,
+    TvratesError,
     c_bar,
     c_hat,
     c_ring,
@@ -23,8 +24,11 @@ from tvrates import (
     pointwise_certificate,
     polynomial_rate_certificate,
     theta_exponent,
+    tv_mass,
     weighted_diff_reconstruct,
 )
+from tvrates import rho_p as rho_p_distance
+from tvrates.bounds import LawEvaluation
 
 
 class TestGamma:
@@ -418,3 +422,55 @@ class TestPairEvaluation:
         for build in builders:
             fresh = PairEvaluation(std_normal, b, params)
             assert build(shared).to_json_str() == build(fresh).to_json_str()
+
+    @pytest.mark.parametrize(
+        "h, params",
+        [
+            (1e-3, BoundParams(p=2.0, q=2.0, epsilon=0.1, d=1)),  # rate branch
+            (5.0, BoundParams(p=2.0, q=2.0, epsilon=0.1, d=1)),  # constant branch
+            (0.1, BoundParams(p=3.0, q=2.0, epsilon=0.2, d=1)),  # odd p
+        ],
+    )
+    def test_one_ladder_matches_standalone_distances(self, std_normal, h, params):
+        b = gaussian(h, 1.0)
+        pair = PairEvaluation(std_normal, b, params)
+        g = pair.grid
+        rho, tv = pair.distances
+        assert rho == rho_p_distance(std_normal, b, params.p, grid=g)
+        assert tv == tv_mass(std_normal, b, grid=g)
+        assert (pair.rho, pair.tv) == (rho.value, tv.value)
+
+    def test_envelope_overflow_is_a_typed_error(self, std_normal):
+        # epsilon = 0.02 needs l ~ 300, whose frequency weights exceed a double
+        pair = PairEvaluation(
+            std_normal, gaussian(0.01, 1.0), BoundParams(2, 2, 0.02, 1)
+        )
+        with pytest.raises(TvratesError, match="overflowed"):
+            polynomial_rate_certificate(pair)
+
+    def test_pairs_share_law_evaluations(self, std_normal, default_params):
+        grid = PairEvaluation(std_normal, gaussian(0.1, 1.0), default_params).grid
+        ref = LawEvaluation(std_normal, grid, default_params.p_even)
+        for h in (0.1, 0.01):
+            b = gaussian(h, 1.0)
+            shared = PairEvaluation.of_laws(
+                ref, LawEvaluation(b, grid, default_params.p_even), default_params
+            )
+            fresh = PairEvaluation(std_normal, b, default_params, grid)
+            for build in (polynomial_rate_certificate, exponential_rate_certificate,
+                          pointwise_certificate):
+                assert build(shared).to_json_str() == build(fresh).to_json_str()
+
+    def test_law_evaluations_must_agree(self, std_normal, default_params):
+        grid = PairEvaluation(std_normal, gaussian(0.1, 1.0), default_params).grid
+        b = gaussian(0.1, 1.0)
+        with pytest.raises(PreconditionError):
+            PairEvaluation.of_laws(
+                LawEvaluation(std_normal, grid, 2), LawEvaluation(b, grid.refined(), 2),
+                default_params,
+            )
+        with pytest.raises(PreconditionError):
+            PairEvaluation.of_laws(
+                LawEvaluation(std_normal, grid, 4), LawEvaluation(b, grid, 4),
+                default_params,
+            )

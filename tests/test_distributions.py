@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -215,6 +218,45 @@ class TestQuantile:
             signal.signal(signal.SIGALRM, previous)
         want = wasserstein_1d(std_normal, bimodal, 2).value
         np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+class TestNormalUfuncs:
+    """The mixture CDF, tail bound and auto box call scipy.special's normal
+    ufuncs, which scipy.stats.norm wraps: the values are the same bits."""
+
+    def test_cdf_matches_norm_cdf(self, bimodal):
+        xs = np.linspace(-40.0, 40.0, 2001)
+        z = (xs[:, None] - bimodal.means[:, 0]) / np.sqrt(bimodal.covs[:, 0, 0])
+        want = np.sum(bimodal.weights * norm.cdf(z), axis=-1)
+        assert np.array_equal(bimodal.cdf(xs), want)
+
+    def test_tail_bound_and_box_match_norm(self, bimodal):
+        box = np.array([[-3.5, 2.0]])
+        s = np.sqrt(bimodal.covs[:, 0, 0])[:, None]
+        tails = (norm.cdf((box[:, 0] - bimodal.means) / s)
+                 + norm.sf((box[:, 1] - bimodal.means) / s))
+        want = float(np.sum(bimodal.weights * np.minimum(tails.sum(axis=1), 1.0)))
+        assert tail_mass_bound(bimodal, box) == want
+        assert np.array_equal(
+            auto_box(bimodal, 1e-9), sigma_box(bimodal, float(norm.isf(0.5e-9)))
+        )
+
+    def test_exp_abs_moment_matches_norm_cdf(self, bimodal):
+        r, total = 1.5, 0.0
+        for w, m, c in zip(bimodal.weights, bimodal.means[:, 0], bimodal.covs[:, 0, 0]):
+            s, half = math.sqrt(c), 0.5 * r * r * c
+            total += w * (math.exp(r * m + half) * norm.cdf(m / s + r * s)
+                          + math.exp(-r * m + half) * norm.cdf(-m / s + r * s))
+        assert bimodal.exp_abs_moment(r) == total
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        import tvrates
+
+        code = ("import sys, tvrates, tvrates.cli; "
+                "sys.exit('scipy.stats' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(tvrates.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestSampling:

@@ -141,22 +141,28 @@ class TestRunSweep:
 
         assert translate_report.metadata["version"] == tvrates.__version__
 
-    def test_row_computes_each_shared_quantity_once(self, monkeypatch):
+    def test_sweep_computes_each_law_quantity_once(self, monkeypatch):
         import tvrates.harness as hmod
-        from tvrates import bounds, common_grid, distributions, spectral, transport
+        from tvrates import GaussianMixture, bounds, distributions, spectral, transport
 
         counted = {
-            transport.wasserstein_1d: "wasserstein_1d",
-            transport.rho_p: "rho_p",
             spectral.char_fn_grid: "char_fn_grid",
             spectral.poly_envelope: "poly_envelope",
             spectral.exp_envelope: "exp_envelope",
+            distributions.discretize: "discretize",
         }
-        calls = dict.fromkeys(counted.values(), 0)
+        calls = []  # (name, law or None, detail) per call
+
+        def law_key(law):
+            return tuple(v.tobytes() for v in (law.weights, law.means, law.covs))
 
         def counting(fn, name):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                if name == "discretize":
+                    law, _, shape = args
+                    calls.append((name, law_key(law), tuple(shape)))
+                else:
+                    calls.append((name, None, None))
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -166,18 +172,33 @@ class TestRunSweep:
             for attr, val in list(vars(mod).items()):
                 if callable(val) and val in counted:
                     monkeypatch.setattr(mod, attr, counting(val, counted[val]))
+        quantile = GaussianMixture.quantile
+
+        def counting_quantile(law, u):
+            calls.append(("quantile", law_key(law), len(u)))
+            return quantile(law, u)
+
+        monkeypatch.setattr(GaussianMixture, "quantile", counting_quantile)
 
         sc = tiny_scenario()
-        grid = common_grid(*perturb_pair(sc, sc.h_grid[0]), sc.box_sigmas, sc.resolution)
-        row = hmod._sweep_row(sc, 1e-3, grid)
-        assert row["ok1"] and row["ok2"] and row["okp"]
-        assert calls == {
-            "wasserstein_1d": 1,
-            "rho_p": 2,  # once for p, once for tv
-            "char_fn_grid": 2,
-            "poly_envelope": 2,
-            "exp_envelope": 2,
-        }
+        n = len(sc.h_grid)
+        per_sweep = []
+        for _ in range(2):
+            calls.clear()
+            rep = run_sweep(sc)
+            assert all(r["ok1"] and r["ok2"] and r["okp"] for r in rep.rows)
+            per_sweep.append(sorted(calls))
+        # no evaluation outlives its sweep: the second sweep repeats the work
+        assert per_sweep[0] == per_sweep[1]
+        names = [name for name, _, _ in per_sweep[0]]
+        for name in ("char_fn_grid", "poly_envelope", "exp_envelope"):
+            assert names.count(name) == n + 1
+        ref = law_key(sc.base)
+        assert sorted(d for name, law, d in per_sweep[0]
+                      if name == "quantile" and law == ref) == [128, 256]
+        discretized = [(law, d) for name, law, d in per_sweep[0] if name == "discretize"]
+        assert len(discretized) == len(set(discretized))
+        assert sum(law == ref for law, _ in discretized) >= 2  # level 0 and 1
 
     def test_smoothed_sequence_rate_beats_certified_exponent(self):
         # contaminated sequence at rates h_n, compared after smoothing:
