@@ -12,6 +12,7 @@ All types are immutable after construction; operations never mutate inputs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -299,12 +300,20 @@ class GaussianMixture:
             hi += (hi - lo)
         a = np.full(u_arr.shape, lo)
         b = np.full(u_arr.shape, hi)
+        # the loop evaluates self.cdf(mid) inline, into buffers made once
+        means, weights = self._m[:, 0], self._w
+        mid, width, cdf = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+        z = np.empty(a.shape + means.shape)
+        below, above = np.empty(a.shape, bool), np.empty(a.shape, bool)
+        tol = 1e-14 * max(1.0, abs(lo), abs(hi))
         for _ in range(200):
-            mid = 0.5 * (a + b)
-            below = self.cdf(mid) < levels
-            a = np.where(below, mid, a)
-            b = np.where(below, b, mid)
-            if np.max(b - a) < 1e-14 * max(1.0, abs(lo), abs(hi)):
+            np.multiply(np.add(a, b, out=mid), 0.5, out=mid)
+            np.divide(np.subtract(mid[..., None], means, out=z), s, out=z)
+            np.multiply(weights, special.ndtr(z, out=z), out=z)
+            np.less(np.sum(z, axis=-1, out=cdf), levels, out=below)
+            np.copyto(a, mid, where=below)
+            np.copyto(b, mid, where=np.logical_not(below, out=above))
+            if np.subtract(b, a, out=width).max() < tol:
                 break
         out = 0.5 * (a + b)
         return out if np.ndim(u) else float(out[0])
@@ -338,8 +347,18 @@ class GaussianMixture:
     def _abs_moment_even(self, p: int) -> float:
         k = p // 2
         total = 0.0
-        for w, mu, cov in zip(self._w, self._m, self._c):
-            total += w * _norm_sq_moment(mu, cov, k)
+        # past the float range the recursion overflows: to inf with numpy
+        # warnings, or with OverflowError on a factorial
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for w, mu, cov in zip(self._w, self._m, self._c):
+                    total += w * _norm_sq_moment(mu, cov, k)
+            except OverflowError:
+                total = math.inf
+        if not math.isfinite(total):
+            raise PreconditionError(
+                f"moment of order {p} (E|X|^{p}) is not a finite float"
+            )
         return total
 
     def _abs_moment_quad(self, p: float) -> float:
@@ -471,10 +490,17 @@ def _norm_sq_moment(mu, cov, k: int) -> float:
     m = np.empty(k + 1)
     m[0] = 1.0
     for n in range(1, k + 1):
-        m[n] = sum(
-            math.comb(n - 1, i) * kappa[n - i] * m[i] for i in range(n)
-        )
+        # m_n = sum_i C(n-1, i) kappa_{n-i} m_i, summed left to right
+        m[n] = np.cumsum(_binomial_row(n - 1) * kappa[n:0:-1] * m[:n])[-1]
     return float(m[k])
+
+
+@functools.cache
+def _binomial_row(n: int) -> np.ndarray:
+    """Read-only row C(n, i), i = 0..n, each binomial rounded to a float."""
+    row = np.array([float(math.comb(n, i)) for i in range(n + 1)])
+    row.flags.writeable = False
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,9 @@ class CharGrid:
     space_grid: SpaceGrid
     values: np.ndarray
     is_characteristic: bool = True
+    # derivative stacks by order K, built on first use by both envelope
+    # estimators (see _stack_of); derived data, so not part of the value
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -140,8 +143,13 @@ def _axis_phase(grid: SpaceGrid, sign: float):
 def forward_transform(grid: SpaceGrid, values) -> np.ndarray:
     """Discrete approximation of ``int g(x) exp(+i<u,x>) dx`` on the dual
     grid, ascending frequency order."""
+    return _forward(grid, values, _axis_phase(grid, +1.0))
+
+
+def _forward(grid: SpaceGrid, values, phases) -> np.ndarray:
+    """:func:`forward_transform` with its ``_axis_phase(grid, +1)`` given."""
     out = np.fft.ifftn(np.asarray(values)) * np.prod(grid.shape) * grid.cell_volume
-    for ph in _axis_phase(grid, +1.0):
+    for ph in phases:
         out = out * ph
     return np.fft.fftshift(out)
 
@@ -149,8 +157,13 @@ def forward_transform(grid: SpaceGrid, values) -> np.ndarray:
 def inverse_transform(grid: SpaceGrid, freq_values) -> np.ndarray:
     """Exact inverse of :func:`forward_transform`; equals the Riemann sum of
     ``(2 pi)^{-d} int V(u) exp(-i<u,x>) du`` over the dual grid."""
+    return _inverse(grid, freq_values, _axis_phase(grid, -1.0))
+
+
+def _inverse(grid: SpaceGrid, freq_values, phases) -> np.ndarray:
+    """:func:`inverse_transform` with its ``_axis_phase(grid, -1)`` given."""
     out = np.fft.ifftshift(np.asarray(freq_values, dtype=complex))
-    for ph in _axis_phase(grid, -1.0):
+    for ph in phases:
         out = out * ph
     return np.fft.fftn(out) / (np.prod(grid.shape) * grid.cell_volume)
 
@@ -193,18 +206,9 @@ def _multinomial(k: int, alpha) -> int:
     return num
 
 
-def _freq_monomial(grid: SpaceGrid, alpha) -> np.ndarray:
-    mesh = grid.freq_mesh()
-    out = np.ones(grid.shape)
-    for m, a in zip(mesh, alpha):
-        if a:
-            out = out * m**a
-    return out
-
-
-def _space_monomial(grid: SpaceGrid, alpha) -> np.ndarray:
-    mesh = grid.mesh()
-    out = np.ones(grid.shape)
+def _monomial(mesh, alpha) -> np.ndarray:
+    """x^alpha on a space mesh or u^alpha on a frequency mesh."""
+    out = np.ones(mesh[0].shape)
     for m, a in zip(mesh, alpha):
         if a:
             out = out * m**a
@@ -218,17 +222,8 @@ def density_derivative(f: GridDensity, alpha) -> np.ndarray:
         raise PreconditionError("multiindex rank does not match dimension")
     phi = forward_transform(f.grid, f.values)
     k = sum(alpha)
-    mult = (-1j) ** k * _freq_monomial(f.grid, alpha)
+    mult = (-1j) ** k * _monomial(f.grid.freq_mesh(), alpha)
     return inverse_transform(f.grid, phi * mult).real
-
-
-def _char_derivative_values(grid: SpaceGrid, density_values, alpha) -> np.ndarray:
-    """partial_alpha phi on the dual grid: i^{|alpha|} times the transform of
-    x^alpha times the density."""
-    k = sum(alpha)
-    return (1j) ** k * forward_transform(
-        grid, _space_monomial(grid, alpha) * density_values
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +264,8 @@ def delta_p_char(obj, p: int, grid: SpaceGrid | None = None) -> CharGrid:
     if isinstance(obj, GridDensity):
         if grid is not None and grid != obj.grid:
             raise PreconditionError("grid argument conflicts with input grid")
-        weight = sum(_space_monomial(obj.grid, alpha) for alpha in _axis_powers(obj.d, p))
+        mesh = obj.grid.mesh()
+        weight = sum(_monomial(mesh, alpha) for alpha in _axis_powers(obj.d, p))
         vals = (1j) ** p * forward_transform(obj.grid, weight * obj.values)
         return CharGrid(obj.grid, vals, is_characteristic=False)
     if not isinstance(obj, GaussianMixture):
@@ -464,18 +460,19 @@ def _derivative_stack(obj, K: int):
 
     Returns (side, grid, coord_radii, stacks) where stacks[k] is a list of
     (alpha, |derivative| array) over all |alpha| = k, and coord_radii is |x|
-    (density side) or |u| (frequency side) at the nodes.
+    (density side) or |u| (frequency side) at the nodes.  The arrays are
+    read-only, so a :class:`CharGrid` can keep the stack for every reader.
     """
     if isinstance(obj, GridDensity):
         side = "density"
         grid = obj.grid
         phi = forward_transform(grid, obj.values)
         radii = grid.radii()
+        freq_mesh, minus = grid.freq_mesh(), _axis_phase(grid, -1.0)
 
         def deriv(alpha):
-            k = sum(alpha)
-            mult = (-1j) ** k * _freq_monomial(grid, alpha)
-            return np.abs(inverse_transform(grid, phi * mult))
+            mult = (-1j) ** sum(alpha) * _monomial(freq_mesh, alpha)
+            return np.abs(_inverse(grid, phi * mult, minus))
 
         _check_diff_stability(np.abs(phi), grid.freq_radii(), K)
     elif isinstance(obj, CharGrid):
@@ -483,9 +480,12 @@ def _derivative_stack(obj, K: int):
         grid = obj.space_grid
         dens = inverse_transform(grid, obj.values)
         radii = grid.freq_radii()
+        mesh, plus = grid.mesh(), _axis_phase(grid, +1.0)
 
+        # partial_alpha phi: i^{|alpha|} times the transform of x^alpha f
         def deriv(alpha):
-            return np.abs(_char_derivative_values(grid, dens, alpha))
+            moment = _forward(grid, _monomial(mesh, alpha) * dens, plus)
+            return np.abs((1j) ** sum(alpha) * moment)
 
         _check_diff_stability(np.abs(dens), grid.radii(), K)
     else:
@@ -495,7 +495,20 @@ def _derivative_stack(obj, K: int):
         k: [(alpha, deriv(alpha)) for alpha in multiindices(grid.d, k)]
         for k in range(K + 1)
     }
+    for arr in [radii] + [mag for stack in stacks.values() for _, mag in stack]:
+        arr.flags.writeable = False
     return side, grid, radii, stacks
+
+
+def _stack_of(obj, K: int):
+    """The order-K derivative stack of ``obj``; a :class:`CharGrid` builds
+    each order once and keeps it, so its polynomial and exponential
+    envelopes read one stack."""
+    if not isinstance(obj, CharGrid):
+        return _derivative_stack(obj, K)
+    if K not in obj._stacks:
+        obj._stacks[K] = _derivative_stack(obj, K)
+    return obj._stacks[K]
 
 
 def _check_diff_stability(weight_mag, dual_radii, K: int):
@@ -516,14 +529,20 @@ def _check_diff_stability(weight_mag, dual_radii, K: int):
         )
 
 
-def _resolved_log_max(mag, log_weight, l: int):
-    """max over resolved nodes of log(mag) + l * log(1 + radius)."""
+def _resolved_log_maxima(mag, log_weight, L: int) -> np.ndarray:
+    """Entry l (0 <= l <= L): max over resolved nodes of
+    log(mag) + l * log(1 + radius); all -inf when mag vanishes."""
     top = mag.max()
     if top == 0.0:
-        return -math.inf
+        return np.full(L + 1, -math.inf)
     mask = mag >= top * RESOLVED_FLOOR
-    logs = np.log(mag[mask]) + l * log_weight[mask]
-    return logs.max()
+    logs, lw = np.log(mag[mask]), log_weight[mask]
+    # a block of l values at a time keeps the temporaries near 2**20 entries
+    step = max(1, 2**20 // logs.size)
+    return np.concatenate([
+        (logs + np.arange(l0, min(l0 + step, L + 1))[:, None] * lw).max(axis=1)
+        for l0 in range(0, L + 1, step)
+    ])
 
 
 def poly_envelope(obj, K: int, L: int) -> PolyEnvelopeTable:
@@ -536,13 +555,12 @@ def poly_envelope(obj, K: int, L: int) -> PolyEnvelopeTable:
     """
     if K < 0 or L < 0:
         raise PreconditionError("coverage bounds must be >= 0")
-    side, grid, radii, stacks = _derivative_stack(obj, K)
+    side, grid, radii, stacks = _stack_of(obj, K)
     log_weight = np.log1p(radii)
     table = np.zeros((K + 1, L + 1))
     for k in range(K + 1):
         for alpha, mag in stacks[k]:
-            for l in range(L + 1):
-                v = _resolved_log_max(mag, log_weight, l)
+            for l, v in enumerate(_resolved_log_maxima(mag, log_weight, L)):
                 if v > LOG_FLOAT_MAX:
                     table[k, l] = math.inf
                 elif v > -math.inf:
@@ -573,7 +591,7 @@ def exp_envelope(obj: CharGrid, K: int) -> ExpEnvelopeTable:
     """
     if not isinstance(obj, CharGrid):
         raise PreconditionError("exponential envelopes require a CharGrid")
-    _, grid, radii, stacks = _derivative_stack(obj, K)
+    _, grid, radii, stacks = _stack_of(obj, K)
     dvol = grid.freq_cell_volume()
     d = grid.d
     sphere_area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)

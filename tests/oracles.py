@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the package's own code paths: moments by
 adaptive quadrature, distances by dense quadrature over scipy densities,
-discrete transport by exhaustive enumeration or by assignment.
+discrete transport by exhaustive enumeration or by assignment.  The last
+section keeps the plain-loop forms of kernels the package vectorizes, which
+must agree with them bit for bit.
 """
 
 import itertools
@@ -71,3 +73,72 @@ def mc_pair_moment(fn, n=10**6, seed=12345):
     x = np.abs(rng.standard_normal(n))
     y = np.abs(rng.standard_normal(n))
     return float(np.mean(fn(x, y)))
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of vectorized kernels: the plain loops the fast
+# code must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+def norm_sq_moment_loop(mu, cov, k):
+    """E (|X|^2)^k for X ~ N(mu, cov) by the cumulant recursion, each m_n a
+    builtin left-to-right sum of C(n-1, i) kappa_{n-i} m_i."""
+    if k == 0:
+        return 1.0
+    kappa = np.empty(k + 1)
+    power = np.eye(len(mu))
+    for j in range(1, k + 1):
+        kappa[j] = (
+            2.0 ** (j - 1)
+            * math.factorial(j - 1)
+            * (np.trace(power @ cov) + j * float(mu @ power @ mu))
+        )
+        power = power @ cov
+    m = np.empty(k + 1)
+    m[0] = 1.0
+    for n in range(1, k + 1):
+        m[n] = sum(math.comb(n - 1, i) * kappa[n - i] * m[i] for i in range(n))
+    return float(m[k])
+
+
+def poly_table_loop(stacks, radii, K, L, floor, log_max):
+    """Polynomial envelope table from a derivative stack, one masked maximum
+    of log|g| + l log(1 + radius) per (alpha, l)."""
+    log_weight = np.log1p(radii)
+    table = np.zeros((K + 1, L + 1))
+    for k in range(K + 1):
+        for _, mag in stacks[k]:
+            top = mag.max()
+            if top == 0.0:
+                continue
+            for l in range(L + 1):
+                mask = mag >= top * floor
+                v = (np.log(mag[mask]) + l * log_weight[mask]).max()
+                if v > log_max:
+                    table[k, l] = math.inf
+                else:
+                    table[k, l] = max(table[k, l], math.exp(v))
+    return table
+
+
+def quantile_bisection(law, u):
+    """Inverse CDF of a 1-D mixture by bisection on ``law.cdf`` with
+    ``np.where`` updates, from the same bracket and stopping test."""
+    levels = u * float(law.weights.sum())
+    s = np.sqrt(law.covs[:, 0, 0])
+    lo = float(np.min(law.means[:, 0] - 10.0 * s))
+    hi = float(np.max(law.means[:, 0] + 10.0 * s))
+    while law.cdf(lo) >= levels.min():
+        lo -= hi - lo
+    while (top := law.cdf(hi)) <= levels.max() and top < float(law.weights.sum()):
+        hi += hi - lo
+    a = np.full(u.shape, lo)
+    b = np.full(u.shape, hi)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        below = law.cdf(mid) < levels
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+        if np.max(b - a) < 1e-14 * max(1.0, abs(lo), abs(hi)):
+            break
+    return 0.5 * (a + b)

@@ -7,6 +7,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import itertools
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -229,6 +230,21 @@ def test_criterion_10_rate_recovery(sweep_reports):
         f"translate log-log slope {rep.slope:.4f} in [0.95, 1.05] and above "
         f"the certified exponent 1 - eps = 0.9",
     )
+
+
+def test_default_reports_match_golden_files(sweep_reports, tmp_path):
+    # the reports under demos/reports/ are the byte-identity contract of
+    # every speed-up: all csv, json and svg files must regenerate exactly
+    golden = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "reports")
+    written = []
+    for name, rep in sweep_reports.items():
+        if name != "_elapsed":
+            written += emit_report(rep, tmp_path, ("csv", "json", "svg"))
+    names = sorted(os.path.basename(path) for path in written)
+    assert names == sorted(os.listdir(golden))
+    for name in names:
+        with open(os.path.join(golden, name), "rb") as want, open(tmp_path / name, "rb") as got:
+            assert got.read() == want.read(), f"{name} differs from the golden report"
 
 
 def test_criterion_11_metric_axioms():

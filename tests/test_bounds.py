@@ -448,6 +448,15 @@ class TestPairEvaluation:
         with pytest.raises(TvratesError, match="overflowed"):
             polynomial_rate_certificate(pair)
 
+    @pytest.mark.parametrize("epsilon, order", [(0.045, 346), (0.04, 390), (0.03, 524)])
+    def test_moment_overflow_is_a_typed_error(self, std_normal, epsilon, order):
+        # the envelopes stay finite here, but a_{0,2l} overflows a double
+        pair = PairEvaluation(
+            std_normal, gaussian(0.01, 1.0), BoundParams(2, 2, epsilon, 1)
+        )
+        with pytest.raises(TvratesError, match=f"order {order}"):
+            polynomial_rate_certificate(pair)
+
     def test_pairs_share_law_evaluations(self, std_normal, default_params):
         grid = PairEvaluation(std_normal, gaussian(0.1, 1.0), default_params).grid
         ref = LawEvaluation(std_normal, grid, default_params.p_even)

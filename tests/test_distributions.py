@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from oracles import mixture_pdf, quad_abs_moment
+from oracles import (
+    mixture_pdf,
+    norm_sq_moment_loop,
+    quad_abs_moment,
+    quantile_bisection,
+)
 from tvrates import (
     AtomSet,
     GaussianMixture,
@@ -23,7 +29,8 @@ from tvrates import (
     sigma_box,
     wasserstein_1d,
 )
-from tvrates.distributions import tail_mass_bound
+from tvrates.distributions import _norm_sq_moment, tail_mass_bound
+from tvrates.transport import normal_levels
 
 
 class TestDensity:
@@ -85,6 +92,28 @@ class TestMoments:
         g = gaussian([0.0, 0.0], np.eye(2))
         # E|X| for the standard 2-D normal is sqrt(pi/2)
         np.testing.assert_allclose(g.abs_moment(1), math.sqrt(math.pi / 2), rtol=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), k=st.integers(0, 170))
+    def test_norm_sq_moment_matches_loop_bit_for_bit(self, data, d, k):
+        entry = st.floats(-2.0, 2.0)
+        mu = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d)))
+        root = np.array(data.draw(st.lists(entry, min_size=d * d, max_size=d * d)))
+        root = root.reshape(d, d)
+        cov = root @ root.T + data.draw(st.floats(0.05, 4.0)) * np.eye(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = norm_sq_moment_loop(mu, cov, k)
+            got = _norm_sq_moment(mu, cov, k)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [310, 346, 390])
+    def test_overflowing_even_moment_is_typed_error(self, std_normal, p):
+        # E|X|^310 = 10^319.0 lies past the float range; at 346 and beyond
+        # the cumulant factorials themselves do
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=f"order {p}"):
+                std_normal.abs_moment(p)
 
     def test_exp_abs_moment_matches_quadrature(self, bimodal):
         from scipy import integrate
@@ -218,6 +247,22 @@ class TestQuantile:
             signal.signal(signal.SIGALRM, previous)
         want = wasserstein_1d(std_normal, bimodal, 2).value
         np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3))
+    def test_bisection_matches_where_loop_bit_for_bit(self, data, n):
+        weights = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        means = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+        variances = data.draw(st.lists(st.floats(0.05, 25.0), min_size=n, max_size=n))
+        law = GaussianMixture(
+            weights / weights.sum(),
+            [[m] for m in means],
+            [[[v]] for v in variances],
+        )
+        for n_nodes in (128, 256):
+            u = normal_levels(n_nodes)
+            np.testing.assert_array_equal(law.quantile(u), quantile_bisection(law, u))
 
 
 class TestNormalUfuncs:

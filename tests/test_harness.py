@@ -149,6 +149,7 @@ class TestRunSweep:
             spectral.char_fn_grid: "char_fn_grid",
             spectral.poly_envelope: "poly_envelope",
             spectral.exp_envelope: "exp_envelope",
+            spectral._derivative_stack: "derivative_stack",
             distributions.discretize: "discretize",
         }
         calls = []  # (name, law or None, detail) per call
@@ -191,7 +192,8 @@ class TestRunSweep:
         # no evaluation outlives its sweep: the second sweep repeats the work
         assert per_sweep[0] == per_sweep[1]
         names = [name for name, _, _ in per_sweep[0]]
-        for name in ("char_fn_grid", "poly_envelope", "exp_envelope"):
+        # both envelopes of a law read the one derivative stack its char grid keeps
+        for name in ("char_fn_grid", "derivative_stack", "poly_envelope", "exp_envelope"):
             assert names.count(name) == n + 1
         ref = law_key(sc.base)
         assert sorted(d for name, law, d in per_sweep[0]

@@ -21,7 +21,17 @@ from tvrates import (
     sigma_box,
     weighted_diff_reconstruct,
 )
-from tvrates.spectral import exp_envelope, forward_transform, multiindices
+from oracles import poly_table_loop
+from tvrates import common_grid, default_scenarios, perturb_pair
+from tvrates.bounds import LawEvaluation
+from tvrates.spectral import (
+    LOG_FLOAT_MAX,
+    RESOLVED_FLOOR,
+    _derivative_stack,
+    exp_envelope,
+    forward_transform,
+    multiindices,
+)
 
 
 def grid_of(dist, n=4096, k_sigma=10.0):
@@ -229,6 +239,19 @@ class TestPolyEnvelope:
         tb = poly_envelope(grid_of(bimodal), 2, 2)
         comb = ta.combine_max(tb)
         np.testing.assert_array_equal(comb.table, np.maximum(ta.table, tb.table))
+
+    def test_default_laws_match_per_l_loop_bit_for_bit(self):
+        # every law of the default sweep, on its sweep grid, at the order
+        # and weight power (l = 77) the certificates read
+        for sc in default_scenarios():
+            ref, first = perturb_pair(sc, sc.h_grid[0])
+            grid = common_grid(ref, first, sc.box_sigmas, sc.resolution)
+            K, L = sc.params.p_even, 77
+            for law in [ref] + [perturb_pair(sc, h)[1] for h in sc.h_grid]:
+                cg = LawEvaluation(law, grid, K).char_grid
+                _, _, radii, stacks = _derivative_stack(cg, K)
+                want = poly_table_loop(stacks, radii, K, L, RESOLVED_FLOOR, LOG_FLOAT_MAX)
+                np.testing.assert_array_equal(poly_envelope(cg, K, L).table, want)
 
 
 class TestExpEnvelope:
