@@ -7,7 +7,10 @@ distances come in three flavors: the one-dimensional quantile representation
 (Gauss-Hermite quadrature after the normal substitution), an exact discrete
 solver (sorting in one dimension, an LP otherwise), and an annealed Sinkhorn solver
 whose reported value is always the cost of a rounded feasible plan, hence an
-upper bound on the exact cost.
+upper bound on the exact cost.  Its sweeps run in blocks as scalings of a
+kernel built from log potentials, which absorb the scalings at the end of
+every block; a block whose kernel under- or overflows reruns in the log
+domain.
 """
 
 from __future__ import annotations
@@ -363,6 +366,18 @@ def _ot_sorted_1d(a: AtomSet, b: AtomSet, q: float):
     return cost, plan, 0.0
 
 
+def _marginal_constraints(n: int, m: int) -> scipy.sparse.csc_matrix:
+    """Row-sum and column-sum constraints of an n x m plan flattened row
+    by row: column ``i*m + j`` has ones in rows ``i`` and ``n + j``.  The
+    int32 indices hold every size within ``OT_SIZE_LIMIT``."""
+    i, j = np.divmod(np.arange(n * m, dtype=np.int32), m)
+    indices = np.column_stack([i, n + j]).ravel()
+    indptr = np.arange(0, 2 * n * m + 1, 2, dtype=np.int32)
+    return scipy.sparse.csc_matrix(
+        (np.ones(2 * n * m), indices, indptr), shape=(n + m, n * m)
+    )
+
+
 def _ot_lp(a: AtomSet, b: AtomSet, q: float):
     """Transportation LP (HiGHS) with its duality gap, both in cost units.
 
@@ -372,9 +387,7 @@ def _ot_lp(a: AtomSet, b: AtomSet, q: float):
     """
     n, m = len(a), len(b)
     C = _cost_matrix(a, b, q)
-    rows = scipy.sparse.kron(scipy.sparse.eye(n), np.ones((1, m)))
-    cols = scipy.sparse.kron(np.ones((1, n)), scipy.sparse.eye(m))
-    A_eq = scipy.sparse.vstack([rows, cols]).tocsc()
+    A_eq = _marginal_constraints(n, m)
     b_eq = np.concatenate([a.masses, b.masses])
     method = "highs" if n * m <= 40_000 else "highs-ipm"
     res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method=method)
@@ -431,6 +444,16 @@ def _logsumexp_rows(M):
     return out.ravel()
 
 
+def _scaling_block(K, v, ma, mb, n):
+    """``n`` Sinkhorn sweeps ``u = ma / (K v)``, ``v = mb / (K^T u)`` on the
+    kernel ``K`` from the column scaling ``v``; returns ``(u, v)``, whose
+    plan is ``u[:, None] * K * v[None, :]``."""
+    for _ in range(n):
+        u = ma / (K @ v)
+        v = mb / (K.T @ u)
+    return u, v
+
+
 def _round_to_feasible(plan, ma, mb):
     """Project a nearly feasible plan onto the transport polytope: scale rows
     and columns down to their marginals, then add a rank-one correction."""
@@ -457,9 +480,16 @@ def ot_entropic(
     """Entropically regularized optimal transport with schedule annealing.
 
     ``reg_schedule`` lists decreasing regularization weights relative to the
-    cost-matrix maximum, ending at the target epsilon.  Iterations run in the
-    log domain with warm starts across the schedule.  Each stage sweeps until
-    the L1 error of the plan's row marginal is at most ``MARGINAL_TOL`` or
+    cost-matrix maximum, ending at the target epsilon.  The log potentials
+    ``f``, ``g`` warm-start each stage from the last.  Each stage sweeps in
+    blocks of ``MARGINAL_CHECK_EVERY``: a block runs the scaling updates
+    ``u = a / (K v)``, ``v = b / (K^T u)`` on the kernel
+    ``K = exp((f + g - C / max C) / eps)`` of the current potentials, then
+    folds ``eps log u`` and ``eps log v`` into ``f`` and ``g``, the same
+    iterates as log-sum-exp sweeps.  A block whose scalings come back zero or
+    non-finite (the kernel underflowed after a large drop in eps) is rerun
+    with log-sum-exp sweeps.  A stage ends after the block at which the L1
+    error of the plan's row marginal is at most ``MARGINAL_TOL``, or once
     ``max_iter`` sweeps (a per-stage cap) have run.  At the end of every
     stage the plan is rounded onto the feasibility polytope, so the reported
     value is the cost of a feasible plan and therefore an upper bound on the
@@ -489,13 +519,24 @@ def ot_entropic(
 
     atol = 1e-15 * scale
     for eps in schedule:
-        for it in range(1, max_iter + 1):
-            f = eps * (la - _logsumexp_rows((g[None, :] - Cn) / eps))
-            g = eps * (lb - _logsumexp_rows((f[None, :] - Cn.T) / eps))
-            if it % MARGINAL_CHECK_EVERY == 0:
-                rows = np.exp((f[:, None] + g[None, :] - Cn) / eps).sum(axis=1)
-                if np.abs(rows - a.masses).sum() <= MARGINAL_TOL:
-                    break
+        for done in range(0, max_iter, MARGINAL_CHECK_EVERY):
+            sweeps = min(MARGINAL_CHECK_EVERY, max_iter - done)
+            with np.errstate(all="ignore"):
+                K = np.exp((f[:, None] + g[None, :] - Cn) / eps)
+                u, v = _scaling_block(K, np.ones(len(b)), a.masses, b.masses, sweeps)
+                rows = u * (K @ v)
+                df, dg = eps * np.log(u), eps * np.log(v)
+                if np.isfinite(df).all() and np.isfinite(dg).all():
+                    f, g = f + df, g + dg
+                else:
+                    # the kernel under- or overflowed (a large drop in eps):
+                    # redo the block in the log domain
+                    for _ in range(sweeps):
+                        f = eps * (la - _logsumexp_rows((g[None, :] - Cn) / eps))
+                        g = eps * (lb - _logsumexp_rows((f[None, :] - Cn.T) / eps))
+                    rows = np.exp((f[:, None] + g[None, :] - Cn) / eps).sum(axis=1)
+            if np.abs(rows - a.masses).sum() <= MARGINAL_TOL:
+                break
         plan = _round_to_feasible(
             np.exp((f[:, None] + g[None, :] - Cn) / eps), a.masses, b.masses
         )
@@ -506,7 +547,7 @@ def ot_entropic(
         if gap <= rtol * cost + atol:
             return _gap_distance(cost, gap, q, "entropic-ot")
     raise ConvergenceError(
-        f"entropic solver left a duality gap of {gap:.3e} "
+        f"entropic solver left a duality gap of {gap!r} "
         f"(target {rtol:.1e} relative) after the full schedule"
     )
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,10 @@ import tvrates.transport
 from oracles import (
     assignment_cost,
     brute_force_ot_uniform,
+    marginal_constraints_kron,
     mixture_pdf,
     quad_weighted_tv,
+    sinkhorn_log_domain,
 )
 from tvrates import (
     AtomSet,
@@ -38,12 +42,58 @@ def uniform_cloud(x):
     return AtomSet(x, np.full(len(x), 1.0 / len(x)))
 
 
-def benchmark_cloud_seed0():
-    """The 64-atom 1-D cloud of the transport benchmark at seed 0: its
-    generator first draws 32 pairs of 16-atom 2-D clouds."""
+def benchmark_entropic_pairs_seed0():
+    """The transport benchmark's three entropic problems at seed 0: its
+    generator first draws 32 pairs of 16-atom 2-D clouds, then the 64-atom
+    1-D cloud (paired with its 0.02 and 0.4 translates), two 256-atom 1-D
+    clouds, and the 64-atom 2-D pair."""
     rng = np.random.default_rng(0)
     rng.uniform(size=(32, 2, 16, 2))
-    return rng.uniform(size=(64, 1))
+    x = rng.uniform(size=(64, 1))
+    rng.uniform(size=(2, 256, 1))
+    xa, xb = rng.uniform(size=(64, 2)), rng.uniform(size=(64, 2))
+    return {"near": (x, x + 0.02), "far": (x, x + 0.4), "2d": (xa, xb)}
+
+
+def benchmark_cloud_seed0():
+    """The 64-atom 1-D cloud of the transport benchmark at seed 0."""
+    return benchmark_entropic_pairs_seed0()["near"][0]
+
+
+@pytest.fixture
+def sweep_counter(monkeypatch):
+    """Counts ``ot_entropic``'s Sinkhorn sweeps: those of its kernel-scaling
+    blocks, and the log-domain half sweeps of its guard."""
+    counts = {"scaling": 0, "log_half": 0}
+    block = tvrates.transport._scaling_block
+    lse = tvrates.transport._logsumexp_rows
+
+    def counted_block(K, v, ma, mb, n):
+        counts["scaling"] += n
+        return block(K, v, ma, mb, n)
+
+    def counted_lse(M):
+        counts["log_half"] += 1
+        return lse(M)
+
+    monkeypatch.setattr(tvrates.transport, "_scaling_block", counted_block)
+    monkeypatch.setattr(tvrates.transport, "_logsumexp_rows", counted_lse)
+    return counts
+
+
+def dirichlet_pairs():
+    """120 seeded uneven-mass problems: sizes 2-59, dimension 1-3, q in
+    {1, 1.5, 2, 3}, Dirichlet masses, a standard normal cloud against a
+    spread and shifted one."""
+    rng = np.random.default_rng(2024)
+    for _ in range(120):
+        n, m = rng.integers(2, 60, size=2)
+        d = int(rng.integers(1, 4))
+        q = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+        xa = rng.normal(size=(n, d))
+        xb = rng.normal(size=(m, d)) * rng.uniform(0.5, 2.0) + rng.normal(size=d)
+        a = AtomSet(xa, rng.dirichlet(np.ones(n)))
+        yield a, AtomSet(xb, rng.dirichlet(np.ones(m))), q
 
 
 class TestRhoAndTv:
@@ -240,6 +290,17 @@ class TestOtExact:
         assert res.err >= 0.0
         assert res.err >= excess - 1e-12
 
+    @pytest.mark.parametrize("n,m", [(16, 16), (5, 9), (64, 64)])
+    def test_constraint_matrix_matches_kron_build(self, n, m):
+        got = tvrates.transport._marginal_constraints(n, m)
+        ref = marginal_constraints_kron(n, m)
+        assert got.format == ref.format == "csc"
+        assert got.shape == ref.shape
+        for name in ("indices", "indptr", "data"):
+            g, r = getattr(got, name), getattr(ref, name)
+            assert g.dtype == r.dtype
+            np.testing.assert_array_equal(g, r)
+
     def test_plan_marginals(self):
         rng = np.random.default_rng(11)
         a = uniform_atoms(rng, 8, 2)
@@ -285,6 +346,57 @@ class TestOtEntropic:
         exact = assignment_cost(x, x + 0.02, 2)
         assert exact - 1e-10 <= ent.value**2 <= exact / (1 - 5e-3)
         assert len(calls) <= 2000
+
+    def test_scaling_sweeps_bound_the_work(self, sweep_counter):
+        # the same 2000 half sweeps as the log-sum-exp bound above
+        x = benchmark_cloud_seed0()
+        ent = ot_entropic(uniform_cloud(x), uniform_cloud(x + 0.02), 2)
+        exact = assignment_cost(x, x + 0.02, 2)
+        assert exact - 1e-10 <= ent.value**2 <= exact / (1 - 5e-3)
+        assert sweep_counter["log_half"] == 0
+        assert 0 < sweep_counter["scaling"] <= 1000
+
+    @pytest.mark.parametrize("problem", ["near", "far", "2d"])
+    def test_matches_log_domain_reference(self, sweep_counter, problem):
+        a, b = map(uniform_cloud, benchmark_entropic_pairs_seed0()[problem])
+        ent = ot_entropic(a, b, 2)
+        certified, cost, _, sweeps = sinkhorn_log_domain(a, b, 2)
+        assert certified
+        assert abs(ent.value - cost**0.5) <= 1e-8 * cost**0.5
+        assert sweep_counter["log_half"] == 0
+        assert sweep_counter["scaling"] == sweeps
+
+    @pytest.mark.parametrize("schedule", [(0.3, 1e-6), (1e-7,)])
+    def test_kernel_underflow_takes_the_log_domain_guard(
+        self, sweep_counter, schedule
+    ):
+        # a drop to a tiny eps underflows whole kernel rows; the guard redoes
+        # the block with log-sum-exp sweeps and the certificate still refuses
+        a, b = map(uniform_cloud, benchmark_entropic_pairs_seed0()["near"])
+        certified, _, ref_gap, _ = sinkhorn_log_domain(a, b, 2, reg_schedule=schedule)
+        assert not certified
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as info:
+                ot_entropic(a, b, 2, reg_schedule=schedule)
+        assert sweep_counter["log_half"] > 0
+        gap = float(str(info.value).split("duality gap of ")[1].split()[0])
+        assert abs(gap - ref_gap) <= 1e-9 * ref_gap
+
+    def test_uneven_masses_never_undercut_the_exact_cost(self):
+        # ConvergenceError is allowed, but 7 of the 120 pairs raise today
+        # (the aim is 0) and no change may add one
+        raised = 0
+        for a, b, q in dirichlet_pairs():
+            exact = ot_exact(a, b, q)[0].value
+            try:
+                ent = ot_entropic(a, b, q)
+            except ConvergenceError:
+                raised += 1
+                continue
+            assert ent.value >= exact - 1e-10
+            assert ent.err >= ent.value - exact - 1e-12
+        assert raised <= 7
 
     def test_marginal_exit_never_skips_the_certificate(self):
         # one coarse stage meets the marginal exit but not the duality gap
