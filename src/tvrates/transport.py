@@ -5,7 +5,8 @@ Density-based distances (rho_p, tv) are computed by grid quadrature with a
 Richardson-style refinement difference as the error estimate.  Wasserstein
 distances come in three flavors: the one-dimensional quantile representation
 (Gauss-Hermite quadrature after the normal substitution), an exact discrete
-solver (sorting in one dimension, an LP otherwise), and an annealed Sinkhorn solver
+solver (sorting in one dimension, an assignment between equal-size sets of
+equal masses, an LP otherwise), and an annealed Sinkhorn solver
 whose reported value is always the cost of a rounded feasible plan, hence an
 upper bound on the exact cost.  Its sweeps run in blocks as scalings of a
 kernel built from log potentials, which absorb the scalings at the end of
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import ndtr
 
 from .distributions import (
@@ -62,8 +63,12 @@ class DistanceResult:
     def __post_init__(self):
         if self.method not in self._METHODS:
             raise PreconditionError(f"unknown method tag {self.method!r}")
-        if self.value < 0 or self.err < 0:
-            raise PreconditionError("distance and error estimate must be >= 0")
+        # the negated test also rejects NaN
+        if not (self.value >= 0 and self.err >= 0):
+            raise PreconditionError(
+                f"distance {self.value!r} and error estimate {self.err!r} "
+                "must be numbers >= 0"
+            )
 
     def to_json(self) -> dict:
         return {"value": self.value, "method": self.method, "err": self.err}
@@ -90,6 +95,14 @@ class TransportPlan:
         m = np.maximum(m, 0.0)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+
+def _require_exponent(x: float, name: str, low: float, strict: bool = False):
+    """Reject an exponent that is not a finite number >= ``low`` (> ``low``
+    if ``strict``); every weight power and cost exponent goes through here."""
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        bound = f"{'>' if strict else '>='} {low:g}"
+        raise PreconditionError(f"{name} must be a finite number {bound}, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +189,7 @@ def rho_p(
     Grid inputs cannot be refined, so their error estimate comes from
     coarsening and the tolerance is enforced as-is.
     """
-    if p < 0:
-        raise PreconditionError("weight power must be >= 0")
+    _require_exponent(p, "weight power p", 0.0)
     if isinstance(a, GridDensity) and isinstance(b, GridDensity):
         if a.grid != b.grid:
             raise PreconditionError("grid densities must share one grid")
@@ -278,8 +290,7 @@ def wasserstein_1d(a, b, q: float, n_nodes: int = 128) -> DistanceResult:
     q <= 1 is rejected: the certificate machinery requires q > 1 (use
     :func:`ot_exact` for discrete W_1).
     """
-    if q <= 1:
-        raise PreconditionError("quantile quadrature requires q > 1")
+    _require_exponent(q, "quantile quadrature exponent q", 1.0, strict=True)
     qa, qb = _quantile_fn(a), _quantile_fn(b)
 
     def quantiles(n):
@@ -400,20 +411,52 @@ def _ot_lp(a: AtomSet, b: AtomSet, q: float):
     return cost, plan, max(cost - float(a.masses @ u + b.masses @ v), 0.0)
 
 
+def _ot_assignment(a: AtomSet, b: AtomSet, q: float):
+    """Transport between n atoms of mass w on each side as an assignment,
+    with its duality gap, both in cost units.
+
+    The vertices of this transportation polytope are w times permutation
+    matrices (Birkhoff-von Neumann), so an optimal matching sigma
+    (``linear_sum_assignment``) is an optimal plan.  The row potentials are
+    minus the shortest-path distances of its reassignment graph, whose edge
+    i -> k costs C[i, sigma(k)] - C[k, sigma(k)], from at most n rounds of
+    Bellman-Ford; the columns take their c-transform, as in :func:`_ot_lp`,
+    so the dual is feasible wherever the rounds stop.
+    """
+    C = _cost_matrix(a, b, q)
+    rows, cols = linear_sum_assignment(C)
+    plan = np.zeros_like(C)
+    plan[rows, cols] = a.masses
+    cost = float(np.sum(plan * C))
+    matched = C[:, cols]
+    edges = matched - np.diag(matched)[None, :]
+    dist = np.zeros(len(a))
+    for _ in range(len(a)):
+        # edges[k, k] = 0, so the minimum over i never exceeds dist[k]
+        relaxed = np.min(dist[:, None] + edges, axis=0)
+        if np.array_equal(relaxed, dist):
+            break
+        dist = relaxed
+    u = -dist
+    v = np.min(C - u[:, None], axis=0)
+    return cost, plan, max(cost - float(a.masses @ u + b.masses @ v), 0.0)
+
+
 def ot_exact(a: AtomSet, b: AtomSet, q: float = 2.0):
     """Exact optimal transport for cost |x - y|^q, q >= 1.
 
     In dimension one the plan is the north-west-corner rule on the stably
     sorted supports (the monotone coupling), exact for any masses and sizes
-    in O((n + m) log(n + m)); ``err`` is 0.  In higher dimensions it is the
+    in O((n + m) log(n + m)); ``err`` is 0.  In higher dimensions, two sets
+    of n atoms whose masses are all equal are matched as an assignment
+    problem (``linear_sum_assignment``), and every other pair goes to the
     transportation LP (HiGHS): small instances use the simplex, large ones
-    the interior-point method with crossover, and ``err`` is the duality gap
-    against a feasible dual, in distance units.  Returns
+    the interior-point method with crossover.  Both report as ``err`` the
+    duality gap against a feasible dual, in distance units.  Returns
     ``(DistanceResult, TransportPlan)`` with the distance
     ``W_q = cost^{1/q}`` and the plan in the callers' atom order.
     """
-    if q < 1:
-        raise PreconditionError("cost exponent q must be >= 1")
+    _require_exponent(q, "cost exponent q", 1.0)
     if a.d != b.d:
         raise PreconditionError("atom sets have different dimensions")
     n, m = len(a), len(b)
@@ -421,7 +464,14 @@ def ot_exact(a: AtomSet, b: AtomSet, q: float = 2.0):
         raise PreconditionError(
             f"cost matrix size {n * m} exceeds the limit {OT_SIZE_LIMIT}"
         )
-    cost, plan, gap = (_ot_sorted_1d if a.d == 1 else _ot_lp)(a, b, q)
+    w = a.masses[0]
+    if a.d == 1:
+        solve = _ot_sorted_1d
+    elif n == m and np.all(a.masses == w) and np.all(b.masses == w):
+        solve = _ot_assignment
+    else:
+        solve = _ot_lp
+    cost, plan, gap = solve(a, b, q)
     return _gap_distance(cost, gap, q, "exact-ot"), TransportPlan(a, b, plan)
 
 
@@ -498,8 +548,7 @@ def ot_entropic(
     :class:`ConvergenceError` if no stage does.  The error estimate is that
     duality gap (in distance units).
     """
-    if q < 1:
-        raise PreconditionError("cost exponent q must be >= 1")
+    _require_exponent(q, "cost exponent q", 1.0)
     if len(a) < 1 or len(b) < 1:
         raise PreconditionError("atom sets must be non-empty")
     schedule = DEFAULT_REG_SCHEDULE if reg_schedule is None else tuple(reg_schedule)

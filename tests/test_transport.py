@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from oracles import (
 from tvrates import (
     AtomSet,
     ConvergenceError,
+    DistanceResult,
     GaussianMixture,
     PreconditionError,
     SpaceGrid,
@@ -42,22 +44,48 @@ def uniform_cloud(x):
     return AtomSet(x, np.full(len(x), 1.0 / len(x)))
 
 
-def benchmark_entropic_pairs_seed0():
-    """The transport benchmark's three entropic problems at seed 0: its
-    generator first draws 32 pairs of 16-atom 2-D clouds, then the 64-atom
-    1-D cloud (paired with its 0.02 and 0.4 translates), two 256-atom 1-D
-    clouds, and the 64-atom 2-D pair."""
+def benchmark_problems_seed0():
+    """The transport benchmark's problems at seed 0: its generator first
+    draws 32 pairs of 16-atom 2-D clouds (``lp16x16``), then the 64-atom 1-D
+    cloud (paired with its 0.02 and 0.4 translates: ``near``, ``far``), two
+    256-atom 1-D clouds, and the 64-atom 2-D pair (``2d``)."""
     rng = np.random.default_rng(0)
-    rng.uniform(size=(32, 2, 16, 2))
+    lp16 = rng.uniform(size=(32, 2, 16, 2))
     x = rng.uniform(size=(64, 1))
     rng.uniform(size=(2, 256, 1))
     xa, xb = rng.uniform(size=(64, 2)), rng.uniform(size=(64, 2))
-    return {"near": (x, x + 0.02), "far": (x, x + 0.4), "2d": (xa, xb)}
+    return {"lp16x16": [tuple(pair) for pair in lp16],
+            "near": (x, x + 0.02), "far": (x, x + 0.4), "2d": (xa, xb)}
 
 
 def benchmark_cloud_seed0():
     """The 64-atom 1-D cloud of the transport benchmark at seed 0."""
-    return benchmark_entropic_pairs_seed0()["near"][0]
+    return benchmark_problems_seed0()["near"][0]
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """Counts the HiGHS solves of ``ot_exact``."""
+    calls = []
+    linprog = tvrates.transport.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(tvrates.transport, "linprog", counted)
+    return calls
+
+
+def duality_gap_case(seed):
+    """Uniform clouds of the LP duality-gap tests: seeded 16-atom 2-D pairs,
+    or the benchmark's 1-D cloud and its 0.02 translate on a line in 2-D."""
+    if seed == "embedded-translate":
+        # the LP stops ~1e-9 above the optimum on this pair
+        x = np.column_stack([benchmark_cloud_seed0(), np.zeros(64)])
+        return x, x + [0.02, 0.0]
+    rng = np.random.default_rng(seed)
+    return rng.uniform(size=(16, 2)), rng.uniform(size=(16, 2))
 
 
 @pytest.fixture
@@ -94,6 +122,40 @@ def dirichlet_pairs():
         xb = rng.normal(size=(m, d)) * rng.uniform(0.5, 2.0) + rng.normal(size=d)
         a = AtomSet(xa, rng.dirichlet(np.ones(n)))
         yield a, AtomSet(xb, rng.dirichlet(np.ones(m))), q
+
+
+class TestDistanceResult:
+    @pytest.mark.parametrize("value,err", [
+        (math.nan, 0.0), (0.5, math.nan), (-1.0, 0.0), (0.5, -1e-3),
+    ])
+    def test_nan_or_negative_rejected(self, value, err):
+        with pytest.raises(PreconditionError):
+            DistanceResult(value, "exact-ot", err)
+
+    def test_infinite_error_estimate_allowed(self):
+        assert DistanceResult(0.5, "exact-ot", math.inf).err == math.inf
+
+
+class TestExponentChecks:
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("solver", ["ot_exact-1d", "ot_exact-2d", "ot_entropic"])
+    def test_cost_exponent_must_be_finite(self, sweep_counter, linprog_calls, solver, x):
+        rng = np.random.default_rng(3)
+        d = 1 if solver == "ot_exact-1d" else 2
+        a, b = uniform_atoms(rng, 4, d), uniform_atoms(rng, 5, d, shift=1.0)
+        fn = ot_entropic if solver == "ot_entropic" else ot_exact
+        with pytest.raises(PreconditionError, match="cost exponent q"):
+            fn(a, b, x)
+        # rejected before any solver work
+        assert sweep_counter["scaling"] == 0 and not linprog_calls
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_quadrature_exponents_must_be_finite(self, std_normal, x):
+        other = gaussian(0.5, 1.0)
+        with pytest.raises(PreconditionError, match="exponent q"):
+            wasserstein_1d(std_normal, other, x)
+        with pytest.raises(PreconditionError, match="weight power p"):
+            rho_p(std_normal, other, x)
 
 
 class TestRhoAndTv:
@@ -278,17 +340,109 @@ class TestOtExact:
 
     @pytest.mark.parametrize("seed", [*range(8), "embedded-translate"])
     def test_lp_err_is_a_duality_gap(self, seed):
-        if seed == "embedded-translate":
-            # the LP stops ~1e-9 above the optimum on this pair
-            x = np.column_stack([benchmark_cloud_seed0(), np.zeros(64)])
-            xa, xb = x, x + [0.02, 0.0]
-        else:
-            rng = np.random.default_rng(seed)
-            xa, xb = rng.uniform(size=(16, 2)), rng.uniform(size=(16, 2))
+        # uniform clouds of equal size, so these take the assignment path
+        xa, xb = duality_gap_case(seed)
         res, _ = ot_exact(uniform_cloud(xa), uniform_cloud(xb), 2)
         excess = res.value - assignment_cost(xa, xb, 2) ** 0.5
         assert res.err >= 0.0
         assert res.err >= excess - 1e-12
+
+    @pytest.mark.parametrize("seed", [*range(8), "embedded-translate"])
+    def test_highs_err_is_a_duality_gap(self, seed):
+        # the same clouds straight through HiGHS
+        xa, xb = duality_gap_case(seed)
+        cost, _, gap = tvrates.transport._ot_lp(uniform_cloud(xa), uniform_cloud(xb), 2)
+        res = tvrates.transport._gap_distance(cost, gap, 2, "exact-ot")
+        excess = res.value - assignment_cost(xa, xb, 2) ** 0.5
+        assert res.err >= 0.0
+        assert res.err >= excess - 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lp_err_bounds_the_excess_on_uneven_masses(self, linprog_calls, seed):
+        # Dirichlet masses on a line in 2-D go to HiGHS; the sorted 1-D
+        # solver on the same atoms is the exact reference
+        rng = np.random.default_rng(300 + seed)
+        n, m = rng.integers(2, 40, size=2)
+        q = (1.0, 1.5, 2.0, 3.0)[seed % 4]
+        xa, xb = rng.normal(size=n), rng.normal(size=m) * 1.5 + 0.3
+        ma, mb = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        exact, _ = ot_exact(AtomSet(xa[:, None], ma), AtomSet(xb[:, None], mb), q)
+        res, _ = ot_exact(
+            AtomSet(np.column_stack([xa, np.zeros(n)]), ma),
+            AtomSet(np.column_stack([xb, np.zeros(m)]), mb),
+            q,
+        )
+        assert len(linprog_calls) == 1
+        assert res.err >= 0.0
+        assert res.err >= res.value - exact.value - 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(2, 3),
+        q=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        layout=st.sampled_from(["uniform", "lattice", "shared"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_assignment_matches_lp_and_enumeration(self, n, d, q, layout, seed):
+        # "lattice" ties costs and repeats locations within each set;
+        # "shared" repeats a's locations in b, shuffled, with a few moved
+        rng = np.random.default_rng(seed)
+        if layout == "lattice":
+            xa, xb = rng.integers(0, 3, size=(2, n, d)) / 2.0
+        else:
+            xa, xb = rng.uniform(size=(2, n, d))
+            if layout == "shared":
+                xb = np.where(rng.random((n, 1)) < 0.7, xa[rng.permutation(n)], xb)
+        a, b = uniform_cloud(xa), uniform_cloud(xb)
+        res, plan = ot_exact(a, b, q)
+        w = 1.0 / n
+        assert set(np.unique(plan.matrix)) <= {0.0, w}
+        matched = plan.matrix == w
+        assert (matched.sum(axis=0) == 1).all() and (matched.sum(axis=1) == 1).all()
+        cost = float(np.sum(plan.matrix * np.linalg.norm(xa[:, None] - xb, axis=-1) ** q))
+        assert res.err >= 0.0
+        # the potentials certify the optimal matching to round-off
+        assert res.value**q - (res.value - res.err) ** q <= 1e-12
+        # HiGHS certifies an interval for the optimum
+        lp_cost, _, lp_gap = tvrates.transport._ot_lp(a, b, q)
+        assert lp_cost - lp_gap - 1e-9 <= cost <= lp_cost + 1e-9
+        assert res.err >= res.value - lp_cost ** (1 / q) - 1e-12
+        if n <= 6:
+            oracle = brute_force_ot_uniform(xa, xb, q)
+            assert abs(cost - oracle**q) <= 1e-9
+            assert res.err >= res.value - oracle - 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_assignment_err_bounds_the_excess_of_a_poor_matching(
+        self, monkeypatch, seed
+    ):
+        # the identity matching leaves negative cycles in its reassignment
+        # graph; the capped Bellman-Ford rounds and the c-transform must still
+        # give a feasible dual, so err covers the whole excess
+        monkeypatch.setattr(
+            tvrates.transport,
+            "linear_sum_assignment",
+            lambda C: (np.arange(len(C)), np.arange(len(C))),
+        )
+        xa, xb = duality_gap_case(seed)
+        res, _ = ot_exact(uniform_cloud(xa), uniform_cloud(xb), 2)
+        excess = res.value - assignment_cost(xa, xb, 2) ** 0.5
+        assert excess > 1e-2
+        assert res.err >= excess - 1e-12
+
+    def test_dispatch_sends_uniform_equal_sizes_to_assignment(self, linprog_calls):
+        problems = benchmark_problems_seed0()
+        for xa, xb in [*problems["lp16x16"], problems["2d"]]:
+            ot_exact(uniform_cloud(xa), uniform_cloud(xb), 2)
+        assert len(linprog_calls) == 0
+        rng = np.random.default_rng(9)
+        ot_exact(uniform_atoms(rng, 16, 2), uniform_atoms(rng, 12, 2), 2)
+        assert len(linprog_calls) == 1
+        x = rng.normal(size=(16, 2))
+        uneven = AtomSet(x, rng.dirichlet(np.ones(16)))
+        ot_exact(uneven, uniform_cloud(x + 0.5), 2)
+        assert len(linprog_calls) == 2
 
     @pytest.mark.parametrize("n,m", [(16, 16), (5, 9), (64, 64)])
     def test_constraint_matrix_matches_kron_build(self, n, m):
@@ -358,7 +512,7 @@ class TestOtEntropic:
 
     @pytest.mark.parametrize("problem", ["near", "far", "2d"])
     def test_matches_log_domain_reference(self, sweep_counter, problem):
-        a, b = map(uniform_cloud, benchmark_entropic_pairs_seed0()[problem])
+        a, b = map(uniform_cloud, benchmark_problems_seed0()[problem])
         ent = ot_entropic(a, b, 2)
         certified, cost, _, sweeps = sinkhorn_log_domain(a, b, 2)
         assert certified
@@ -372,7 +526,7 @@ class TestOtEntropic:
     ):
         # a drop to a tiny eps underflows whole kernel rows; the guard redoes
         # the block with log-sum-exp sweeps and the certificate still refuses
-        a, b = map(uniform_cloud, benchmark_entropic_pairs_seed0()["near"])
+        a, b = map(uniform_cloud, benchmark_problems_seed0()["near"])
         certified, _, ref_gap, _ = sinkhorn_log_domain(a, b, 2, reg_schedule=schedule)
         assert not certified
         with warnings.catch_warnings():
