@@ -37,7 +37,7 @@ for u in (0.0, 1.0, 3.0):
 
 print()
 print("== second coordinate-power derivative of phi ==")
-dp = delta_p_char(base, 2, f.grid)
+dp = delta_p_char(f, 2)
 for u in (0.0, 1.0, 2.0):
     node = nearest_node(u)
     exact = (node * node - 1.0) * np.exp(-node * node / 2.0)

@@ -39,7 +39,6 @@ from .distributions import (
     GaussianMixture,
     GridDensity,
     SpaceGrid,
-    auto_box,
     common_grid,
     discretize,
     gaussian,
@@ -61,7 +60,6 @@ from .harness import (
     emit_report,
     fit_rate,
     perturb_pair,
-    run_many,
     run_sweep,
 )
 from .spectral import (
@@ -69,11 +67,9 @@ from .spectral import (
     ExpEnvelopeTable,
     PolyEnvelopeTable,
     char_fn_grid,
-    char_grid_analytic,
     delta_p_char,
     density_derivative,
     exp_envelope,
-    inverse_char_grid,
     poly_envelope,
     weighted_diff_reconstruct,
 )
@@ -111,12 +107,10 @@ __all__ = [
     "SweepReport",
     "TransportPlan",
     "TvratesError",
-    "auto_box",
     "c_bar",
     "c_hat",
     "c_ring",
     "char_fn_grid",
-    "char_grid_analytic",
     "choose_M",
     "choose_l",
     "common_grid",
@@ -132,7 +126,6 @@ __all__ = [
     "gamma_k",
     "gaussian",
     "h_p_const",
-    "inverse_char_grid",
     "ot_entropic",
     "ot_exact",
     "perturb_pair",
@@ -140,7 +133,6 @@ __all__ = [
     "poly_envelope",
     "polynomial_rate_certificate",
     "rho_p",
-    "run_many",
     "run_sweep",
     "sigma_box",
     "theta_exponent",

@@ -45,6 +45,7 @@ from .spectral import (
 from .transport import (
     MAX_REFINEMENTS,
     QUADRATURE_TOL,
+    _require_exponent,
     normal_levels,
     quantile_distance,
     refine_weighted_l1,
@@ -79,8 +80,8 @@ ZERO_GAP = 1e-14
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Certificate parameters: weight power p >= 1, transport exponent q > 1,
-    rate slack epsilon in (0, 1) and dimension d.
+    """Certificate parameters: finite weight power p >= 1, finite transport
+    exponent q > 1, rate slack epsilon in (0, 1) and integer dimension d >= 1.
 
     The Fourier argument needs an even weight power, so ``p_even`` rounds p
     up to the next even integer >= 2; the original p is retained and the
@@ -93,14 +94,14 @@ class BoundParams:
     d: int
 
     def __post_init__(self):
-        if not self.p >= 1:
-            raise PreconditionError("weight power p must be >= 1")
-        if not self.q > 1:
-            raise PreconditionError("transport exponent q must be > 1")
+        _require_exponent(self.p, "weight power p", 1.0)
+        _require_exponent(self.q, "transport exponent q", 1.0, strict=True)
         if not 0 < self.epsilon < 1:
             raise PreconditionError("epsilon must lie in (0, 1)")
-        if not self.d >= 1:
-            raise PreconditionError("dimension must be >= 1")
+        if not (float(self.d).is_integer() and self.d >= 1):
+            raise PreconditionError(
+                f"dimension d must be an integer >= 1, got {self.d!r}"
+            )
 
     @property
     def p_even(self) -> int:

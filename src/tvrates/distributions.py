@@ -28,7 +28,6 @@ __all__ = [
     "GridDensity",
     "AtomSet",
     "gaussian",
-    "auto_box",
     "sigma_box",
     "common_grid",
     "discretize",
@@ -566,11 +565,6 @@ class GridDensity:
 
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.cell_volume)
-
-    def moment_sum(self, p: float) -> float:
-        """Riemann sum of |x|^p against the grid density."""
-        w = self.grid.radii() ** p if p > 0 else np.ones(self.grid.shape)
-        return float(np.sum(w * self.values) * self.grid.cell_volume)
 
 
 def discretize(dist: GaussianMixture, box, resolution) -> GridDensity:

@@ -35,7 +35,6 @@ __all__ = [
     "default_scenarios",
     "perturb_pair",
     "run_sweep",
-    "run_many",
     "fit_rate",
     "emit_report",
 ]
@@ -311,13 +310,6 @@ def run_sweep(sc: Scenario) -> SweepReport:
         metadata=metadata,
         failures=tuple(failures),
     )
-
-
-def run_many(scenarios) -> list[SweepReport]:
-    names = [sc.name for sc in scenarios]
-    if len(set(names)) != len(names):
-        raise PreconditionError("scenario names must be unique within a run")
-    return [run_sweep(sc) for sc in scenarios]
 
 
 def default_scenarios(params: BoundParams | None = None) -> list[Scenario]:

@@ -31,12 +31,11 @@ import numpy as np
 from scipy import integrate
 
 from .distributions import (
-    DEFAULT_RESOLUTION,
     GaussianMixture,
     GridDensity,
     SpaceGrid,
     common_grid,
-    sigma_box,
+    discretize,
 )
 from .errors import DecayError, PreconditionError, ResolutionError
 
@@ -45,8 +44,6 @@ __all__ = [
     "PolyEnvelopeTable",
     "ExpEnvelopeTable",
     "char_fn_grid",
-    "char_grid_analytic",
-    "inverse_char_grid",
     "delta_p_char",
     "weighted_diff_reconstruct",
     "poly_envelope",
@@ -173,17 +170,6 @@ def char_fn_grid(f: GridDensity) -> CharGrid:
     return CharGrid(f.grid, forward_transform(f.grid, f.values))
 
 
-def char_grid_analytic(dist: GaussianMixture, grid: SpaceGrid) -> CharGrid:
-    """Exact mixture characteristic function sampled on the dual grid."""
-    pts = np.stack(grid.freq_mesh(), axis=-1)
-    return CharGrid(grid, dist.char_fn(pts))
-
-
-def inverse_char_grid(cg: CharGrid) -> np.ndarray:
-    """Real-space density values recovered from a characteristic grid."""
-    return inverse_transform(cg.space_grid, cg.values)
-
-
 # ---------------------------------------------------------------------------
 # spectral derivatives
 # ---------------------------------------------------------------------------
@@ -230,64 +216,24 @@ def density_derivative(f: GridDensity, alpha) -> np.ndarray:
 # the coordinate-power operator sum_j d^p/du_j^p
 # ---------------------------------------------------------------------------
 
-def _double_factorial(n: int) -> int:
-    if n <= 0:
-        return 1
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def _gauss_power_moment(mu, var: float, p: int) -> np.ndarray:
-    """E Z^p for scalar Gaussian Z with (complex) mean mu and variance var:
-    sum_k C(p, 2k) (2k-1)!! var^k mu^{p-2k}."""
-    out = np.zeros_like(mu, dtype=complex)
-    for k in range(p // 2 + 1):
-        coef = math.comb(p, 2 * k) * float(_double_factorial(2 * k - 1))
-        out += coef * var**k * mu ** (p - 2 * k)
-    return out
-
-
-def delta_p_char(obj, p: int, grid: SpaceGrid | None = None) -> CharGrid:
+def delta_p_char(f: GridDensity, p: int) -> CharGrid:
     """Grid of ``sum_j d^p phi / du_j^p`` for even p >= 2.
 
     Equals ``i^p`` times the transform of the moment-weighted density
-    ``sum_j x_j^p f(x)``.  Mixture inputs are evaluated in closed form
-    (differentiating the Gaussian characteristic function); grid inputs go
-    through the fast transform.
+    ``sum_j x_j^p f(x)``, taken through the fast transform; discretize a
+    mixture first.
     """
-    p = int(p)
-    if p < 2 or p % 2 != 0:
-        raise PreconditionError("weight power must be an even integer >= 2")
-    if isinstance(obj, GridDensity):
-        if grid is not None and grid != obj.grid:
-            raise PreconditionError("grid argument conflicts with input grid")
-        mesh = obj.grid.mesh()
-        weight = sum(_monomial(mesh, alpha) for alpha in _axis_powers(obj.d, p))
-        vals = (1j) ** p * forward_transform(obj.grid, weight * obj.values)
-        return CharGrid(obj.grid, vals, is_characteristic=False)
-    if not isinstance(obj, GaussianMixture):
-        raise PreconditionError("expected a GaussianMixture or GridDensity")
-    if grid is None:
-        box = sigma_box(obj)
-        grid = SpaceGrid(
-            tuple(box[:, 0]), tuple(box[:, 1]),
-            (DEFAULT_RESOLUTION[obj.d],) * obj.d,
+    if not (float(p).is_integer() and p >= 2 and int(p) % 2 == 0):
+        raise PreconditionError(
+            f"weight power must be an even integer >= 2, got {p!r}"
         )
-    u = np.stack(grid.freq_mesh(), axis=-1)  # (..., d)
-    total = np.zeros(grid.shape, dtype=complex)
-    for w, m, cov in zip(obj.weights, obj.means, obj.covs):
-        phase = np.einsum("...j,j->...", u, m)
-        quad = np.einsum("...i,ij,...j->...", u, cov, u)
-        phi_c = np.exp(1j * phase - 0.5 * quad)
-        su = np.einsum("ij,...j->...i", cov, u)
-        msum = np.zeros(grid.shape, dtype=complex)
-        for j in range(obj.d):
-            msum += _gauss_power_moment(m[j] + 1j * su[..., j], cov[j, j], p)
-        total += w * phi_c * msum
-    return CharGrid(grid, (1j) ** p * total, is_characteristic=False)
+    p = int(p)
+    if not isinstance(f, GridDensity):
+        raise PreconditionError("expected a GridDensity")
+    mesh = f.grid.mesh()
+    weight = sum(_monomial(mesh, alpha) for alpha in _axis_powers(f.d, p))
+    vals = (1j) ** p * forward_transform(f.grid, weight * f.values)
+    return CharGrid(f.grid, vals, is_characteristic=False)
 
 
 def _axis_powers(d: int, p: int):
@@ -300,31 +246,27 @@ def _axis_powers(d: int, p: int):
     return out
 
 
-def weighted_diff_reconstruct(a, b, p: int, grid: SpaceGrid | None = None):
+def weighted_diff_reconstruct(a, b, p: int):
     """Reconstruct ``(f_a(x) - f_b(x)) * sum_j x_j^p`` from frequency data.
 
-    Returns ``(grid, values)``.  The product is recovered as the inverse
-    transform of the difference of the two coordinate-power derivative grids;
-    for even p the prefactors cancel and the result is real up to round-off.
+    Returns ``(grid, values)``.  Two mixtures are discretized on their
+    :func:`common_grid`.  The product is recovered as the inverse transform
+    of the difference of the two coordinate-power derivative grids; for
+    even p the prefactors cancel and the result is real up to round-off.
     """
-    if isinstance(a, GridDensity) and isinstance(b, GridDensity):
-        if a.grid != b.grid:
-            raise PreconditionError("mismatched grids")
-        grid = a.grid
-        da = delta_p_char(a, p)
-        db = delta_p_char(b, p)
-    elif isinstance(a, GaussianMixture) and isinstance(b, GaussianMixture):
+    if isinstance(a, GaussianMixture) and isinstance(b, GaussianMixture):
         if a.d != b.d:
             raise PreconditionError("dimension mismatch")
-        if grid is None:
-            grid = common_grid(a, b)
-        da = delta_p_char(a, p, grid)
-        db = delta_p_char(b, p, grid)
-    else:
+        grid = common_grid(a, b)
+        box = np.stack([grid.lo, grid.hi], axis=1)
+        a, b = discretize(a, box, grid.shape), discretize(b, box, grid.shape)
+    elif not (isinstance(a, GridDensity) and isinstance(b, GridDensity)):
         raise PreconditionError("inputs must both be mixtures or both be grids")
-    diff = da.values - db.values
-    vals = (-1j) ** p * inverse_transform(grid, diff)
-    return grid, vals.real
+    if a.grid != b.grid:
+        raise PreconditionError("mismatched grids")
+    diff = delta_p_char(a, p).values - delta_p_char(b, p).values
+    vals = (-1j) ** p * inverse_transform(a.grid, diff)
+    return a.grid, vals.real
 
 
 # ---------------------------------------------------------------------------

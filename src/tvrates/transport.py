@@ -138,7 +138,7 @@ def _coarsen_value(fa: GridDensity, fb: GridDensity, p: float) -> float:
 
 MAX_REFINEMENTS = {1: 4, 2: 2, 3: 1}
 
-# Default refinement tolerance of the grid quadrature distances.
+# Refinement tolerance of the grid quadrature distances.
 QUADRATURE_TOL = 1e-4
 
 
@@ -174,20 +174,18 @@ def refine_weighted_l1(densities, powers, tol: float, max_refinements: int) -> t
     )
 
 
-def rho_p(
-    a, b, p: float, tol: float = QUADRATURE_TOL, grid: SpaceGrid | None = None
-) -> DistanceResult:
+def rho_p(a, b, p: float, grid: SpaceGrid | None = None) -> DistanceResult:
     """Weighted total variation int (1 + |x|^p) |f_a - f_b| dx for p > 0.
 
     The zero-power weight is the constant 1, so rho_p(a, b, 0) equals the
     total variation mass int |f_a - f_b| dx (twice the usual TV probability
     metric).  Mixture inputs are discretized on a shared sigma-box grid and
-    refined until the refinement difference drops below ``tol``, through
-    :func:`refine_weighted_l1`, the ladder that
+    refined until the refinement difference drops below ``QUADRATURE_TOL``,
+    through :func:`refine_weighted_l1`, the ladder that
     :class:`tvrates.bounds.PairEvaluation` runs once for rho_p and tv
     together on its laws' kept densities, so both paths give the same bits.
     Grid inputs cannot be refined, so their error estimate comes from
-    coarsening and the tolerance is enforced as-is.
+    coarsening and ``QUADRATURE_TOL`` is enforced as-is.
     """
     _require_exponent(p, "weight power p", 0.0)
     if isinstance(a, GridDensity) and isinstance(b, GridDensity):
@@ -195,9 +193,10 @@ def rho_p(
             raise PreconditionError("grid densities must share one grid")
         value = _weighted_l1(a, b, p)
         err = abs(value - _coarsen_value(a, b, p))
-        if err > tol:
+        if err > QUADRATURE_TOL:
             raise NumericalError(
-                f"grid quadrature error estimate {err:.3e} exceeds tol {tol:.3e}"
+                f"grid quadrature error estimate {err:.3e} exceeds tol "
+                f"{QUADRATURE_TOL:.3e}"
             )
         return DistanceResult(value, "grid-quadrature", err)
     if not (isinstance(a, GaussianMixture) and isinstance(b, GaussianMixture)):
@@ -211,14 +210,14 @@ def rho_p(
         shape = g.refined(2**level).shape
         return discretize(a, box, shape), discretize(b, box, shape)
 
-    return refine_weighted_l1(densities, (p,), tol, MAX_REFINEMENTS[g.d])[0]
+    return refine_weighted_l1(
+        densities, (p,), QUADRATURE_TOL, MAX_REFINEMENTS[g.d]
+    )[0]
 
 
-def tv_mass(
-    a, b, tol: float = QUADRATURE_TOL, grid: SpaceGrid | None = None
-) -> DistanceResult:
+def tv_mass(a, b, grid: SpaceGrid | None = None) -> DistanceResult:
     """Total variation mass int |f_a - f_b| dx."""
-    return rho_p(a, b, 0.0, tol=tol, grid=grid)
+    return rho_p(a, b, 0.0, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +271,22 @@ def _quantile_wq(xa, xb, q: float, n_nodes: int) -> float:
     return float(np.sum(w * g) / math.sqrt(math.pi)) ** (1.0 / q)
 
 
-def quantile_distance(quantiles, q: float, n_nodes: int = 128) -> DistanceResult:
+# Order of the Gauss-Hermite rule that W_q quadrature checks against the
+# rule of twice its order.
+QUANTILE_NODES = 128
+
+
+def quantile_distance(quantiles, q: float) -> DistanceResult:
     """W_q from quantile values: ``quantiles(n)`` returns both laws'
-    quantiles at ``normal_levels(n)``; the rule of order ``n_nodes`` is
-    checked against the doubled one, which gives the value."""
-    v1 = _quantile_wq(*quantiles(n_nodes), q, n_nodes)
-    v2 = _quantile_wq(*quantiles(2 * n_nodes), q, 2 * n_nodes)
+    quantiles at ``normal_levels(n)``; the rule of order ``QUANTILE_NODES``
+    is checked against the doubled one, which gives the value."""
+    n = QUANTILE_NODES
+    v1 = _quantile_wq(*quantiles(n), q, n)
+    v2 = _quantile_wq(*quantiles(2 * n), q, 2 * n)
     return DistanceResult(v2, "quantile-quadrature", abs(v2 - v1))
 
 
-def wasserstein_1d(a, b, q: float, n_nodes: int = 128) -> DistanceResult:
+def wasserstein_1d(a, b, q: float) -> DistanceResult:
     """W_q via the quantile representation, for q > 1 in dimension one.
 
     The unit-interval integral is computed under the normal substitution
@@ -297,7 +302,7 @@ def wasserstein_1d(a, b, q: float, n_nodes: int = 128) -> DistanceResult:
         u = normal_levels(n)
         return qa(u), qb(u)
 
-    return quantile_distance(quantiles, q, n_nodes)
+    return quantile_distance(quantiles, q)
 
 
 def _w1_cdf_1d(a, b, n: int = 16384) -> DistanceResult:
@@ -344,7 +349,21 @@ def _cost_matrix(a: AtomSet, b: AtomSet, q: float) -> np.ndarray:
     if a.d != b.d:
         raise PreconditionError("atom sets have different dimensions")
     diff = a.locations[:, None, :] - b.locations[None, :, :]
-    return np.linalg.norm(diff, axis=-1) ** q
+    with np.errstate(over="ignore"):
+        C = np.linalg.norm(diff, axis=-1) ** q
+    if not math.isfinite(C.max()):
+        raise PreconditionError(
+            f"cost |x - y|^q leaves the float range at cost exponent q = {q!r}"
+        )
+    return C
+
+
+def _dual_value(C: np.ndarray, u: np.ndarray, a: AtomSet, b: AtomSet) -> float:
+    """Value ``a.u + b.v`` of the dual pair made of the row potentials ``u``
+    and their c-transform ``v = min_i (C[i, :] - u[i])`` on the columns,
+    feasible by construction."""
+    v = np.min(C - u[:, None], axis=0)
+    return float(a.masses @ u + b.masses @ v)
 
 
 def _gap_distance(cost: float, gap: float, q: float, method: str) -> DistanceResult:
@@ -407,8 +426,7 @@ def _ot_lp(a: AtomSet, b: AtomSet, q: float):
     plan = np.maximum(res.x.reshape(n, m), 0.0)
     cost = float(np.sum(plan * C))
     u = res.eqlin.marginals[:n]
-    v = np.min(C - u[:, None], axis=0)
-    return cost, plan, max(cost - float(a.masses @ u + b.masses @ v), 0.0)
+    return cost, plan, max(cost - _dual_value(C, u, a, b), 0.0)
 
 
 def _ot_assignment(a: AtomSet, b: AtomSet, q: float):
@@ -437,9 +455,7 @@ def _ot_assignment(a: AtomSet, b: AtomSet, q: float):
         if np.array_equal(relaxed, dist):
             break
         dist = relaxed
-    u = -dist
-    v = np.min(C - u[:, None], axis=0)
-    return cost, plan, max(cost - float(a.masses @ u + b.masses @ v), 0.0)
+    return cost, plan, max(cost - _dual_value(C, -dist, a, b), 0.0)
 
 
 def ot_exact(a: AtomSet, b: AtomSet, q: float = 2.0):
@@ -487,6 +503,9 @@ DEFAULT_REG_SCHEDULE = tuple(0.3 * 0.5**k for k in range(44))
 MARGINAL_TOL = 1e-3
 MARGINAL_CHECK_EVERY = 10
 
+# Cap on the sweeps of one annealing stage.
+MAX_STAGE_SWEEPS = 800
+
 
 def _logsumexp_rows(M):
     top = M.max(axis=1, keepdims=True)
@@ -524,7 +543,6 @@ def ot_entropic(
     b: AtomSet,
     q: float = 2.0,
     reg_schedule=None,
-    max_iter: int = 800,
     rtol: float = 5e-3,
 ):
     """Entropically regularized optimal transport with schedule annealing.
@@ -540,13 +558,13 @@ def ot_entropic(
     non-finite (the kernel underflowed after a large drop in eps) is rerun
     with log-sum-exp sweeps.  A stage ends after the block at which the L1
     error of the plan's row marginal is at most ``MARGINAL_TOL``, or once
-    ``max_iter`` sweeps (a per-stage cap) have run.  At the end of every
-    stage the plan is rounded onto the feasibility polytope, so the reported
-    value is the cost of a feasible plan and therefore an upper bound on the
-    exact cost; the annealing stops as soon as the gap against the
-    c-transform dual value certifies relative accuracy ``rtol``, and raises
-    :class:`ConvergenceError` if no stage does.  The error estimate is that
-    duality gap (in distance units).
+    ``MAX_STAGE_SWEEPS`` sweeps have run.  At the end of every stage the plan
+    is rounded onto the feasibility polytope, so the reported value is the
+    cost of a feasible plan and therefore an upper bound on the exact cost;
+    the annealing stops as soon as the gap against the c-transform dual value
+    certifies relative accuracy ``rtol``, and raises :class:`ConvergenceError`
+    if no stage does.  The error estimate is that duality gap (in distance
+    units).
     """
     _require_exponent(q, "cost exponent q", 1.0)
     if len(a) < 1 or len(b) < 1:
@@ -557,9 +575,9 @@ def ot_entropic(
     ):
         raise PreconditionError("regularization schedule must be positive, decreasing")
     C = _cost_matrix(a, b, q)
-    if C.max() == 0.0:
-        return DistanceResult(0.0, "entropic-ot", 0.0)
     scale = float(C.max())
+    if scale == 0.0:
+        return DistanceResult(0.0, "entropic-ot", 0.0)
     Cn = C / scale
     la = np.log(a.masses)
     lb = np.log(b.masses)
@@ -568,8 +586,8 @@ def ot_entropic(
 
     atol = 1e-15 * scale
     for eps in schedule:
-        for done in range(0, max_iter, MARGINAL_CHECK_EVERY):
-            sweeps = min(MARGINAL_CHECK_EVERY, max_iter - done)
+        for done in range(0, MAX_STAGE_SWEEPS, MARGINAL_CHECK_EVERY):
+            sweeps = min(MARGINAL_CHECK_EVERY, MAX_STAGE_SWEEPS - done)
             with np.errstate(all="ignore"):
                 K = np.exp((f[:, None] + g[None, :] - Cn) / eps)
                 u, v = _scaling_block(K, np.ones(len(b)), a.masses, b.masses, sweeps)
@@ -590,9 +608,7 @@ def ot_entropic(
             np.exp((f[:, None] + g[None, :] - Cn) / eps), a.masses, b.masses
         )
         cost = float(np.sum(plan * C))
-        u = f * scale
-        v = np.min(C - u[:, None], axis=0)
-        gap = cost - max(float(a.masses @ u + b.masses @ v), 0.0)
+        gap = cost - max(_dual_value(C, f * scale, a, b), 0.0)
         if gap <= rtol * cost + atol:
             return _gap_distance(cost, gap, q, "entropic-ot")
     raise ConvergenceError(

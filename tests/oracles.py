@@ -78,6 +78,35 @@ def mc_pair_moment(fn, n=10**6, seed=12345):
     return float(np.mean(fn(x, y)))
 
 
+def gauss_power_moment(mu, var, p):
+    """E Z^p for a scalar Gaussian Z with (complex) mean mu and variance
+    var: sum_k C(p, 2k) (2k-1)!! var^k mu^{p-2k}."""
+    out = np.zeros_like(mu, dtype=complex)
+    for k in range(p // 2 + 1):
+        double_factorial = math.prod(range(2 * k - 1, 0, -2))
+        out += math.comb(p, 2 * k) * double_factorial * var**k * mu ** (p - 2 * k)
+    return out
+
+
+def delta_p_char_closed_form(mix, p, grid):
+    """``sum_j d^p phi / du_j^p`` of a Gaussian mixture on the dual grid of
+    ``grid``, by differentiating each component's characteristic function:
+    i^p phi_c(u) sum_j E Z_j^p with Z_j of mean m_j + i (cov u)_j and
+    variance cov_jj."""
+    u = np.stack(grid.freq_mesh(), axis=-1)
+    total = np.zeros(grid.shape, dtype=complex)
+    for w, m, cov in zip(mix.weights, mix.means, mix.covs):
+        quad = np.einsum("...i,ij,...j->...", u, cov, u)
+        phi_c = np.exp(1j * (u @ m) - 0.5 * quad)
+        su = u @ cov
+        msum = sum(
+            gauss_power_moment(m[j] + 1j * su[..., j], cov[j, j], p)
+            for j in range(mix.d)
+        )
+        total += w * phi_c * msum
+    return (1j) ** p * total
+
+
 # ---------------------------------------------------------------------------
 # reference implementations of rewritten kernels
 # ---------------------------------------------------------------------------

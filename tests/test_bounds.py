@@ -378,6 +378,12 @@ class TestParams:
             dict(p=2, q=1.0, epsilon=0.1, d=1),
             dict(p=2, q=2, epsilon=0.0, d=1),
             dict(p=2, q=2, epsilon=0.1, d=0),
+            dict(p=math.inf, q=2, epsilon=0.1, d=1),
+            dict(p=math.nan, q=2, epsilon=0.1, d=1),
+            dict(p=2, q=math.inf, epsilon=0.1, d=1),
+            dict(p=2, q=math.nan, epsilon=0.1, d=1),
+            dict(p=2, q=2, epsilon=0.1, d=1.5),
+            dict(p=2, q=2, epsilon=0.1, d=math.inf),
         ):
             with pytest.raises(PreconditionError):
                 BoundParams(**bad)

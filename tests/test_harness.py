@@ -13,7 +13,6 @@ from tvrates import (
     fit_rate,
     gaussian,
     perturb_pair,
-    run_many,
     run_sweep,
 )
 
@@ -52,10 +51,6 @@ class TestScenarioValidation:
         sc = tiny_scenario()
         back = Scenario.from_json(json.dumps(sc.to_json()))
         assert back == sc
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(PreconditionError):
-            run_many([tiny_scenario("a"), tiny_scenario("a")])
 
 
 class TestPerturbations:

@@ -12,16 +12,14 @@ from tvrates import (
     PreconditionError,
     ResolutionError,
     char_fn_grid,
-    char_grid_analytic,
     delta_p_char,
     discretize,
     gaussian,
-    inverse_char_grid,
     poly_envelope,
     sigma_box,
     weighted_diff_reconstruct,
 )
-from oracles import poly_table_loop
+from oracles import delta_p_char_closed_form, poly_table_loop
 from tvrates import common_grid, default_scenarios, perturb_pair
 from tvrates.bounds import LawEvaluation
 from tvrates.spectral import (
@@ -30,6 +28,7 @@ from tvrates.spectral import (
     _derivative_stack,
     exp_envelope,
     forward_transform,
+    inverse_transform,
     multiindices,
 )
 
@@ -82,7 +81,8 @@ class TestCharGrid:
 
     def test_round_trip_recovers_density(self, bimodal):
         f = grid_of(bimodal, 2048)
-        back = inverse_char_grid(char_fn_grid(f))
+        cg = char_fn_grid(f)
+        back = inverse_transform(cg.space_grid, cg.values)
         assert np.abs(back.real - f.values).max() <= 1e-8
         assert np.abs(back.imag).max() <= 1e-10
 
@@ -107,41 +107,43 @@ class TestCharGrid:
 
     def test_analytic_grid_agrees_with_fft(self, bimodal):
         f = grid_of(bimodal, 1024)
-        ca = char_grid_analytic(bimodal, f.grid)
+        ca = bimodal.char_fn(np.stack(f.grid.freq_mesh(), axis=-1))
         cf = char_fn_grid(f)
         u = np.abs(f.grid.freq_axes()[0])
         half = u <= u.max() / 2
-        np.testing.assert_allclose(ca.values[half], cf.values[half], atol=1e-6)
+        np.testing.assert_allclose(ca[half], cf.values[half], atol=1e-6)
 
 
 class TestDeltaP:
     def test_second_derivative_at_zero(self, std_normal):
-        dp = delta_p_char(std_normal, 2)
+        dp = delta_p_char(grid_of(std_normal), 2)
         np.testing.assert_allclose(dp.value_at(0.0), -1.0, atol=1e-12)
 
     def test_second_derivative_near_one(self, std_normal):
         f = grid_of(std_normal)
-        dp = delta_p_char(std_normal, 2, f.grid)
+        dp = delta_p_char(f, 2)
         u = f.grid.freq_axes()[0]
         node = u[np.abs(u - 1.0).argmin()]
         expected = (node**2 - 1.0) * math.exp(-(node**2) / 2.0)
         np.testing.assert_allclose(dp.value_at(1.0), expected, atol=1e-12)
 
     def test_fourth_derivative_at_zero(self, std_normal):
-        dp = delta_p_char(std_normal, 4)
+        dp = delta_p_char(grid_of(std_normal), 4)
         np.testing.assert_allclose(dp.value_at(0.0), 3.0, atol=1e-12)
 
     def test_odd_order_rejected(self, std_normal):
-        with pytest.raises(PreconditionError):
-            delta_p_char(std_normal, 3)
+        f = grid_of(std_normal, 512)
+        for p in (3, 2.5):  # a fractional order is not truncated to 2
+            with pytest.raises(PreconditionError):
+                delta_p_char(f, p)
 
     def test_grid_and_analytic_paths_agree(self, bimodal):
         f = grid_of(bimodal)
-        da = delta_p_char(bimodal, 2, f.grid)
+        da = delta_p_char_closed_form(bimodal, 2, f.grid)
         dg = delta_p_char(f, 2)
         u = np.abs(f.grid.freq_axes()[0])
         band = u <= u.max() / 2
-        np.testing.assert_allclose(dg.values[band], da.values[band], atol=1e-8)
+        np.testing.assert_allclose(dg.values[band], da[band], atol=1e-8)
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_value_at_zero_is_signed_moment_sum(self, p):
@@ -149,8 +151,9 @@ class TestDeltaP:
             [0.6, 0.4], [[0.5, -1.0], [-0.25, 2.0]],
             [np.eye(2).tolist(), [[2.0, 0.3], [0.3, 0.5]]],
         )
-        grid = __import__("tvrates").common_grid(mix, mix, resolution=256)
-        dp = delta_p_char(mix, p, grid)
+        grid = common_grid(mix, mix, resolution=256)
+        box = np.stack([grid.lo, grid.hi], axis=1)
+        dp = delta_p_char(discretize(mix, box, grid.shape), p)
         # i^p sum_j E x_j^p, from per-component Gaussian moment recursion
         total = 0.0
         for w, m, c in zip(mix.weights, mix.means, mix.covs):

@@ -149,6 +149,16 @@ class TestExponentChecks:
         # rejected before any solver work
         assert sweep_counter["scaling"] == 0 and not linprog_calls
 
+    @pytest.mark.parametrize("solver", [ot_exact, ot_entropic])
+    def test_cost_overflow_names_the_exponent(self, solver):
+        # |x - y|^700 overflows for the distance-3 pairs
+        a = AtomSet([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+        b = AtomSet([[0.0, 3.0], [3.0, 0.0]], [0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="exponent q = 700"):
+                solver(a, b, 700.0)
+
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_quadrature_exponents_must_be_finite(self, std_normal, x):
         other = gaussian(0.5, 1.0)
