@@ -12,6 +12,7 @@ Run: python3 demos/03_spectral_machinery.py
 import numpy as np
 
 from tvrates import (
+    SpaceGrid,
     char_fn_grid,
     delta_p_char,
     discretize,
@@ -20,7 +21,8 @@ from tvrates import (
 )
 
 base = gaussian(0.0, 1.0)
-f = discretize(base, [[-10, 10]], 4096)
+# the density at the midpoints of 4096 cells on [-10, 10]
+f = discretize(base, SpaceGrid((-10,), (10,), (4096,)))
 freq = f.grid.freq_axes()[0]
 
 

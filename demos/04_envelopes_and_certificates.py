@@ -20,6 +20,7 @@ import math
 from tvrates import (
     BoundParams,
     PairEvaluation,
+    SpaceGrid,
     char_fn_grid,
     discretize,
     exp_envelope,
@@ -30,7 +31,8 @@ from tvrates import (
 )
 
 base = gaussian(0.0, 1.0)
-f = discretize(base, [[-10, 10]], 4096)
+# the density at the midpoints of 4096 cells on [-10, 10]
+f = discretize(base, SpaceGrid((-10,), (10,), (4096,)))
 
 print("== polynomial decay table of the standard normal (density side) ==")
 tab = poly_envelope(f, 2, 4)

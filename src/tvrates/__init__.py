@@ -22,17 +22,10 @@ from .bounds import (
     BoundParams,
     ConstantLedger,
     PairEvaluation,
-    c_bar,
-    c_hat,
-    c_ring,
-    choose_M,
     choose_l,
     exponential_rate_certificate,
-    gamma_k,
-    h_p_const,
     pointwise_certificate,
     polynomial_rate_certificate,
-    theta_exponent,
 )
 from .distributions import (
     AtomSet,
@@ -42,7 +35,6 @@ from .distributions import (
     common_grid,
     discretize,
     gaussian,
-    sigma_box,
 )
 from .errors import (
     ConvergenceError,
@@ -58,8 +50,6 @@ from .harness import (
     SweepReport,
     default_scenarios,
     emit_report,
-    fit_rate,
-    perturb_pair,
     run_sweep,
 )
 from .spectral import (
@@ -107,11 +97,7 @@ __all__ = [
     "SweepReport",
     "TransportPlan",
     "TvratesError",
-    "c_bar",
-    "c_hat",
-    "c_ring",
     "char_fn_grid",
-    "choose_M",
     "choose_l",
     "common_grid",
     "default_scenarios",
@@ -121,21 +107,15 @@ __all__ = [
     "emit_report",
     "exp_envelope",
     "exponential_rate_certificate",
-    "fit_rate",
     "fm_upper",
-    "gamma_k",
     "gaussian",
-    "h_p_const",
     "ot_entropic",
     "ot_exact",
-    "perturb_pair",
     "pointwise_certificate",
     "poly_envelope",
     "polynomial_rate_certificate",
     "rho_p",
     "run_sweep",
-    "sigma_box",
-    "theta_exponent",
     "tv_mass",
     "wasserstein_1d",
     "weighted_diff_reconstruct",

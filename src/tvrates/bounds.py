@@ -43,8 +43,6 @@ from .spectral import (
     poly_envelope,
 )
 from .transport import (
-    MAX_REFINEMENTS,
-    QUADRATURE_TOL,
     _require_exponent,
     normal_levels,
     quantile_distance,
@@ -358,11 +356,10 @@ class LawEvaluation:
         )
 
     def density(self, level: int):
-        def compute():
-            box = np.stack([self.grid.lo, self.grid.hi], axis=1)
-            return discretize(self.law, box, self.grid.refined(2**level).shape)
-
-        return self._keep(("density", level), compute)
+        return self._keep(
+            ("density", level),
+            lambda: discretize(self.law, self.grid.refined(2**level)),
+        )
 
     @cached_property
     def char_grid(self):
@@ -448,8 +445,6 @@ class PairEvaluation:
         return refine_weighted_l1(
             lambda level: (la.density(level), lb.density(level)),
             (self.params.p, 0.0),
-            QUADRATURE_TOL,
-            MAX_REFINEMENTS[self.grid.d],
         )
 
     @property

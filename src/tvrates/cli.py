@@ -12,8 +12,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .bounds import (
     BoundParams,
     PairEvaluation,
@@ -56,7 +54,7 @@ def _cmd_dist(args) -> int:
 def _cmd_envelope(args) -> int:
     dist = _load_mixture(args.input)
     grid = common_grid(dist, dist, args.box_sigmas, args.resolution)
-    f = discretize(dist, np.stack([grid.lo, grid.hi], axis=1), grid.shape)
+    f = discretize(dist, grid)
     obj = f if args.side == "density" else char_fn_grid(f)
     table = poly_envelope(obj, args.K, args.L)
     print(json.dumps(table.to_json(), sort_keys=True))

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import MassDefectError, PreconditionError
 
@@ -39,7 +39,7 @@ MASS_DEFECT_LIMIT = 1e-6
 # Default per-axis grid resolution by dimension (powers of two).
 DEFAULT_RESOLUTION = {1: 4096, 2: 512, 3: 64}
 
-# Default half-width of automatic boxes, in per-component standard deviations.
+# Default half-width of sigma boxes, in per-component standard deviations.
 DEFAULT_BOX_SIGMAS = 10.0
 
 
@@ -325,10 +325,11 @@ class GaussianMixture:
     def abs_moment(self, p: float) -> float:
         """E |X|^p for real p >= 0 (Euclidean norm).
 
-        Closed form in dimension one (Gaussian absolute moments via the
-        confluent hypergeometric function) and for even integer p in any
-        dimension (moments of the quadratic form |X|^2 from its cumulants);
-        adaptive quadrature otherwise.  Relative error <= 1e-8.
+        Closed form for even integer p in any dimension (moments of the
+        quadratic form |X|^2 from its cumulants) and for any other p in
+        dimension one (Gaussian absolute moments via the confluent
+        hypergeometric function); other orders need d = 1.  Relative error
+        <= 1e-8.
         """
         if p < 0:
             raise PreconditionError("moment order must be >= 0")
@@ -336,12 +337,11 @@ class GaussianMixture:
             return 1.0
         if float(p).is_integer() and int(p) % 2 == 0:
             return self._abs_moment_even(int(p))
-        if self._d == 1:
-            total = 0.0
-            for w, m, c in zip(self._w, self._m[:, 0], self._c[:, 0, 0]):
-                total += w * _gauss_abs_moment_1d(m, math.sqrt(c), p)
-            return total
-        return self._abs_moment_quad(p)
+        self._require_1d()
+        total = 0.0
+        for w, m, c in zip(self._w, self._m[:, 0], self._c[:, 0, 0]):
+            total += w * _gauss_abs_moment_1d(m, math.sqrt(c), p)
+        return total
 
     def _abs_moment_even(self, p: int) -> float:
         k = p // 2
@@ -359,19 +359,6 @@ class GaussianMixture:
                 f"moment of order {p} (E|X|^{p}) is not a finite float"
             )
         return total
-
-    def _abs_moment_quad(self, p: float) -> float:
-        box = auto_box(self, 1e-14)
-        ranges = [tuple(box[j]) for j in range(self._d)]
-
-        def f(*xs):
-            x = np.array(xs)
-            return float(np.linalg.norm(x) ** p * self.pdf(x))
-
-        val, _ = integrate.nquad(
-            f, ranges, opts={"epsabs": 1e-12, "epsrel": 1e-9, "limit": 200}
-        )
-        return val
 
     def exp_abs_moment(self, r: float) -> float:
         """E exp(r |X|) for r >= 0; closed form in dimension one."""
@@ -514,15 +501,6 @@ def sigma_box(dist: GaussianMixture, k_sigma: float = DEFAULT_BOX_SIGMAS) -> np.
     return np.stack([lo, hi], axis=1)
 
 
-def auto_box(dist: GaussianMixture, delta: float) -> np.ndarray:
-    """Box guaranteed (by per-component Gaussian tail bounds) to hold all but
-    delta of the mass; shape (d, 2)."""
-    if not 0 < delta < 1:
-        raise PreconditionError("delta must lie in (0, 1)")
-    z = -float(special.ndtri(delta / (2.0 * dist.d)))
-    return sigma_box(dist, z)
-
-
 def tail_mass_bound(dist: GaussianMixture, box) -> float:
     """Union bound on the mixture mass outside ``box`` from per-axis
     marginal Gaussian tails."""
@@ -567,22 +545,22 @@ class GridDensity:
         return float(self.values.sum() * self.grid.cell_volume)
 
 
-def discretize(dist: GaussianMixture, box, resolution) -> GridDensity:
-    """Evaluate the mixture density at grid midpoints and renormalize.
+def discretize(dist: GaussianMixture, grid: SpaceGrid) -> GridDensity:
+    """Evaluate the mixture density at the midpoints of ``grid`` and
+    renormalize.
 
     Raises :class:`MassDefectError` when the tail bound for the mass outside
-    ``box`` exceeds ``MASS_DEFECT_LIMIT``.
+    the grid's box exceeds ``MASS_DEFECT_LIMIT``.
     """
-    box = np.asarray(box, dtype=float).reshape(dist.d, 2)
-    if np.isscalar(resolution) or np.ndim(resolution) == 0:
-        resolution = (int(resolution),) * dist.d
-    defect = tail_mass_bound(dist, box)
+    if grid.d != dist.d:
+        raise PreconditionError(
+            f"grid dimension {grid.d} != distribution dimension {dist.d}"
+        )
+    defect = tail_mass_bound(dist, np.stack([grid.lo, grid.hi], axis=1))
     if defect > MASS_DEFECT_LIMIT:
         raise MassDefectError(defect, MASS_DEFECT_LIMIT)
-    grid = SpaceGrid(tuple(box[:, 0]), tuple(box[:, 1]), tuple(resolution))
     pts = np.stack(grid.mesh(), axis=-1)
-    vals = dist.pdf(pts)
-    return GridDensity(grid, vals, mass_defect=defect)
+    return GridDensity(grid, dist.pdf(pts), mass_defect=defect)
 
 
 def common_grid(

@@ -258,8 +258,7 @@ def weighted_diff_reconstruct(a, b, p: int):
         if a.d != b.d:
             raise PreconditionError("dimension mismatch")
         grid = common_grid(a, b)
-        box = np.stack([grid.lo, grid.hi], axis=1)
-        a, b = discretize(a, box, grid.shape), discretize(b, box, grid.shape)
+        a, b = discretize(a, grid), discretize(b, grid)
     elif not (isinstance(a, GridDensity) and isinstance(b, GridDensity)):
         raise PreconditionError("inputs must both be mixtures or both be grids")
     if a.grid != b.grid:

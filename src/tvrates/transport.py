@@ -109,11 +109,11 @@ def _require_exponent(x: float, name: str, low: float, strict: bool = False):
 # grid quadrature distances
 # ---------------------------------------------------------------------------
 
-def _weighted_l1(fa: GridDensity, fb: GridDensity, p: float) -> float:
-    diff = np.abs(fa.values - fb.values)
+def _weighted_l1(va: np.ndarray, vb: np.ndarray, grid: SpaceGrid, p: float) -> float:
+    diff = np.abs(va - vb)
     if p > 0:
-        diff = diff * (1.0 + fa.grid.radii() ** p)
-    return float(diff.sum() * fa.grid.cell_volume)
+        diff = diff * (1.0 + grid.radii() ** p)
+    return float(diff.sum() * grid.cell_volume)
 
 
 def _coarsen_value(fa: GridDensity, fb: GridDensity, p: float) -> float:
@@ -130,10 +130,7 @@ def _coarsen_value(fa: GridDensity, fb: GridDensity, p: float) -> float:
             )
         return v
 
-    diff = np.abs(blocks(fa.values) - blocks(fb.values))
-    if p > 0:
-        diff = diff * (1.0 + coarse.radii() ** p)
-    return float(diff.sum() * coarse.cell_volume)
+    return _weighted_l1(blocks(fa.values), blocks(fb.values), coarse, p)
 
 
 MAX_REFINEMENTS = {1: 4, 2: 2, 3: 1}
@@ -142,34 +139,36 @@ MAX_REFINEMENTS = {1: 4, 2: 2, 3: 1}
 QUADRATURE_TOL = 1e-4
 
 
-def refine_weighted_l1(densities, powers, tol: float, max_refinements: int) -> tuple:
+def refine_weighted_l1(densities, powers) -> tuple:
     """One refinement ladder for several weight powers of one pair.
 
     ``densities(level)`` returns the pair's grid densities on the base grid
     refined ``level`` times (doubling every axis each time).  Each power's
     value is the weighted L1 difference at the first level whose change
-    against the level below is at most ``tol``, with that change as its
-    error, so the result for a power does not depend on the other powers.
-    The ladder stops once every power has resolved and returns one
+    against the level below is at most ``QUADRATURE_TOL``, with that
+    change as its error, so the result for a power does not depend on the
+    other powers.  The ladder runs at most ``MAX_REFINEMENTS[d]`` levels,
+    stops once every power has resolved and returns one
     :class:`DistanceResult` per power, in order.
     """
     fa, fb = densities(0)
-    values = [_weighted_l1(fa, fb, p) for p in powers]
+    values = [_weighted_l1(fa.values, fb.values, fa.grid, p) for p in powers]
     results = [None] * len(powers)
     err = math.inf
-    for level in range(1, max_refinements + 1):
+    for level in range(1, MAX_REFINEMENTS[fa.d] + 1):
         fa, fb = densities(level)
         for i, p in enumerate(powers):
             if results[i] is None:
-                value = _weighted_l1(fa, fb, p)
+                value = _weighted_l1(fa.values, fb.values, fa.grid, p)
                 err = abs(value - values[i])
                 values[i] = value
-                if err <= tol:
+                if err <= QUADRATURE_TOL:
                     results[i] = DistanceResult(value, "grid-quadrature", err)
         if all(r is not None for r in results):
             return tuple(results)
     raise NumericalError(
-        f"quadrature did not reach tol {tol:.3e} (last estimate {err:.3e}); "
+        f"quadrature did not reach tol {QUADRATURE_TOL:.3e} "
+        f"(last estimate {err:.3e}); "
         "the pair is unresolvable at the allowed resolutions"
     )
 
@@ -191,7 +190,7 @@ def rho_p(a, b, p: float, grid: SpaceGrid | None = None) -> DistanceResult:
     if isinstance(a, GridDensity) and isinstance(b, GridDensity):
         if a.grid != b.grid:
             raise PreconditionError("grid densities must share one grid")
-        value = _weighted_l1(a, b, p)
+        value = _weighted_l1(a.values, b.values, a.grid, p)
         err = abs(value - _coarsen_value(a, b, p))
         if err > QUADRATURE_TOL:
             raise NumericalError(
@@ -204,15 +203,12 @@ def rho_p(a, b, p: float, grid: SpaceGrid | None = None) -> DistanceResult:
     g = grid if grid is not None else common_grid(a, b)
     if g.d not in MAX_REFINEMENTS:
         raise PreconditionError("mixture quadrature needs dimension <= 3")
-    box = np.stack([g.lo, g.hi], axis=1)
 
     def densities(level):
-        shape = g.refined(2**level).shape
-        return discretize(a, box, shape), discretize(b, box, shape)
+        fine = g.refined(2**level)
+        return discretize(a, fine), discretize(b, fine)
 
-    return refine_weighted_l1(
-        densities, (p,), QUADRATURE_TOL, MAX_REFINEMENTS[g.d]
-    )[0]
+    return refine_weighted_l1(densities, (p,))[0]
 
 
 def tv_mass(a, b, grid: SpaceGrid | None = None) -> DistanceResult:
@@ -305,7 +301,7 @@ def wasserstein_1d(a, b, q: float) -> DistanceResult:
     return quantile_distance(quantiles, q)
 
 
-def _w1_cdf_1d(a, b, n: int = 16384) -> DistanceResult:
+def _w1_cdf_1d(a, b) -> DistanceResult:
     """W_1 = int |F_a - F_b| dx for one-dimensional inputs, by grid sums."""
 
     def cdf_on(xs, obj):
@@ -337,7 +333,7 @@ def _w1_cdf_1d(a, b, n: int = 16384) -> DistanceResult:
             np.trapezoid(np.abs(cdf_on(xs, a) - cdf_on(xs, b)), xs)
         )
 
-    v1, v2 = value(n), value(2 * n)
+    v1, v2 = value(16384), value(32768)
     return DistanceResult(v2, "grid-quadrature", abs(v2 - v1))
 
 

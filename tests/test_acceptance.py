@@ -18,6 +18,7 @@ from oracles import brute_force_ot_uniform
 from tvrates import (
     AtomSet,
     char_fn_grid,
+    common_grid,
     default_scenarios,
     discretize,
     emit_report,
@@ -27,13 +28,12 @@ from tvrates import (
     ot_exact,
     poly_envelope,
     run_sweep,
-    sigma_box,
-    theta_exponent,
     choose_l,
     tv_mass,
     wasserstein_1d,
     weighted_diff_reconstruct,
 )
+from tvrates.bounds import theta_exponent
 
 
 def report(num, ok, detail):
@@ -141,9 +141,9 @@ def test_criterion_06_envelope_consistency():
     ]
     worst = 0.0
     for mix in mixes:
-        box = sigma_box(mix, 10.0)
-        coarse = discretize(mix, box, 4096)
-        fine = discretize(mix, box, 8192)
+        grid = common_grid(mix, mix, 10.0, 4096)
+        coarse = discretize(mix, grid)
+        fine = discretize(mix, grid.refined())
         for obj_c, obj_f in (
             (coarse, fine),
             (char_fn_grid(coarse), char_fn_grid(fine)),

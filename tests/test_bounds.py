@@ -12,22 +12,24 @@ from tvrates import (
     PolyEnvelopeTable,
     PreconditionError,
     TvratesError,
-    c_bar,
-    c_hat,
-    c_ring,
-    choose_M,
     choose_l,
     exponential_rate_certificate,
-    gamma_k,
     gaussian,
-    h_p_const,
     pointwise_certificate,
     polynomial_rate_certificate,
-    theta_exponent,
     tv_mass,
     weighted_diff_reconstruct,
 )
 from tvrates import rho_p as rho_p_distance
+from tvrates.bounds import (
+    c_bar,
+    c_hat,
+    c_ring,
+    choose_M,
+    gamma_k,
+    h_p_const,
+    theta_exponent,
+)
 from tvrates.bounds import LawEvaluation
 
 
@@ -249,9 +251,8 @@ class TestPolynomialCertificate:
 
         b = gaussian(0.05, 1.0)
         grid = tv.common_grid(std_normal, b)
-        box = np.stack([grid.lo, grid.hi], axis=1)
-        fa = discretize(std_normal, box, grid.shape)
-        fb = discretize(b, box, grid.shape)
+        fa = discretize(std_normal, grid)
+        fb = discretize(b, grid)
         pair = poly_envelope(char_fn_grid(fa), 2, 80).combine_max(
             poly_envelope(char_fn_grid(fb), 2, 80)
         )

@@ -23,12 +23,13 @@ from tvrates import (
     GaussianMixture,
     MassDefectError,
     PreconditionError,
+    SpaceGrid,
+    common_grid,
     discretize,
     gaussian,
-    sigma_box,
     wasserstein_1d,
 )
-from tvrates.distributions import _norm_sq_moment, auto_box, tail_mass_bound
+from tvrates.distributions import _norm_sq_moment, tail_mass_bound
 from tvrates.transport import normal_levels
 
 
@@ -87,10 +88,10 @@ class TestMoments:
         expected = (np.trace(s) + m @ m) ** 2 + 2 * np.trace(s @ s) + 4 * m @ s @ m
         np.testing.assert_allclose(g.abs_moment(4), expected, rtol=1e-12)
 
-    def test_2d_odd_moment_via_quadrature(self):
+    def test_2d_odd_moment_needs_one_dimension(self):
         g = gaussian([0.0, 0.0], np.eye(2))
-        # E|X| for the standard 2-D normal is sqrt(pi/2)
-        np.testing.assert_allclose(g.abs_moment(1), math.sqrt(math.pi / 2), rtol=1e-8)
+        with pytest.raises(PreconditionError, match="one-dimensional"):
+            g.abs_moment(1)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), d=st.integers(1, 3), k=st.integers(0, 170))
@@ -129,21 +130,16 @@ class TestMoments:
 
 class TestDiscretize:
     def test_ten_sigma_box_has_negligible_defect(self, std_normal):
-        f = discretize(std_normal, [[-10, 10]], 1024)
+        f = discretize(std_normal, SpaceGrid((-10,), (10,), (1024,)))
         assert f.mass_defect < 1e-20
         np.testing.assert_allclose(f.mass(), 1.0, atol=1e-12)
 
     def test_small_box_raises_with_normal_cdf_defect(self, std_normal):
         # defect oracle: 1 - (2 Phi(1) - 1) = 0.31731...
         with pytest.raises(MassDefectError) as exc:
-            discretize(std_normal, [[-1, 1]], 64)
+            discretize(std_normal, SpaceGrid((-1,), (1,), (64,)))
         expected = 1.0 - (2 * norm.cdf(1.0) - 1.0)
         np.testing.assert_allclose(exc.value.defect, expected, rtol=1e-10)
-
-    def test_auto_box_always_succeeds(self, bimodal):
-        box = auto_box(bimodal, 1e-10)
-        f = discretize(bimodal, box, 512)
-        assert f.mass_defect <= 1e-10
 
     def test_tail_bound_dominates_true_defect(self, std_normal):
         box = [[-3.0, 3.0]]
@@ -153,13 +149,20 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("p", [0, 1, 2, 4])
     def test_grid_moments_recover_analytic(self, bimodal, p):
-        f = discretize(bimodal, sigma_box(bimodal, 10.0), 1024)
+        f = discretize(bimodal, common_grid(bimodal, bimodal, 10.0, 1024))
         riemann = np.sum(f.grid.radii() ** p * f.values) * f.grid.cell_volume
         np.testing.assert_allclose(riemann, bimodal.abs_moment(p), atol=1e-4)
 
     def test_resolution_must_be_power_of_two(self, std_normal):
         with pytest.raises(PreconditionError):
-            discretize(std_normal, [[-10, 10]], 1000)
+            discretize(std_normal, SpaceGrid((-10,), (10,), (1000,)))
+
+    def test_grid_dimension_must_match_law(self, std_normal):
+        planar = gaussian([0.0, 0.0], np.eye(2))
+        with pytest.raises(PreconditionError, match="grid dimension 2"):
+            discretize(std_normal, common_grid(planar, planar, 10.0, 16))
+        with pytest.raises(PreconditionError, match="grid dimension 1"):
+            discretize(planar, SpaceGrid((-10,), (10,), (16,)))
 
 
 class TestSmooth:
@@ -280,9 +283,6 @@ class TestNormalUfuncs:
                  + norm.sf((box[:, 1] - bimodal.means) / s))
         want = float(np.sum(bimodal.weights * np.minimum(tails.sum(axis=1), 1.0)))
         assert tail_mass_bound(bimodal, box) == want
-        assert np.array_equal(
-            auto_box(bimodal, 1e-9), sigma_box(bimodal, float(norm.isf(0.5e-9)))
-        )
 
     def test_exp_abs_moment_matches_norm_cdf(self, bimodal):
         r, total = 1.5, 0.0

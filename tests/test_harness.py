@@ -10,11 +10,10 @@ from tvrates import (
     Scenario,
     SweepReport,
     emit_report,
-    fit_rate,
     gaussian,
-    perturb_pair,
     run_sweep,
 )
+from tvrates.harness import fit_rate, perturb_pair
 
 
 def tiny_scenario(name="t", kind="translate", hs=(0.1, 0.01, 0.001)):
@@ -155,8 +154,8 @@ class TestRunSweep:
         def counting(fn, name):
             def wrapper(*args, **kwargs):
                 if name == "discretize":
-                    law, _, shape = args
-                    calls.append((name, law_key(law), tuple(shape)))
+                    law, grid = args
+                    calls.append((name, law_key(law), grid.shape))
                 else:
                     calls.append((name, None, None))
                 return fn(*args, **kwargs)

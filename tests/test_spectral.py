@@ -11,17 +11,18 @@ from tvrates import (
     PolyEnvelopeTable,
     PreconditionError,
     ResolutionError,
+    SpaceGrid,
     char_fn_grid,
     delta_p_char,
     discretize,
     gaussian,
     poly_envelope,
-    sigma_box,
     weighted_diff_reconstruct,
 )
 from oracles import delta_p_char_closed_form, poly_table_loop
-from tvrates import common_grid, default_scenarios, perturb_pair
+from tvrates import common_grid, default_scenarios
 from tvrates.bounds import LawEvaluation
+from tvrates.harness import perturb_pair
 from tvrates.spectral import (
     LOG_FLOAT_MAX,
     RESOLVED_FLOOR,
@@ -34,7 +35,7 @@ from tvrates.spectral import (
 
 
 def grid_of(dist, n=4096, k_sigma=10.0):
-    return discretize(dist, sigma_box(dist, k_sigma), n)
+    return discretize(dist, common_grid(dist, dist, k_sigma, n))
 
 
 class TestAnalyticCharFn:
@@ -73,8 +74,8 @@ class TestCharGrid:
 
     def test_translation_changes_phase_only(self):
         n = 1024
-        f0 = discretize(gaussian(0.0, 1.0), [[-10, 10]], n)
-        f3 = discretize(gaussian(3.0, 1.0), [[-7, 13]], n)
+        f0 = discretize(gaussian(0.0, 1.0), SpaceGrid((-10,), (10,), (n,)))
+        f3 = discretize(gaussian(3.0, 1.0), SpaceGrid((-7,), (13,), (n,)))
         m0 = np.abs(char_fn_grid(f0).values)
         m3 = np.abs(char_fn_grid(f3).values)
         np.testing.assert_allclose(m0, m3, atol=1e-9)
@@ -152,8 +153,7 @@ class TestDeltaP:
             [np.eye(2).tolist(), [[2.0, 0.3], [0.3, 0.5]]],
         )
         grid = common_grid(mix, mix, resolution=256)
-        box = np.stack([grid.lo, grid.hi], axis=1)
-        dp = delta_p_char(discretize(mix, box, grid.shape), p)
+        dp = delta_p_char(discretize(mix, grid), p)
         # i^p sum_j E x_j^p, from per-component Gaussian moment recursion
         total = 0.0
         for w, m, c in zip(mix.weights, mix.means, mix.covs):
@@ -188,8 +188,8 @@ class TestWeightedDiffReconstruct:
         assert np.all(np.sign(vals[strong]) == np.sign(direct[strong]))
 
     def test_grid_inputs_must_match(self):
-        fa = discretize(gaussian(0.0, 1.0), [[-10, 10]], 512)
-        fb = discretize(gaussian(0.0, 1.0), [[-12, 12]], 512)
+        fa = discretize(gaussian(0.0, 1.0), SpaceGrid((-10,), (10,), (512,)))
+        fb = discretize(gaussian(0.0, 1.0), SpaceGrid((-12,), (12,), (512,)))
         with pytest.raises(PreconditionError):
             weighted_diff_reconstruct(fa, fb, 2)
 
@@ -224,7 +224,7 @@ class TestPolyEnvelope:
     def test_coarse_grid_rejected_for_high_order(self):
         # a spike this narrow still has resolved spectral content at the
         # 64-point band edge: differentiation of that grid is not certified
-        f = discretize(gaussian(0.0, 0.0009), [[-1, 1]], 64)
+        f = discretize(gaussian(0.0, 0.0009), SpaceGrid((-1,), (1,), (64,)))
         with pytest.raises(ResolutionError):
             poly_envelope(f, 4, 2)
 
@@ -278,8 +278,8 @@ class TestExpEnvelope:
     def test_rate_scales_with_width(self):
         # phi_sigma(u) = phi_1(sigma u), so the fitted tail rate doubles
         # when sigma does
-        f1 = discretize(gaussian(0.0, 1.0), [[-10, 10]], 4096)
-        f2 = discretize(gaussian(0.0, 4.0), [[-20, 20]], 4096)
+        f1 = discretize(gaussian(0.0, 1.0), SpaceGrid((-10,), (10,), (4096,)))
+        f2 = discretize(gaussian(0.0, 4.0), SpaceGrid((-20,), (20,), (4096,)))
         r1 = exp_envelope(char_fn_grid(f1), 0).rates[0]
         r2 = exp_envelope(char_fn_grid(f2), 0).rates[0]
         np.testing.assert_allclose(r2, 2.0 * r1, rtol=0.05)
@@ -319,7 +319,7 @@ class TestMultiindices:
 class Test2D:
     def test_char_grid_matches_analytic(self):
         mix = gaussian([0.0, 0.5], [[1.0, 0.3], [0.3, 2.0]])
-        f = discretize(mix, sigma_box(mix, 10.0), 256)
+        f = discretize(mix, common_grid(mix, mix, 10.0, 256))
         cg = char_fn_grid(f)
         u = np.stack(f.grid.freq_mesh(), axis=-1)
         r = f.grid.freq_radii()
@@ -330,7 +330,7 @@ class Test2D:
 
     def test_envelopes_finite(self):
         mix = gaussian([0.0, 0.0], [[1.0, 0.2], [0.2, 1.0]])
-        f = discretize(mix, sigma_box(mix, 10.0), 256)
+        f = discretize(mix, common_grid(mix, mix, 10.0, 256))
         tab = poly_envelope(char_fn_grid(f), 3, 4)
         assert np.all(np.isfinite(tab.table))
         et = exp_envelope(char_fn_grid(f), 2)
@@ -339,7 +339,7 @@ class Test2D:
     def test_forward_transform_matches_direct_sum(self):
         # tiny grid, direct O(n^2) evaluation of the discrete transform
         mix = gaussian([0.0, 0.0], np.eye(2))
-        f = discretize(mix, [[-8, 8], [-8, 8]], 16)
+        f = discretize(mix, SpaceGrid((-8, -8), (8, 8), (16, 16)))
         got = forward_transform(f.grid, f.values)
         xs = np.stack(f.grid.mesh(), axis=-1).reshape(-1, 2)
         vals = f.values.reshape(-1)

@@ -211,11 +211,21 @@ class TestRhoAndTv:
         ).value - 1e-12
 
     def test_grid_density_inputs(self, std_normal):
-        box = [[-10.5, 10.5]]
-        fa = discretize(std_normal, box, 4096)
-        fb = discretize(gaussian(1.0, 1.0), box, 4096)
+        grid = SpaceGrid((-10.5,), (10.5,), (4096,))
+        fa = discretize(std_normal, grid)
+        fb = discretize(gaussian(1.0, 1.0), grid)
         got = tv_mass(fa, fb)
         np.testing.assert_allclose(got.value, TV_UNIT_TRANSLATE, atol=1e-4)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_grid_inputs_match_mixture_inputs(self, std_normal, p):
+        # the grid path takes its error from the weighted coarse-grid sum
+        grid = SpaceGrid((-10.0,), (10.0,), (4096,))
+        b = gaussian(0.5, 1.0)
+        got = rho_p(discretize(std_normal, grid), discretize(b, grid), p)
+        want = rho_p(std_normal, b, p, grid=grid)
+        assert 0.0 < got.err <= 1e-5
+        assert abs(got.value - want.value) <= 1e-6
 
     def test_mixture_grid_beyond_refinable_dimensions_rejected(self):
         g4 = gaussian(np.zeros(4), np.eye(4))
@@ -251,9 +261,9 @@ class TestWasserstein1d:
         assert abs(scaled - 3.0 * base) <= 1e-8
 
     def test_grid_density_inputs_match_analytic(self, std_normal):
-        box = [[-10.5, 10.5]]
-        fa = discretize(std_normal, box, 4096)
-        fb = discretize(gaussian(0.5, 1.0), box, 4096)
+        grid = SpaceGrid((-10.5,), (10.5,), (4096,))
+        fa = discretize(std_normal, grid)
+        fb = discretize(gaussian(0.5, 1.0), grid)
         got = wasserstein_1d(fa, fb, 2)
         assert abs(got.value - 0.5) <= 1e-3
 
@@ -600,10 +610,10 @@ class TestFmUpper:
 class TestBoundedSupportComparison:
     def test_w1_below_radius_times_tv(self):
         # grid densities supported in [-R, R]: W_1 <= R * tv
-        box = [[-8.0, 8.0]]
-        fa = discretize(gaussian(0.0, 1.0), box, 2048)
+        grid = SpaceGrid((-8.0,), (8.0,), (2048,))
+        fa = discretize(gaussian(0.0, 1.0), grid)
         fb = discretize(GaussianMixture([0.5, 0.5], [[-1.0], [1.5]],
-                                        [[[0.7]], [[1.2]]]), box, 2048)
+                                        [[[0.7]], [[1.2]]]), grid)
         w1 = fm_upper(fa, fb).value
         tv = tv_mass(fa, fb).value
         assert w1 <= 8.0 * tv + 1e-9
