@@ -43,6 +43,7 @@ from .spectral import (
     poly_envelope,
 )
 from .transport import (
+    QUANTILE_NODES,
     _require_exponent,
     normal_levels,
     quantile_distance,
@@ -333,12 +334,13 @@ class BoundCertificate:
 class LawEvaluation:
     """The quantities certificates read off one law on one space grid.
 
-    The quantiles at the Gauss-Hermite levels of each rule order, the law
-    discretized on ``grid`` refined ``level`` times, its characteristic
-    grid, its order-``K`` decay-envelope tables and its absolute and
-    exponential moments are each computed on first use and then kept, so
-    every pair that holds this evaluation shares them.  Concurrent first
-    uses recompute the same deterministic value.
+    The quantiles at the Gauss-Hermite levels of both rule orders (one
+    bisection serves the two), the law discretized on ``grid`` refined
+    ``level`` times, its characteristic grid, its order-``K``
+    decay-envelope tables and its absolute and exponential moments are
+    each computed on first use and then kept, so every pair that holds
+    this evaluation shares them.  Concurrent first uses recompute the same
+    deterministic value.
     """
 
     def __init__(self, law: GaussianMixture, grid: SpaceGrid, K: int):
@@ -351,9 +353,16 @@ class LawEvaluation:
         return self._kept[key]
 
     def quantiles(self, n_nodes: int) -> np.ndarray:
-        return self._keep(
-            ("quantiles", n_nodes), lambda: self.law.quantile(normal_levels(n_nodes))
-        )
+        """The law's quantiles at ``normal_levels(n_nodes)``, for the two
+        rule orders of :func:`tvrates.transport.quantile_distance`."""
+        return self._quantiles[n_nodes]
+
+    @cached_property
+    def _quantiles(self) -> dict:
+        # one bisection serves both orders, each with its own stopping test
+        orders = (QUANTILE_NODES, 2 * QUANTILE_NODES)
+        values = self.law.quantile(tuple(normal_levels(n) for n in orders))
+        return dict(zip(orders, values))
 
     def density(self, level: int):
         return self._keep(

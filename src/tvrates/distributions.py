@@ -277,34 +277,57 @@ class GaussianMixture:
     def quantile(self, u):
         """Inverse CDF by bracketed bisection; |F(result) - u| <= 1e-12.
 
+        ``u`` is a level or an array of levels, or a tuple of them: a tuple
+        gives the tuple of their quantiles from one bisection, in which each
+        item keeps its own bracket and stopping test, so
+        ``quantile((u1, u2))`` equals ``(quantile(u1), quantile(u2))`` bit
+        for bit.  Each distinct level of an item is bisected once and its
+        result scattered back to every position that holds it.  A level
+        outside (0, 1), nan included, raises PreconditionError.
+
         Bisection is deliberately preferred over faster root finders:
         the mixture CDF can be extremely flat between well-separated
         components and bisection is immune to that.
         """
         self._require_1d()
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
+        items = u if isinstance(u, tuple) else (u,)
+        u_arrs = [np.asarray(v, dtype=float) for v in items]
+        # nan fails both comparisons, so it is rejected with the rest
+        if not all(np.all((v > 0.0) & (v < 1.0)) for v in u_arrs):
             raise PreconditionError("quantile level must lie in (0, 1)")
+        if not u_arrs:
+            return ()
         # weights sum to 1 only within 1e-12: levels are fractions of their
         # sum, and the upper bracket stops growing once the CDF reaches it
         total = float(self._w.sum())
-        levels = u_arr * total
-        s = np.sqrt(self._c[:, 0, 0])
-        lo = float(np.min(self._m[:, 0] - 10.0 * s))
-        hi = float(np.max(self._m[:, 0] + 10.0 * s))
-        # expand the bracket until it surrounds every requested level
-        while self.cdf(lo) >= levels.min():
-            lo -= (hi - lo)
-        while (top := self.cdf(hi)) <= levels.max() and top < total:
-            hi += (hi - lo)
-        a = np.full(u_arr.shape, lo)
-        b = np.full(u_arr.shape, hi)
-        # the loop evaluates self.cdf(mid) inline, into buffers made once
         means, weights = self._m[:, 0], self._w
+        s = np.sqrt(self._c[:, 0, 0])
+        start = (float(np.min(means - 10.0 * s)), float(np.max(means + 10.0 * s)))
+        # equal levels follow one trajectory, so each is bisected once
+        distinct = [np.unique(v.ravel() * total, return_inverse=True) for v in u_arrs]
+        los, his, edges = [], [], [0]
+        for levels, _ in distinct:
+            lo, hi = start
+            # expand the bracket until it surrounds every level of the item
+            while levels.size and self.cdf(lo) >= levels[0]:
+                lo -= (hi - lo)
+            while levels.size and (top := self.cdf(hi)) <= levels[-1] and top < total:
+                hi += (hi - lo)
+            los.append(lo)
+            his.append(hi)
+            edges.append(edges[-1] + levels.size)
+        tols = [1e-14 * max(1.0, abs(lo), abs(hi)) for lo, hi in zip(los, his)]
+        spans = [slice(i, j) for i, j in zip(edges, edges[1:])]
+        levels = np.concatenate([lv for lv, _ in distinct])
+        a = np.repeat(los, np.diff(edges))
+        b = np.repeat(his, np.diff(edges))
+        # the loop evaluates self.cdf(mid) inline, into buffers made once
         mid, width, cdf = np.empty_like(a), np.empty_like(a), np.empty_like(a)
         z = np.empty(a.shape + means.shape)
         below, above = np.empty(a.shape, bool), np.empty(a.shape, bool)
-        tol = 1e-14 * max(1.0, abs(lo), abs(hi))
+        # an item's values are taken once its own widest bracket is narrow
+        results = [None] * len(spans)
+        open_items = [i for i, sp in enumerate(spans) if sp.stop > sp.start]
         for _ in range(200):
             np.multiply(np.add(a, b, out=mid), 0.5, out=mid)
             np.divide(np.subtract(mid[..., None], means, out=z), s, out=z)
@@ -312,10 +335,18 @@ class GaussianMixture:
             np.less(np.sum(z, axis=-1, out=cdf), levels, out=below)
             np.copyto(a, mid, where=below)
             np.copyto(b, mid, where=np.logical_not(below, out=above))
-            if np.subtract(b, a, out=width).max() < tol:
+            np.subtract(b, a, out=width)
+            for i in list(open_items):
+                if width[spans[i]].max() < tols[i]:
+                    results[i] = 0.5 * (a[spans[i]] + b[spans[i]])
+                    open_items.remove(i)
+            if not open_items:
                 break
-        out = 0.5 * (a + b)
-        return out if np.ndim(u) else float(out[0])
+        out = []
+        for v, (_, inverse), sp, res in zip(u_arrs, distinct, spans, results):
+            x = (0.5 * (a[sp] + b[sp]) if res is None else res)[inverse]
+            out.append(float(x[0]) if v.ndim == 0 else x.reshape(v.shape))
+        return tuple(out) if isinstance(u, tuple) else out[0]
 
     # -- moments --------------------------------------------------------------
 
@@ -331,51 +362,55 @@ class GaussianMixture:
         hypergeometric function); other orders need d = 1.  Relative error
         <= 1e-8.
         """
-        if p < 0:
-            raise PreconditionError("moment order must be >= 0")
+        if not 0 <= p < math.inf:
+            raise PreconditionError(f"moment order must be finite and >= 0, got {p!r}")
         if p == 0:
             return 1.0
         if float(p).is_integer() and int(p) % 2 == 0:
-            return self._abs_moment_even(int(p))
-        self._require_1d()
-        total = 0.0
-        for w, m, c in zip(self._w, self._m[:, 0], self._c[:, 0, 0]):
-            total += w * _gauss_abs_moment_1d(m, math.sqrt(c), p)
-        return total
-
-    def _abs_moment_even(self, p: int) -> float:
-        k = p // 2
-        total = 0.0
-        # past the float range the recursion overflows: to inf with numpy
-        # warnings, or with OverflowError on a factorial
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                for w, mu, cov in zip(self._w, self._m, self._c):
-                    total += w * _norm_sq_moment(mu, cov, k)
-            except OverflowError:
-                total = math.inf
-        if not math.isfinite(total):
-            raise PreconditionError(
-                f"moment of order {p} (E|X|^{p}) is not a finite float"
+            p = int(p)
+            terms = (_norm_sq_moment(mu, cov, p // 2) for mu, cov in zip(self._m, self._c))
+        else:
+            self._require_1d()
+            terms = (
+                _gauss_abs_moment_1d(m, math.sqrt(c), p)
+                for m, c in zip(self._m[:, 0], self._c[:, 0, 0])
             )
-        return total
+        return self._finite_mean(terms, f"moment of order {p} (E|X|^{p})")
 
     def exp_abs_moment(self, r: float) -> float:
-        """E exp(r |X|) for r >= 0; closed form in dimension one."""
-        if r < 0:
-            raise PreconditionError("rate must be >= 0")
+        """E exp(r |X|) for finite r >= 0; closed form in dimension one."""
+        if not 0 <= r < math.inf:
+            raise PreconditionError(f"rate must be finite and >= 0, got {r!r}")
         if r == 0:
             return 1.0
         self._require_1d()
+
+        def terms():
+            for m, c in zip(self._m[:, 0], self._c[:, 0, 0]):
+                s = math.sqrt(c)
+                # E e^{r|X|} = e^{rm + r^2 s^2/2} Phi(m/s + rs) + e^{-rm + r^2 s^2/2} Phi(-m/s + rs)
+                half = 0.5 * r * r * c
+                yield (
+                    math.exp(r * m + half) * special.ndtr(m / s + r * s)
+                    + math.exp(-r * m + half) * special.ndtr(-m / s + r * s)
+                )
+
+        return self._finite_mean(terms(), f"exponential moment E exp({r}|X|)")
+
+    def _finite_mean(self, terms, what: str) -> float:
+        """The weighted sum of per-component ``terms``, or PreconditionError
+        naming ``what`` once it leaves the float range: numpy overflow
+        warnings are suppressed, and an OverflowError (from a factorial,
+        a power or ``math.exp``) counts as an infinite term."""
         total = 0.0
-        for w, m, c in zip(self._w, self._m[:, 0], self._c[:, 0, 0]):
-            s = math.sqrt(c)
-            # E e^{r|X|} = e^{rm + r^2 s^2/2} Phi(m/s + rs) + e^{-rm + r^2 s^2/2} Phi(-m/s + rs)
-            half = 0.5 * r * r * c
-            total += w * (
-                math.exp(r * m + half) * special.ndtr(m / s + r * s)
-                + math.exp(-r * m + half) * special.ndtr(-m / s + r * s)
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for w, term in zip(self._w, terms):
+                    total += w * term
+            except OverflowError:
+                total = math.inf
+        if not math.isfinite(total):
+            raise PreconditionError(f"{what} is not a finite float")
         return total
 
     # -- transformations -------------------------------------------------------
@@ -460,25 +495,37 @@ def _gauss_abs_moment_1d(m: float, s: float, p: float) -> float:
 
 def _norm_sq_moment(mu, cov, k: int) -> float:
     """E (|X|^2)^k for X ~ N(mu, cov) via the cumulants of the quadratic form:
-    kappa_j = 2^{j-1} (j-1)! [tr(cov^j) + j mu' cov^{j-1} mu]."""
+    kappa_j = 2^{j-1} (j-1)! [tr(cov^j) + j mu' cov^{j-1} mu].
+
+    All k cumulants come from one stack of the powers cov^0..cov^k, built
+    by the chained products ``power @ cov``; the traces and quadratic forms
+    are read off the whole stack, and each m_n is a left-to-right sum."""
     if k == 0:
         return 1.0
+    powers = np.empty((k + 1,) + cov.shape)
+    powers[0] = np.eye(len(mu))
+    for j in range(k):
+        np.matmul(powers[j], cov, out=powers[j + 1])
+    traces = np.trace(powers[1:], axis1=1, axis2=2)
+    # vecdot takes one dot product per row, as mu @ power @ mu does per order
+    quad = np.vecdot(mu @ powers[:-1], mu)
     kappa = np.empty(k + 1)
-    power = np.eye(len(mu))
-    for j in range(1, k + 1):
-        # power = cov^{j-1} entering mu' cov^{j-1} mu; tr(cov^j) = tr(power @ cov)
-        kappa[j] = (
-            2.0 ** (j - 1)
-            * math.factorial(j - 1)
-            * (np.trace(power @ cov) + j * float(mu @ power @ mu))
-        )
-        power = power @ cov
+    kappa[1:] = _cumulant_scales(k) * (traces + np.arange(1, k + 1) * quad)
     m = np.empty(k + 1)
     m[0] = 1.0
     for n in range(1, k + 1):
         # m_n = sum_i C(n-1, i) kappa_{n-i} m_i, summed left to right
-        m[n] = np.cumsum(_binomial_row(n - 1) * kappa[n:0:-1] * m[:n])[-1]
+        m[n] = np.add.accumulate(_binomial_row(n - 1) * kappa[n:0:-1] * m[:n])[-1]
     return float(m[k])
+
+
+@functools.cache
+def _cumulant_scales(k: int) -> np.ndarray:
+    """Read-only row 2^{j-1} (j-1)!, j = 1..k, each rounded to a float; a
+    factorial past the float range raises OverflowError."""
+    row = np.array([2.0 ** (j - 1) * math.factorial(j - 1) for j in range(1, k + 1)])
+    row.flags.writeable = False
+    return row
 
 
 @functools.cache

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ from .bounds import (
     pointwise_certificate,
     polynomial_rate_certificate,
 )
-from .distributions import GaussianMixture, common_grid
+from .distributions import GaussianMixture, _is_pow2, common_grid
 from .errors import NumericalError, PreconditionError, TvratesError
 from .transport import ot_entropic
 
@@ -49,7 +50,10 @@ CSV_COLUMNS = ("h", "A", "rho_p", "tv", "rhs1", "rhs2", "psup", "prhs",
 class Scenario:
     """A named sweep configuration.
 
-    ``h_grid`` must be strictly positive and strictly descending.  The
+    ``h_grid`` must hold finite values > 0 in strictly descending order,
+    ``box_sigmas``, ``smoothing_sigma`` and ``r_exp`` must be finite and
+    > 0, and ``resolution`` is None or a power of two; a violation raises
+    :class:`PreconditionError` naming the field.  The
     contaminant (for the mixture-weight and smoothed-sequence families)
     defaults to the base translated by +2.  ``entropic_check`` adds an
     entropic cross-check value to the JSON rows (never to the CSV, whose
@@ -79,12 +83,33 @@ class Scenario:
             )
         if self.perturbation not in PERTURBATION_KINDS:
             raise PreconditionError(f"unknown perturbation {self.perturbation!r}")
-        hs = tuple(float(h) for h in self.h_grid)
-        if not hs or any(h <= 0 for h in hs):
-            raise PreconditionError("scale grid values must be > 0")
+        try:
+            hs = tuple(_real(h, "h_grid") for h in self.h_grid)
+        except TypeError:
+            raise PreconditionError(
+                f"scenario field h_grid must be a list of numbers, got {self.h_grid!r}"
+            ) from None
+        if not hs or not all(0 < h < math.inf for h in hs):
+            raise PreconditionError("scenario field h_grid must hold finite values > 0")
         if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
-            raise PreconditionError("scale grid must be strictly descending")
+            raise PreconditionError("scenario field h_grid must be strictly descending")
         object.__setattr__(self, "h_grid", hs)
+        for name in ("box_sigmas", "smoothing_sigma", "r_exp"):
+            value = _real(getattr(self, name), name)
+            if not 0 < value < math.inf:
+                raise PreconditionError(
+                    f"scenario field {name} must be finite and > 0, got {value!r}"
+                )
+            object.__setattr__(self, name, value)
+        res = self.resolution
+        if res is not None:
+            if isinstance(res, bool) or not (
+                isinstance(res, numbers.Integral) and _is_pow2(int(res))
+            ):
+                raise PreconditionError(
+                    f"scenario field resolution must be a power of two, got {res!r}"
+                )
+            object.__setattr__(self, "resolution", int(res))
 
     def to_json(self) -> dict:
         doc = {
@@ -113,8 +138,8 @@ class Scenario:
             doc = json.loads(doc)
         base = GaussianMixture.from_json(doc["base"])
         params = BoundParams(
-            p=float(doc["p"]), q=float(doc["q"]),
-            epsilon=float(doc["epsilon"]), d=base.d,
+            p=_real(doc["p"], "p"), q=_real(doc["q"], "q"),
+            epsilon=_real(doc["epsilon"], "epsilon"), d=base.d,
         )
         contaminant = (
             GaussianMixture.from_json(doc["contaminant"])
@@ -125,16 +150,25 @@ class Scenario:
             name=doc["name"],
             base=base,
             perturbation=doc["perturbation"],
-            h_grid=tuple(doc["h_grid"]),
+            h_grid=doc["h_grid"],
             params=params,
             resolution=doc.get("resolution"),
-            box_sigmas=float(doc.get("box_sigmas", 10.0)),
+            box_sigmas=doc.get("box_sigmas", 10.0),
             contaminant=contaminant,
-            smoothing_sigma=float(doc.get("smoothing_sigma", 1.0)),
-            r_exp=float(doc.get("r_exp", 1.0)),
+            smoothing_sigma=doc.get("smoothing_sigma", 1.0),
+            r_exp=doc.get("r_exp", 1.0),
             seed=int(doc.get("seed", 0)),
             entropic_check=bool(doc.get("entropic_check", False)),
         )
+
+
+def _real(value, field: str) -> float:
+    """``value`` as a float, if it is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise PreconditionError(
+            f"scenario field {field} must be a number, got {value!r}"
+        )
+    return float(value)
 
 
 def _default_contaminant(base: GaussianMixture) -> GaussianMixture:

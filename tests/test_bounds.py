@@ -31,6 +31,15 @@ from tvrates.bounds import (
     theta_exponent,
 )
 from tvrates.bounds import LawEvaluation
+from tvrates.distributions import GaussianMixture, common_grid
+from tvrates.harness import default_scenarios, perturb_pair
+from tvrates.transport import normal_levels
+
+
+def assert_law_quantiles_match_order_calls(law):
+    ev = LawEvaluation(law, common_grid(law, law), 2)
+    for n in (128, 256):
+        np.testing.assert_array_equal(ev.quantiles(n), law.quantile(normal_levels(n)))
 
 
 class TestGamma:
@@ -490,3 +499,35 @@ class TestPairEvaluation:
                 LawEvaluation(std_normal, grid, 4), LawEvaluation(b, grid, 4),
                 default_params,
             )
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3))
+    def test_law_quantiles_match_one_order_calls(self, data, n):
+        # one bisection serves both rule orders, each with its own stop;
+        # means in +-50 are where a bisection on the joint widest bracket
+        # moved bits
+        weights = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        means = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+        variances = data.draw(st.lists(st.floats(0.05, 25.0), min_size=n, max_size=n))
+        assert_law_quantiles_match_order_calls(GaussianMixture(
+            weights / weights.sum(), [[m] for m in means], [[[v]] for v in variances]
+        ))
+
+    def test_law_quantiles_on_a_joint_stop_counterexample(self):
+        # a bisection stopped on both orders' joint widest bracket moves the
+        # 256-level order's bits on this mixture
+        assert_law_quantiles_match_order_calls(GaussianMixture(
+            [0.21744239624664927, 0.5843868775550007, 0.19817072619835005],
+            [[-7.62066600415622], [-24.780299676523697], [10.346772766341019]],
+            [[[5.062545801172223]], [[24.00404293712036]], [[3.4933291820422534]]],
+        ))
+
+    def test_default_sweep_law_quantiles_match_one_order_calls(self):
+        # each sweep evaluates its reference law once and each row's law
+        laws = []
+        for sc in default_scenarios():
+            pairs = [perturb_pair(sc, h) for h in sc.h_grid]
+            laws += [pairs[0][0]] + [b for _, b in pairs]
+        assert len(laws) == 24
+        for law in laws:
+            assert_law_quantiles_match_order_calls(law)

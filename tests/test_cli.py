@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -149,6 +150,35 @@ class TestSweep:
         code, _ = run_cli(capsys, "sweep", "--scenario", str(sc),
                           "--out", str(tmp_path / "o"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("r_exp", -1.0),
+            ("r_exp", math.nan),
+            ("r_exp", math.inf),
+            ("box_sigmas", -3.0),
+            ("box_sigmas", math.nan),
+            ("smoothing_sigma", -1.0),
+            ("smoothing_sigma", 0.0),
+            ("resolution", 3),
+            ("resolution", 2048.5),
+            ("resolution", "x"),
+            ("h_grid", ["x"]),
+            ("h_grid", [0.1, math.nan]),
+        ],
+    )
+    def test_bad_field_is_one_line_precondition(self, tmp_path, capsys, field, value):
+        doc = self.scenario_doc()
+        doc[field] = value
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(doc))
+        code = main(["sweep", "--scenario", str(sc), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("precondition violation:")
+        assert field in err
+        assert not (tmp_path / "o").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from tvrates.errors import NumericalError

@@ -115,6 +115,25 @@ class TestMoments:
             with pytest.raises(PreconditionError, match=f"order {p}"):
                 std_normal.abs_moment(p)
 
+    @pytest.mark.parametrize(
+        "method, arg",
+        [
+            ("quantile", math.nan),
+            ("abs_moment", math.nan),
+            ("abs_moment", math.inf),
+            ("exp_abs_moment", math.nan),
+            ("exp_abs_moment", math.inf),
+            ("exp_abs_moment", 800.0),
+        ],
+    )
+    def test_non_finite_kernel_input_is_typed_error(self, std_normal, method, arg):
+        # nan used to fall through every range check, inf gave inf or nan,
+        # and exp(800^2/2) overflowed math.exp with a bare OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError):
+                getattr(std_normal, method)(arg)
+
     def test_exp_abs_moment_matches_quadrature(self, bimodal):
         from scipy import integrate
 
@@ -228,6 +247,8 @@ class TestQuantile:
         for u in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(PreconditionError):
                 std_normal.quantile(u)
+        with pytest.raises(PreconditionError):
+            std_normal.quantile(([0.5], [0.5, 1.0]))
 
     def test_weights_short_of_one_terminate(self, std_normal, bimodal):
         # weights summing to 1 - 5e-13 pass the constructor, so the CDF never
@@ -264,6 +285,53 @@ class TestQuantile:
         for n_nodes in (128, 256):
             u = normal_levels(n_nodes)
             np.testing.assert_array_equal(law.quantile(u), quantile_bisection(law, u))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), rows=st.integers(1, 4))
+    def test_duplicated_unsorted_2d_levels_match_where_loop(self, data, n, rows):
+        # each distinct level is bisected once and scattered back; duplicates,
+        # order and shape must not move a bit, nor may a second tuple item
+        weights = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        means = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+        variances = data.draw(st.lists(st.floats(0.05, 25.0), min_size=n, max_size=n))
+        law = GaussianMixture(
+            weights / weights.sum(),
+            [[m] for m in means],
+            [[[v]] for v in variances],
+        )
+        pool = st.sampled_from(normal_levels(128).tolist() + [0.5, 0.999]) | st.floats(
+            1e-16, 1.0 - 1e-16
+        )
+        cols = data.draw(st.integers(1, 12))
+        u = np.array(data.draw(st.lists(pool, min_size=rows * cols, max_size=rows * cols)))
+        u = u.reshape(rows, cols)
+        np.testing.assert_array_equal(law.quantile(u), quantile_bisection(law, u))
+        v = np.concatenate([u.ravel(), u.ravel()[::-1]])
+        got_u, got_v = law.quantile((u, v))
+        np.testing.assert_array_equal(got_u, quantile_bisection(law, u))
+        np.testing.assert_array_equal(got_v, quantile_bisection(law, v))
+
+    def test_tuple_items_keep_their_own_stopping_test(self):
+        # on this mixture one bisection of both rule orders' levels, stopped
+        # on their joint widest bracket, runs the 256-level order one
+        # iteration past its own stop, which moves its bits
+        law = GaussianMixture(
+            [0.5163967613965685, 0.31556808957962607, 0.16803514902380534],
+            [[12.538395932187498], [-15.408250603117935], [-29.86767266623248]],
+            [[[3.3179691306252734]], [[7.990259700712973]], [[24.488523343726893]]],
+        )
+        u1, u2 = normal_levels(128), normal_levels(256)
+        merged = law.quantile(np.concatenate([u1, u2]))
+        assert not np.array_equal(merged[128:], law.quantile(u2))
+        got1, got2 = law.quantile((u1, u2))
+        np.testing.assert_array_equal(got1, quantile_bisection(law, u1))
+        np.testing.assert_array_equal(got2, quantile_bisection(law, u2))
+
+    def test_scalar_and_empty_levels(self, bimodal):
+        assert isinstance(bimodal.quantile(0.3), float)
+        assert bimodal.quantile(np.empty((0, 2))).shape == (0, 2)
+        first, second = bimodal.quantile(([], 0.3))
+        assert first.shape == (0,) and second == bimodal.quantile(0.3)
 
 
 class TestNormalUfuncs:
