@@ -32,7 +32,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import GaussianMixture, SpaceGrid, common_grid, discretize
+from .distributions import (
+    GaussianMixture,
+    SpaceGrid,
+    common_grid,
+    discretize,
+    mixture_quantiles,
+)
 from .errors import PreconditionError
 from .spectral import (
     ExpEnvelopeTable,
@@ -43,7 +49,7 @@ from .spectral import (
     poly_envelope,
 )
 from .transport import (
-    QUANTILE_NODES,
+    QUANTILE_ORDERS,
     _require_exponent,
     normal_levels,
     quantile_distance,
@@ -334,18 +340,21 @@ class BoundCertificate:
 class LawEvaluation:
     """The quantities certificates read off one law on one space grid.
 
-    The quantiles at the Gauss-Hermite levels of both rule orders (one
-    bisection serves the two), the law discretized on ``grid`` refined
-    ``level`` times, its characteristic grid, its order-``K``
-    decay-envelope tables and its absolute and exponential moments are
-    each computed on first use and then kept, so every pair that holds
-    this evaluation shares them.  Concurrent first uses recompute the same
-    deterministic value.
+    The quantiles at the Gauss-Hermite levels of both rule orders, the law
+    discretized on ``grid`` refined ``level`` times (the grid keeps the
+    refined grids and their meshes, so every law on it shares them), its
+    characteristic grid, its order-``K`` decay-envelope tables and its
+    absolute and exponential moments are each computed on first use and
+    then kept, so every pair that holds this evaluation shares them.
+    :meth:`solve_quantiles` fills the quantiles of many evaluations from
+    one solver call, as a sweep does for all of its laws.  Concurrent first
+    uses recompute the same deterministic value.
     """
 
     def __init__(self, law: GaussianMixture, grid: SpaceGrid, K: int):
         self.law, self.grid, self.K = law, grid, K
         self._kept = {}
+        self._quantiles = None
 
     def _keep(self, key, compute):
         if key not in self._kept:
@@ -355,14 +364,24 @@ class LawEvaluation:
     def quantiles(self, n_nodes: int) -> np.ndarray:
         """The law's quantiles at ``normal_levels(n_nodes)``, for the two
         rule orders of :func:`tvrates.transport.quantile_distance`."""
+        if self._quantiles is None:
+            LawEvaluation.solve_quantiles([self])
         return self._quantiles[n_nodes]
 
-    @cached_property
-    def _quantiles(self) -> dict:
-        # one bisection serves both orders, each with its own stopping test
-        orders = (QUANTILE_NODES, 2 * QUANTILE_NODES)
-        values = self.law.quantile(tuple(normal_levels(n) for n in orders))
-        return dict(zip(orders, values))
+    @staticmethod
+    def solve_quantiles(evaluations) -> None:
+        """Fill the quantiles of every evaluation that lacks them with one
+        :func:`tvrates.distributions.mixture_quantiles` call, in which each
+        law's two rule orders are two items with their own stopping tests;
+        an evaluation met twice is solved once."""
+        todo = {id(ev): ev for ev in evaluations if ev._quantiles is None}
+        todo = list(todo.values())
+        if not todo:
+            return
+        levels = [normal_levels(n) for n in QUANTILE_ORDERS]
+        values = iter(mixture_quantiles([(ev.law, u) for ev in todo for u in levels]))
+        for ev in todo:
+            ev._quantiles = {n: next(values) for n in QUANTILE_ORDERS}
 
     def density(self, level: int):
         return self._keep(
@@ -441,9 +460,9 @@ class PairEvaluation:
         if self.a == self.b:
             return 0.0
         la, lb = self.laws
-        return quantile_distance(
-            lambda n: (la.quantiles(n), lb.quantiles(n)), self.params.q
-        ).value
+        LawEvaluation.solve_quantiles(self.laws)
+        quantiles = [(la.quantiles(n), lb.quantiles(n)) for n in QUANTILE_ORDERS]
+        return quantile_distance(quantiles, self.params.q).value
 
     @cached_property
     def distances(self) -> tuple:

@@ -150,7 +150,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -8,6 +8,8 @@ or singular laws enter the toolkit only after convolution smoothing
 (:meth:`GaussianMixture.smooth`).
 
 All types are immutable after construction; operations never mutate inputs.
+A :class:`SpaceGrid` keeps the read-only arrays and grids it derives from its
+value, computed on first use.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -31,6 +34,7 @@ __all__ = [
     "sigma_box",
     "common_grid",
     "discretize",
+    "mixture_quantiles",
 ]
 
 # Mass allowed outside a discretization box before it is rejected.
@@ -60,11 +64,22 @@ class SpaceGrid:
     frequency grid (see :meth:`freq_axes`) has nodes ``-U_j + m * du_j`` with
     ``U_j = pi / h_j`` and ``du_j = 2 pi / (n_j h_j)``, so ``u = 0`` is always
     a node.
+
+    A grid is a value (``lo``, ``hi``, ``shape``), but it keeps what it
+    derives from them: its node and frequency axes, meshes and radii, its
+    FFT phase vectors and its refined and coarsened grids are computed on
+    first use and then returned as the same read-only arrays and grids, so
+    every density, transform and envelope on one grid shares them.  The
+    kept data goes away with the grid.  Concurrent first uses recompute the
+    same deterministic value.
     """
 
     lo: tuple
     hi: tuple
     shape: tuple
+    # derived arrays and grids, built on first use by _keep; derived data,
+    # so not part of the value
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.lo) != len(self.hi) or len(self.lo) != len(self.shape):
@@ -77,56 +92,103 @@ class SpaceGrid:
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
 
+    def _keep(self, key, compute):
+        """``compute()`` on the first call for ``key``, then the kept result;
+        the arrays it returns, alone or in a tuple, are made read-only."""
+        if key not in self._derived:
+            value = compute()
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+            self._derived[key] = value
+        return self._derived[key]
+
     @property
     def d(self) -> int:
         return len(self.shape)
 
     @property
     def spacings(self) -> np.ndarray:
-        return (np.asarray(self.hi) - np.asarray(self.lo)) / np.asarray(self.shape)
+        return self._keep("spacings", lambda: (
+            (np.asarray(self.hi) - np.asarray(self.lo)) / np.asarray(self.shape)
+        ))
 
     @property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacings))
 
-    def axes(self) -> list[np.ndarray]:
+    def axes(self) -> tuple:
         hs = self.spacings
-        return [
+        return self._keep("axes", lambda: tuple(
             self.lo[j] + (np.arange(self.shape[j]) + 0.5) * hs[j]
             for j in range(self.d)
-        ]
+        ))
 
-    def mesh(self) -> list[np.ndarray]:
-        return np.meshgrid(*self.axes(), indexing="ij")
+    def mesh(self) -> tuple:
+        return self._keep(
+            "mesh", lambda: tuple(np.meshgrid(*self.axes(), indexing="ij"))
+        )
 
     def radii(self) -> np.ndarray:
         """Euclidean norm ``|x|`` at every node."""
-        mesh = self.mesh()
-        return np.sqrt(sum(m * m for m in mesh))
+        return self._keep("radii", lambda: np.sqrt(sum(m * m for m in self.mesh())))
 
-    def freq_axes(self) -> list[np.ndarray]:
-        out = []
-        for n, h in zip(self.shape, self.spacings):
-            du = 2.0 * math.pi / (n * h)
-            out.append((np.arange(n) - n // 2) * du)
-        return out
+    def freq_axes(self) -> tuple:
+        def compute():
+            out = []
+            for n, h in zip(self.shape, self.spacings):
+                du = 2.0 * math.pi / (n * h)
+                out.append((np.arange(n) - n // 2) * du)
+            return tuple(out)
+
+        return self._keep("freq_axes", compute)
 
     def freq_spacings(self) -> np.ndarray:
         return 2.0 * math.pi / (np.asarray(self.shape) * self.spacings)
 
-    def freq_mesh(self) -> list[np.ndarray]:
-        return np.meshgrid(*self.freq_axes(), indexing="ij")
+    def freq_mesh(self) -> tuple:
+        return self._keep(
+            "freq_mesh", lambda: tuple(np.meshgrid(*self.freq_axes(), indexing="ij"))
+        )
 
     def freq_radii(self) -> np.ndarray:
-        mesh = self.freq_mesh()
-        return np.sqrt(sum(m * m for m in mesh))
+        return self._keep(
+            "freq_radii", lambda: np.sqrt(sum(m * m for m in self.freq_mesh()))
+        )
 
     def freq_cell_volume(self) -> float:
         return float(np.prod(self.freq_spacings()))
 
+    def phases(self, sign: float) -> tuple:
+        """Per-axis factors ``exp(sign * i * u * x0)`` over the frequencies
+        in FFT (wrapped) order, each broadcastable over the grid: the box
+        offset correction of the transforms in :mod:`tvrates.spectral`."""
+
+        def compute():
+            out = []
+            for j, (lo, n, h) in enumerate(zip(self.lo, self.shape, self.spacings)):
+                shape = [1] * self.d
+                shape[j] = n
+                uw = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
+                out.append(np.exp(sign * 1j * uw * (lo + 0.5 * h)).reshape(shape))
+            return tuple(out)
+
+        return self._keep(("phases", sign), compute)
+
     def refined(self, factor: int = 2) -> "SpaceGrid":
-        """Same box with ``factor`` times as many nodes per axis."""
-        return SpaceGrid(self.lo, self.hi, tuple(n * factor for n in self.shape))
+        """Same box with ``factor`` times as many nodes per axis; the grid
+        itself for a factor of 1."""
+        if factor == 1:
+            return self
+        return self._keep(("refined", factor), lambda: SpaceGrid(
+            self.lo, self.hi, tuple(n * factor for n in self.shape)
+        ))
+
+    def coarsened(self) -> "SpaceGrid":
+        """Same box with half as many nodes per axis."""
+        return self._keep("coarsened", lambda: SpaceGrid(
+            self.lo, self.hi, tuple(n // 2 for n in self.shape)
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +223,8 @@ class GaussianMixture:
         w, m, c = _as_mixture_arrays(weights, means, covs)
         if w.ndim != 1 or len(w) == 0:
             raise PreconditionError("weights must be a non-empty vector")
-        if np.any(w <= 0) or np.any(w > 1):
+        # nan fails both comparisons, so it is rejected with the rest
+        if not np.all((w > 0) & (w <= 1)):
             raise PreconditionError("weights must lie in (0, 1]")
         if abs(w.sum() - 1.0) > 1e-12:
             raise PreconditionError(f"weights sum to {w.sum()!r}, not 1")
@@ -278,12 +341,10 @@ class GaussianMixture:
         """Inverse CDF by bracketed bisection; |F(result) - u| <= 1e-12.
 
         ``u`` is a level or an array of levels, or a tuple of them: a tuple
-        gives the tuple of their quantiles from one bisection, in which each
-        item keeps its own bracket and stopping test, so
-        ``quantile((u1, u2))`` equals ``(quantile(u1), quantile(u2))`` bit
-        for bit.  Each distinct level of an item is bisected once and its
-        result scattered back to every position that holds it.  A level
-        outside (0, 1), nan included, raises PreconditionError.
+        gives the tuple of their quantiles, each item solved as its own item
+        of :func:`mixture_quantiles`, so ``quantile((u1, u2))`` equals
+        ``(quantile(u1), quantile(u2))`` bit for bit.  A level outside
+        (0, 1), nan included, raises PreconditionError.
 
         Bisection is deliberately preferred over faster root finders:
         the mixture CDF can be extremely flat between well-separated
@@ -291,61 +352,7 @@ class GaussianMixture:
         """
         self._require_1d()
         items = u if isinstance(u, tuple) else (u,)
-        u_arrs = [np.asarray(v, dtype=float) for v in items]
-        # nan fails both comparisons, so it is rejected with the rest
-        if not all(np.all((v > 0.0) & (v < 1.0)) for v in u_arrs):
-            raise PreconditionError("quantile level must lie in (0, 1)")
-        if not u_arrs:
-            return ()
-        # weights sum to 1 only within 1e-12: levels are fractions of their
-        # sum, and the upper bracket stops growing once the CDF reaches it
-        total = float(self._w.sum())
-        means, weights = self._m[:, 0], self._w
-        s = np.sqrt(self._c[:, 0, 0])
-        start = (float(np.min(means - 10.0 * s)), float(np.max(means + 10.0 * s)))
-        # equal levels follow one trajectory, so each is bisected once
-        distinct = [np.unique(v.ravel() * total, return_inverse=True) for v in u_arrs]
-        los, his, edges = [], [], [0]
-        for levels, _ in distinct:
-            lo, hi = start
-            # expand the bracket until it surrounds every level of the item
-            while levels.size and self.cdf(lo) >= levels[0]:
-                lo -= (hi - lo)
-            while levels.size and (top := self.cdf(hi)) <= levels[-1] and top < total:
-                hi += (hi - lo)
-            los.append(lo)
-            his.append(hi)
-            edges.append(edges[-1] + levels.size)
-        tols = [1e-14 * max(1.0, abs(lo), abs(hi)) for lo, hi in zip(los, his)]
-        spans = [slice(i, j) for i, j in zip(edges, edges[1:])]
-        levels = np.concatenate([lv for lv, _ in distinct])
-        a = np.repeat(los, np.diff(edges))
-        b = np.repeat(his, np.diff(edges))
-        # the loop evaluates self.cdf(mid) inline, into buffers made once
-        mid, width, cdf = np.empty_like(a), np.empty_like(a), np.empty_like(a)
-        z = np.empty(a.shape + means.shape)
-        below, above = np.empty(a.shape, bool), np.empty(a.shape, bool)
-        # an item's values are taken once its own widest bracket is narrow
-        results = [None] * len(spans)
-        open_items = [i for i, sp in enumerate(spans) if sp.stop > sp.start]
-        for _ in range(200):
-            np.multiply(np.add(a, b, out=mid), 0.5, out=mid)
-            np.divide(np.subtract(mid[..., None], means, out=z), s, out=z)
-            np.multiply(weights, special.ndtr(z, out=z), out=z)
-            np.less(np.sum(z, axis=-1, out=cdf), levels, out=below)
-            np.copyto(a, mid, where=below)
-            np.copyto(b, mid, where=np.logical_not(below, out=above))
-            np.subtract(b, a, out=width)
-            for i in list(open_items):
-                if width[spans[i]].max() < tols[i]:
-                    results[i] = 0.5 * (a[spans[i]] + b[spans[i]])
-                    open_items.remove(i)
-            if not open_items:
-                break
-        out = []
-        for v, (_, inverse), sp, res in zip(u_arrs, distinct, spans, results):
-            x = (0.5 * (a[sp] + b[sp]) if res is None else res)[inverse]
-            out.append(float(x[0]) if v.ndim == 0 else x.reshape(v.shape))
+        out = mixture_quantiles([(self, v) for v in items])
         return tuple(out) if isinstance(u, tuple) else out[0]
 
     # -- moments --------------------------------------------------------------
@@ -455,20 +462,63 @@ class GaussianMixture:
 
     @classmethod
     def from_json(cls, doc) -> "GaussianMixture":
+        """The mixture of a :meth:`to_json` document; a missing or malformed
+        field raises PreconditionError naming it."""
         if isinstance(doc, str):
             doc = json.loads(doc)
-        comps = doc["components"]
-        w = [c["w"] for c in comps]
-        m = [c["mean"] for c in comps]
-        cov = [c["cov"] for c in comps]
-        gm = cls(w, m, cov)
-        if gm.d != int(doc["d"]):
-            raise PreconditionError("declared dimension does not match components")
-        return gm
+        d = _json_numbers(doc, "d")
+        if d.ndim != 0 or not (d >= 1 and float(d).is_integer()):
+            raise PreconditionError(
+                f"mixture field d must be an integer >= 1, got {d!r}"
+            )
+        d = int(d)
+        comps = doc.get("components")
+        if not isinstance(comps, list) or not comps:
+            raise PreconditionError(
+                f"mixture field components must be a non-empty list, got {comps!r}"
+            )
+        w, m, cov = [], [], []
+        for i, comp in enumerate(comps):
+            where = f"components[{i}]."
+            fields = ((w, "w", ()), (m, "mean", (d,)), (cov, "cov", (d, d)))
+            for out, key, shape in fields:
+                value = _json_numbers(comp, key, where)
+                # a 1-D document may give a mean or variance as a bare number
+                if value.size != math.prod(shape):
+                    raise PreconditionError(
+                        f"mixture field {where}{key} must hold {math.prod(shape)} "
+                        f"numbers for d = {d}"
+                    )
+                out.append(value.reshape(shape))
+        return cls(w, m, cov)
 
     def _require_1d(self):
         if self._d != 1:
             raise PreconditionError("operation requires a one-dimensional mixture")
+
+
+def _json_numbers(doc, key: str, where: str = "") -> np.ndarray:
+    """``doc[key]`` of a mixture document, a number or nested lists of
+    numbers, as a float array; PreconditionError names a missing or
+    non-numeric field."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise PreconditionError(f"mixture field {where}{key} is missing")
+    value = doc[key]
+
+    def numeric(v):
+        if isinstance(v, list):
+            return all(numeric(x) for x in v)
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+    try:
+        if numeric(value):
+            return np.asarray(value, dtype=float)
+    except ValueError:  # ragged nested lists
+        pass
+    raise PreconditionError(
+        f"mixture field {where}{key} must be a number or lists of numbers, "
+        f"got {value!r}"
+    )
 
 
 def gaussian(mean, cov) -> GaussianMixture:
@@ -478,6 +528,95 @@ def gaussian(mean, cov) -> GaussianMixture:
     if cov.ndim == 0:
         cov = cov.reshape(1, 1)
     return GaussianMixture([1.0], mean[None, :], cov[None, :, :])
+
+
+def mixture_quantiles(items) -> list:
+    """Quantiles of one-dimensional mixtures: ``items`` is a sequence of
+    ``(law, u)`` with ``u`` a level or an array of levels in (0, 1), and
+    item ``i`` of the result is the law's quantiles at ``u`` (a float for
+    a scalar level, else an array of ``u``'s shape).
+
+    The items are grouped by component count, so every level's CDF sums
+    the same number of terms in the same order, and each group is solved
+    in one bisection (:func:`_bisect`) in which every item keeps its own
+    bracket, tolerance and stopping test.  So an item's result does not
+    depend on the other items: it equals ``law.quantile(u)`` bit for bit.
+    A level outside (0, 1), nan included, raises PreconditionError.
+    """
+    items = [(law, np.asarray(u, dtype=float)) for law, u in items]
+    for law, v in items:
+        law._require_1d()
+        # nan fails both comparisons, so it is rejected with the rest
+        if not np.all((v > 0.0) & (v < 1.0)):
+            raise PreconditionError("quantile level must lie in (0, 1)")
+    groups = {}
+    for i, (law, _) in enumerate(items):
+        groups.setdefault(law.n_components, []).append(i)
+    out = [None] * len(items)
+    for group in groups.values():
+        for i, x in zip(group, _bisect([items[i] for i in group])):
+            out[i] = x
+    return out
+
+
+def _bisect(items) -> list:
+    """The bisection of :func:`mixture_quantiles` for items ``(law, levels)``
+    whose laws share one component count."""
+    distinct, los, his, tols, rows = [], [], [], [], []
+    for law, v in items:
+        # weights sum to 1 only within 1e-12: levels are fractions of their
+        # sum, and the upper bracket stops growing once the CDF reaches it
+        total = float(law.weights.sum())
+        means, s = law.means[:, 0], np.sqrt(law.covs[:, 0, 0])
+        # equal levels follow one trajectory, so each is bisected once
+        levels, inverse = np.unique(v.ravel() * total, return_inverse=True)
+        lo, hi = float(np.min(means - 10.0 * s)), float(np.max(means + 10.0 * s))
+        # expand the bracket until it surrounds every level of the item
+        while levels.size and law.cdf(lo) >= levels[0]:
+            lo -= (hi - lo)
+        while levels.size and (top := law.cdf(hi)) <= levels[-1] and top < total:
+            hi += (hi - lo)
+        distinct.append((levels, inverse))
+        los.append(lo)
+        his.append(hi)
+        tols.append(1e-14 * max(1.0, abs(lo), abs(hi)))
+        rows.append((means, s, law.weights))
+    sizes = np.array([levels.size for levels, _ in distinct])
+    edges = np.concatenate([[0], np.cumsum(sizes)])
+    levels = np.concatenate([lv for lv, _ in distinct])
+    # each level's row carries its law's parameters
+    means, s, weights = (np.repeat(np.stack(p), sizes, axis=0) for p in zip(*rows))
+    a, b = np.repeat(los, sizes), np.repeat(his, sizes)
+    # the loop evaluates law.cdf(mid) inline, into buffers made once
+    mid, width, cdf = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+    z = np.empty(means.shape)
+    below, above = np.empty(a.shape, bool), np.empty(a.shape, bool)
+    # an item's values are taken once its own widest bracket is narrow
+    results = [None] * len(items)
+    filled = np.flatnonzero(sizes)
+    starts, item_tols = edges[filled], np.array(tols)[filled]
+    open_items = np.ones(filled.size, bool)
+    for _ in range(200 if filled.size else 0):
+        np.multiply(np.add(a, b, out=mid), 0.5, out=mid)
+        np.divide(np.subtract(mid[:, None], means, out=z), s, out=z)
+        np.multiply(weights, special.ndtr(z, out=z), out=z)
+        np.less(np.sum(z, axis=-1, out=cdf), levels, out=below)
+        np.copyto(a, mid, where=below)
+        np.copyto(b, mid, where=np.logical_not(below, out=above))
+        np.subtract(b, a, out=width)
+        done = open_items & (np.maximum.reduceat(width, starts) < item_tols)
+        for i in filled[done]:
+            sp = slice(edges[i], edges[i + 1])
+            results[i] = 0.5 * (a[sp] + b[sp])
+        open_items &= ~done
+        if not open_items.any():
+            break
+    out = []
+    for i, ((_, v), (_, inverse), res) in enumerate(zip(items, distinct, results)):
+        sp = slice(edges[i], edges[i + 1])
+        x = (0.5 * (a[sp] + b[sp]) if res is None else res)[inverse]
+        out.append(float(x[0]) if v.ndim == 0 else x.reshape(v.shape))
+    return out
 
 
 def _gauss_abs_moment_1d(m: float, s: float, p: float) -> float:

@@ -42,6 +42,9 @@ __all__ = [
 
 PERTURBATION_KINDS = ("translate", "scale", "mixture-weight", "smoothed-sequence")
 
+# Keys a scenario document must hold; the others have defaults.
+REQUIRED_FIELDS = ("name", "base", "perturbation", "h_grid", "p", "q", "epsilon")
+
 CSV_COLUMNS = ("h", "A", "rho_p", "tv", "rhs1", "rhs2", "psup", "prhs",
                "ok1", "ok2", "okp")
 
@@ -52,7 +55,8 @@ class Scenario:
 
     ``h_grid`` must hold finite values > 0 in strictly descending order,
     ``box_sigmas``, ``smoothing_sigma`` and ``r_exp`` must be finite and
-    > 0, and ``resolution`` is None or a power of two; a violation raises
+    > 0, ``resolution`` is None or a power of two, ``seed`` an integer
+    >= 0 and ``entropic_check`` a bool; a violation raises
     :class:`PreconditionError` naming the field.  The
     contaminant (for the mixture-weight and smoothed-sequence families)
     defaults to the base translated by +2.  ``entropic_check`` adds an
@@ -75,7 +79,7 @@ class Scenario:
 
     def __post_init__(self):
         # names become report file stems, so keep them path-safe
-        if not self.name or not all(
+        if not isinstance(self.name, str) or not self.name or not all(
             ch.isalnum() or ch in "._-" for ch in self.name
         ):
             raise PreconditionError(
@@ -110,6 +114,18 @@ class Scenario:
                     f"scenario field resolution must be a power of two, got {res!r}"
                 )
             object.__setattr__(self, "resolution", int(res))
+        seed = self.seed
+        integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+        if not (integral and seed >= 0):
+            raise PreconditionError(
+                f"scenario field seed must be an integer >= 0, got {seed!r}"
+            )
+        object.__setattr__(self, "seed", int(seed))
+        if not isinstance(self.entropic_check, bool):
+            raise PreconditionError(
+                "scenario field entropic_check must be true or false, "
+                f"got {self.entropic_check!r}"
+            )
 
     def to_json(self) -> dict:
         doc = {
@@ -136,6 +152,11 @@ class Scenario:
     def from_json(cls, doc) -> "Scenario":
         if isinstance(doc, str):
             doc = json.loads(doc)
+        if not isinstance(doc, dict):
+            raise PreconditionError("a scenario must be a JSON object")
+        for key in REQUIRED_FIELDS:
+            if key not in doc:
+                raise PreconditionError(f"scenario field {key} is missing")
         base = GaussianMixture.from_json(doc["base"])
         params = BoundParams(
             p=_real(doc["p"], "p"), q=_real(doc["q"], "q"),
@@ -157,8 +178,8 @@ class Scenario:
             contaminant=contaminant,
             smoothing_sigma=doc.get("smoothing_sigma", 1.0),
             r_exp=doc.get("r_exp", 1.0),
-            seed=int(doc.get("seed", 0)),
-            entropic_check=bool(doc.get("entropic_check", False)),
+            seed=doc.get("seed", 0),
+            entropic_check=doc.get("entropic_check", False),
         )
 
 
@@ -259,13 +280,8 @@ class SweepReport:
         )
 
 
-def _sweep_row(sc: Scenario, h: float, evaluate) -> dict:
-    """One report row; ``evaluate(law, keep=...)`` returns the sweep's
-    :class:`LawEvaluation` of a law (see :func:`run_sweep`)."""
-    a, b = perturb_pair(sc, h)
-    pair = PairEvaluation.of_laws(
-        evaluate(a, keep=True), evaluate(b, keep=False), sc.params
-    )
+def _sweep_row(sc: Scenario, h: float, pair: PairEvaluation) -> dict:
+    """One report row from the row's pair at scale ``h``."""
     cert1 = polynomial_rate_certificate(pair)
     cert2 = exponential_rate_certificate(pair, r=sc.r_exp)
     certp = pointwise_certificate(pair)
@@ -284,8 +300,8 @@ def _sweep_row(sc: Scenario, h: float, evaluate) -> dict:
     }
     if sc.entropic_check:
         # coarse cross-validation column only; certificates never use it
-        atoms_a = a.sample(256, sc.seed)
-        atoms_b = b.sample(256, sc.seed + 1)
+        atoms_a = pair.a.sample(256, sc.seed)
+        atoms_b = pair.b.sample(256, sc.seed + 1)
         row["wq_entropic"] = ot_entropic(
             atoms_a, atoms_b, sc.params.q, rtol=2e-2
         ).value
@@ -299,11 +315,16 @@ def run_sweep(sc: Scenario) -> SweepReport:
     One grid serves the whole sweep, sized for the largest scale (whose box
     covers all smaller ones); per-row boxes would let the tail-fit window
     shift with h and add spurious jitter to the certified constants.  The
-    sweep keeps one :class:`LawEvaluation` per distinct reference law
-    (found by ``==``), so a reference law that stays fixed over the scale
-    grid has its quantiles, densities, envelopes and moments computed once;
-    each row's perturbed law is evaluated afresh and dropped with its row.
-    Nothing is kept past the call.
+    grid keeps its meshes, radii and phase vectors, so every law of the
+    sweep shares them.  Every row's pair is built up front (a pair that
+    raises is a failed row), and one
+    :meth:`LawEvaluation.solve_quantiles` call then solves the quantiles
+    of all of the sweep's laws.  The sweep keeps one
+    :class:`LawEvaluation` per distinct reference law (found by ``==``),
+    so a reference law that stays fixed over the scale grid has its
+    quantiles, densities, envelopes and moments computed once; each row's
+    perturbed evaluation is dropped with its row.  Nothing is kept past
+    the call.
     """
     a0, b0 = perturb_pair(sc, sc.h_grid[0])
     grid = common_grid(a0, b0, sc.box_sigmas, sc.resolution)
@@ -318,10 +339,28 @@ def run_sweep(sc: Scenario) -> SweepReport:
             kept.append(ev)
         return ev
 
-    rows, failures = [], []
-    for h in sc.h_grid:
+    def build(h):
         try:
-            rows.append(_sweep_row(sc, h, evaluate))
+            a, b = perturb_pair(sc, h)
+            return PairEvaluation.of_laws(
+                evaluate(a, keep=True), evaluate(b, keep=False), sc.params
+            )
+        except TvratesError as exc:
+            return exc
+
+    pairs = [build(h) for h in sc.h_grid]
+    LawEvaluation.solve_quantiles(
+        [ev for pair in pairs if isinstance(pair, PairEvaluation) for ev in pair.laws]
+    )
+    rows, failures = [], []
+    for i, h in enumerate(sc.h_grid):
+        # the list lets go of each pair once its row is done
+        pair, pairs[i] = pairs[i], None
+        if isinstance(pair, TvratesError):
+            failures.append((h, str(pair)))
+            continue
+        try:
+            rows.append(_sweep_row(sc, h, pair))
         except TvratesError as exc:
             failures.append((h, str(exc)))
     if len(failures) > 0.2 * len(sc.h_grid):

@@ -118,35 +118,11 @@ class CharGrid:
         return complex(self.values[idx])
 
 
-def _wrapped_freqs(grid: SpaceGrid):
-    """Per-axis frequency vectors in FFT (wrapped) order."""
-    return [
-        2.0 * math.pi * np.fft.fftfreq(n, d=h)
-        for n, h in zip(grid.shape, grid.spacings)
-    ]
-
-
-def _axis_phase(grid: SpaceGrid, sign: float):
-    """Per-axis factors exp(sign * i * u * x0), broadcastable over the grid."""
-    x0 = [lo + 0.5 * h for lo, h in zip(grid.lo, grid.spacings)]
-    phases = []
-    for j, uw in enumerate(_wrapped_freqs(grid)):
-        shape = [1] * grid.d
-        shape[j] = len(uw)
-        phases.append(np.exp(sign * 1j * uw * x0[j]).reshape(shape))
-    return phases
-
-
 def forward_transform(grid: SpaceGrid, values) -> np.ndarray:
     """Discrete approximation of ``int g(x) exp(+i<u,x>) dx`` on the dual
     grid, ascending frequency order."""
-    return _forward(grid, values, _axis_phase(grid, +1.0))
-
-
-def _forward(grid: SpaceGrid, values, phases) -> np.ndarray:
-    """:func:`forward_transform` with its ``_axis_phase(grid, +1)`` given."""
     out = np.fft.ifftn(np.asarray(values)) * np.prod(grid.shape) * grid.cell_volume
-    for ph in phases:
+    for ph in grid.phases(+1.0):
         out = out * ph
     return np.fft.fftshift(out)
 
@@ -154,13 +130,8 @@ def _forward(grid: SpaceGrid, values, phases) -> np.ndarray:
 def inverse_transform(grid: SpaceGrid, freq_values) -> np.ndarray:
     """Exact inverse of :func:`forward_transform`; equals the Riemann sum of
     ``(2 pi)^{-d} int V(u) exp(-i<u,x>) du`` over the dual grid."""
-    return _inverse(grid, freq_values, _axis_phase(grid, -1.0))
-
-
-def _inverse(grid: SpaceGrid, freq_values, phases) -> np.ndarray:
-    """:func:`inverse_transform` with its ``_axis_phase(grid, -1)`` given."""
     out = np.fft.ifftshift(np.asarray(freq_values, dtype=complex))
-    for ph in phases:
+    for ph in grid.phases(-1.0):
         out = out * ph
     return np.fft.fftn(out) / (np.prod(grid.shape) * grid.cell_volume)
 
@@ -409,11 +380,11 @@ def _derivative_stack(obj, K: int):
         grid = obj.grid
         phi = forward_transform(grid, obj.values)
         radii = grid.radii()
-        freq_mesh, minus = grid.freq_mesh(), _axis_phase(grid, -1.0)
+        freq_mesh = grid.freq_mesh()
 
         def deriv(alpha):
             mult = (-1j) ** sum(alpha) * _monomial(freq_mesh, alpha)
-            return np.abs(_inverse(grid, phi * mult, minus))
+            return np.abs(inverse_transform(grid, phi * mult))
 
         _check_diff_stability(np.abs(phi), grid.freq_radii(), K)
     elif isinstance(obj, CharGrid):
@@ -421,11 +392,11 @@ def _derivative_stack(obj, K: int):
         grid = obj.space_grid
         dens = inverse_transform(grid, obj.values)
         radii = grid.freq_radii()
-        mesh, plus = grid.mesh(), _axis_phase(grid, +1.0)
+        mesh = grid.mesh()
 
         # partial_alpha phi: i^{|alpha|} times the transform of x^alpha f
         def deriv(alpha):
-            moment = _forward(grid, _monomial(mesh, alpha) * dens, plus)
+            moment = forward_transform(grid, _monomial(mesh, alpha) * dens)
             return np.abs((1j) ** sum(alpha) * moment)
 
         _check_diff_stability(np.abs(dens), grid.radii(), K)

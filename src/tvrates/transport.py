@@ -32,6 +32,7 @@ from .distributions import (
     SpaceGrid,
     common_grid,
     discretize,
+    mixture_quantiles,
 )
 from .errors import ConvergenceError, NumericalError, PreconditionError
 
@@ -118,9 +119,6 @@ def _weighted_l1(va: np.ndarray, vb: np.ndarray, grid: SpaceGrid, p: float) -> f
 
 def _coarsen_value(fa: GridDensity, fb: GridDensity, p: float) -> float:
     """Same quadrature on the 2x coarser grid (block averages)."""
-    grid = fa.grid
-    shape = tuple(n // 2 for n in grid.shape)
-    coarse = SpaceGrid(grid.lo, grid.hi, shape)
 
     def blocks(v):
         for ax in range(v.ndim):
@@ -130,7 +128,7 @@ def _coarsen_value(fa: GridDensity, fb: GridDensity, p: float) -> float:
             )
         return v
 
-    return _weighted_l1(blocks(fa.values), blocks(fb.values), coarse, p)
+    return _weighted_l1(blocks(fa.values), blocks(fb.values), fa.grid.coarsened(), p)
 
 
 MAX_REFINEMENTS = {1: 4, 2: 2, 3: 1}
@@ -233,15 +231,13 @@ def _grid_quantile(f: GridDensity, u: np.ndarray) -> np.ndarray:
     return edges[idx - 1] + (u - cum[idx - 1]) / seg * h
 
 
-def _quantile_fn(obj):
+def _check_quantile_input(obj):
     if isinstance(obj, GaussianMixture):
         obj._require_1d()
-        return obj.quantile
-    if isinstance(obj, GridDensity):
-        if obj.d != 1:
-            raise PreconditionError("quantile quadrature requires dimension one")
-        return lambda u: _grid_quantile(obj, u)
-    raise PreconditionError("expected a GaussianMixture or 1-D GridDensity")
+    elif not isinstance(obj, GridDensity):
+        raise PreconditionError("expected a GaussianMixture or 1-D GridDensity")
+    elif obj.d != 1:
+        raise PreconditionError("quantile quadrature requires dimension one")
 
 
 @functools.cache
@@ -271,14 +267,18 @@ def _quantile_wq(xa, xb, q: float, n_nodes: int) -> float:
 # rule of twice its order.
 QUANTILE_NODES = 128
 
+# The two rule orders at which W_q quadrature reads both laws' quantiles.
+QUANTILE_ORDERS = (QUANTILE_NODES, 2 * QUANTILE_NODES)
+
 
 def quantile_distance(quantiles, q: float) -> DistanceResult:
-    """W_q from quantile values: ``quantiles(n)`` returns both laws'
-    quantiles at ``normal_levels(n)``; the rule of order ``QUANTILE_NODES``
-    is checked against the doubled one, which gives the value."""
-    n = QUANTILE_NODES
-    v1 = _quantile_wq(*quantiles(n), q, n)
-    v2 = _quantile_wq(*quantiles(2 * n), q, 2 * n)
+    """W_q from quantile values: ``quantiles`` holds, for each order ``n``
+    of ``QUANTILE_ORDERS`` in turn, both laws' quantiles at
+    ``normal_levels(n)``; the rule of order ``QUANTILE_NODES`` is checked
+    against the doubled one, which gives the value."""
+    v1, v2 = (
+        _quantile_wq(qa, qb, q, n) for n, (qa, qb) in zip(QUANTILE_ORDERS, quantiles)
+    )
     return DistanceResult(v2, "quantile-quadrature", abs(v2 - v1))
 
 
@@ -288,17 +288,24 @@ def wasserstein_1d(a, b, q: float) -> DistanceResult:
     The unit-interval integral is computed under the normal substitution
     u = Phi(t) on a Gauss-Hermite rule, which removes the inverse-CDF blowup
     at the endpoints; the error estimate comes from doubling the order.
+    The mixtures among ``a`` and ``b`` are solved at both orders in one
+    :func:`tvrates.distributions.mixture_quantiles` call.
     q <= 1 is rejected: the certificate machinery requires q > 1 (use
     :func:`ot_exact` for discrete W_1).
     """
     _require_exponent(q, "quantile quadrature exponent q", 1.0, strict=True)
-    qa, qb = _quantile_fn(a), _quantile_fn(b)
-
-    def quantiles(n):
-        u = normal_levels(n)
-        return qa(u), qb(u)
-
-    return quantile_distance(quantiles, q)
+    for obj in (a, b):
+        _check_quantile_input(obj)
+    levels = [normal_levels(n) for n in QUANTILE_ORDERS]
+    solved = iter(mixture_quantiles(
+        [(obj, u) for obj in (a, b) if isinstance(obj, GaussianMixture) for u in levels]
+    ))
+    qa, qb = (
+        [next(solved) if isinstance(obj, GaussianMixture) else _grid_quantile(obj, u)
+         for u in levels]
+        for obj in (a, b)
+    )
+    return quantile_distance(zip(qa, qb), q)
 
 
 def _w1_cdf_1d(a, b) -> DistanceResult:

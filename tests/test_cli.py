@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tvrates import SweepReport, gaussian
+from tvrates import GaussianMixture, Scenario, SweepReport, gaussian
 from tvrates.cli import main
 
 
@@ -52,6 +52,45 @@ class TestDist:
         code, _ = run_cli(capsys, "dist", "--a", a, "--b", b,
                           "--metric", "wq", "--q", "1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("d", lambda doc: doc.pop("d")),
+            ("d", lambda doc: doc.update(d="x")),
+            ("d", lambda doc: doc.update(d=1.5)),
+            ("components", lambda doc: doc.pop("components")),
+            ("components", lambda doc: doc.update(components=[])),
+            ("components", lambda doc: doc.update(components={"w": 1.0})),
+            ("components[0].w", lambda doc: doc["components"][0].pop("w")),
+            ("components[0].w", lambda doc: doc["components"][0].update(w="x")),
+            ("components[0].w", lambda doc: doc["components"][0].update(w=None)),
+            ("components[0].mean", lambda doc: doc["components"][0].pop("mean")),
+            ("components[0].mean", lambda doc: doc["components"][0].update(mean=[0.0, 1.0])),
+            ("components[0].mean", lambda doc: doc["components"][0].update(mean=[[0.0], 1.0])),
+            ("components[0].cov", lambda doc: doc["components"][0].pop("cov")),
+            ("components[0].cov", lambda doc: doc["components"][0].update(cov={})),
+            ("components[0]", lambda doc: doc["components"].__setitem__(0, 3)),
+        ],
+    )
+    def test_bad_mixture_field_is_one_line_precondition(
+        self, mixture_files, capsys, field, edit
+    ):
+        a, b = mixture_files
+        with open(b, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(b, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code = main(["dist", "--a", a, "--b", b, "--metric", "wq"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("precondition violation:")
+        assert f"mixture field {field}" in err
+
+    def test_bare_numbers_in_one_dimension(self):
+        doc = {"d": 1, "components": [{"w": 1.0, "mean": 0.5, "cov": 2.0}]}
+        assert GaussianMixture.from_json(doc) == gaussian(0.5, 2.0)
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
@@ -166,11 +205,47 @@ class TestSweep:
             ("resolution", "x"),
             ("h_grid", ["x"]),
             ("h_grid", [0.1, math.nan]),
+            ("seed", "x"),
+            ("seed", 2.7),
+            ("seed", -1),
+            ("seed", True),
+            ("entropic_check", "false"),
+            ("entropic_check", 1),
+            ("entropic_check", None),
+            ("name", 5),
         ],
     )
     def test_bad_field_is_one_line_precondition(self, tmp_path, capsys, field, value):
         doc = self.scenario_doc()
         doc[field] = value
+        self.assert_one_line_precondition(tmp_path, capsys, doc, field)
+
+    @pytest.mark.parametrize(
+        "field", ["name", "base", "perturbation", "h_grid", "p", "q", "epsilon"]
+    )
+    def test_missing_field_is_one_line_precondition(self, tmp_path, capsys, field):
+        doc = self.scenario_doc()
+        del doc[field]
+        self.assert_one_line_precondition(tmp_path, capsys, doc, field)
+
+    @pytest.mark.parametrize("field", ["d", "components", "w", "mean", "cov"])
+    def test_missing_base_field_is_one_line_precondition(self, tmp_path, capsys, field):
+        doc = self.scenario_doc()
+        base = doc["base"]
+        del (base if field in base else base["components"][0])[field]
+        self.assert_one_line_precondition(tmp_path, capsys, doc, field)
+
+    def test_non_object_scenario_is_one_line_precondition(self, tmp_path, capsys):
+        self.assert_one_line_precondition(tmp_path, capsys, [1, 2], "JSON object")
+
+    def test_valid_seed_and_flag_are_kept(self):
+        doc = self.scenario_doc()
+        doc.update(seed=7, entropic_check=True)
+        sc = Scenario.from_json(doc)
+        assert (sc.seed, sc.entropic_check) == (7, True)
+        assert Scenario.from_json(sc.to_json()) == sc
+
+    def assert_one_line_precondition(self, tmp_path, capsys, doc, field):
         sc = tmp_path / "sc.json"
         sc.write_text(json.dumps(doc))
         code = main(["sweep", "--scenario", str(sc), "--out", str(tmp_path / "o")])

@@ -29,8 +29,35 @@ from tvrates import (
     gaussian,
     wasserstein_1d,
 )
-from tvrates.distributions import _norm_sq_moment, tail_mass_bound
+from tvrates.distributions import _norm_sq_moment, mixture_quantiles, tail_mass_bound
 from tvrates.transport import normal_levels
+
+# mixtures on which a bisection stopped on the joint widest bracket of both
+# rule orders moves the 256-level order's bits
+JOINT_STOP_COUNTEREXAMPLES = (
+    GaussianMixture(
+        [0.5163967613965685, 0.31556808957962607, 0.16803514902380534],
+        [[12.538395932187498], [-15.408250603117935], [-29.86767266623248]],
+        [[[3.3179691306252734]], [[7.990259700712973]], [[24.488523343726893]]],
+    ),
+    GaussianMixture(
+        [0.21744239624664927, 0.5843868775550007, 0.19817072619835005],
+        [[-7.62066600415622], [-24.780299676523697], [10.346772766341019]],
+        [[[5.062545801172223]], [[24.00404293712036]], [[3.4933291820422534]]],
+    ),
+)
+
+
+@st.composite
+def mixtures_1d(draw, max_k=3):
+    """1-D mixtures with K <= max_k, means in +-50 and variances in [0.05, 25]."""
+    n = draw(st.integers(1, max_k))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    means = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+    variances = draw(st.lists(st.floats(0.05, 25.0), min_size=n, max_size=n))
+    return GaussianMixture(
+        weights / weights.sum(), [[m] for m in means], [[[v]] for v in variances]
+    )
 
 
 class TestDensity:
@@ -315,11 +342,7 @@ class TestQuantile:
         # on this mixture one bisection of both rule orders' levels, stopped
         # on their joint widest bracket, runs the 256-level order one
         # iteration past its own stop, which moves its bits
-        law = GaussianMixture(
-            [0.5163967613965685, 0.31556808957962607, 0.16803514902380534],
-            [[12.538395932187498], [-15.408250603117935], [-29.86767266623248]],
-            [[[3.3179691306252734]], [[7.990259700712973]], [[24.488523343726893]]],
-        )
+        law = JOINT_STOP_COUNTEREXAMPLES[0]
         u1, u2 = normal_levels(128), normal_levels(256)
         merged = law.quantile(np.concatenate([u1, u2]))
         assert not np.array_equal(merged[128:], law.quantile(u2))
@@ -332,6 +355,49 @@ class TestQuantile:
         assert bimodal.quantile(np.empty((0, 2))).shape == (0, 2)
         first, second = bimodal.quantile(([], 0.3))
         assert first.shape == (0,) and second == bimodal.quantile(0.3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batched_solver_matches_per_law_quantile(self, data):
+        # laws of mixed component counts in one batch, a law met twice, and
+        # rule-order, duplicated, scalar and empty levels: every item must
+        # equal its law's own quantile call and the np.where oracle
+        pool = st.one_of(mixtures_1d(), st.sampled_from(JOINT_STOP_COUNTEREXAMPLES))
+        laws = data.draw(st.lists(pool, min_size=1, max_size=5))
+        level = st.floats(1e-16, 1.0 - 1e-16)
+        levels = st.one_of(
+            st.sampled_from([normal_levels(128), normal_levels(256)]),
+            st.lists(level, max_size=12).map(lambda v: np.array(v + v[::-1])),
+            level,
+            st.just(np.empty(0)),
+        )
+        items = [(law, data.draw(levels)) for law in laws]
+        items += [(laws[0], data.draw(levels))]
+        got = mixture_quantiles(items)
+        assert len(got) == len(items)
+        for (law, u), x in zip(items, got):
+            want = law.quantile(u)
+            assert type(x) is type(want)
+            np.testing.assert_array_equal(x, want)
+            if np.size(u):
+                np.testing.assert_array_equal(x, quantile_bisection(law, np.asarray(u)))
+
+    @pytest.mark.parametrize("law", JOINT_STOP_COUNTEREXAMPLES)
+    def test_batched_rule_orders_on_joint_stop_counterexamples(self, law, bimodal):
+        # each item keeps its own stop even beside other laws of its K
+        u1, u2 = normal_levels(128), normal_levels(256)
+        other = GaussianMixture([0.3, 0.7], [[40.0], [-3.0]], [[[2.0]], [[0.5]]])
+        items = [(law, u1), (bimodal, u1), (law, u2), (other, u2), (other, 0.5)]
+        got = mixture_quantiles(items)
+        for (item_law, u), x in zip(items, got):
+            np.testing.assert_array_equal(x, quantile_bisection(item_law, np.asarray(u)))
+
+    def test_batched_solver_rejects_bad_items(self, std_normal):
+        with pytest.raises(PreconditionError):
+            mixture_quantiles([(std_normal, 0.5), (std_normal, [0.5, math.nan])])
+        with pytest.raises(PreconditionError):
+            mixture_quantiles([(gaussian([0.0, 0.0], np.eye(2)), 0.5)])
+        assert mixture_quantiles([]) == []
 
 
 class TestNormalUfuncs:

@@ -13,6 +13,7 @@ from tvrates import (
     gaussian,
     run_sweep,
 )
+from tvrates.distributions import common_grid
 from tvrates.harness import fit_rate, perturb_pair
 
 
@@ -167,38 +168,96 @@ class TestRunSweep:
             for attr, val in list(vars(mod).items()):
                 if callable(val) and val in counted:
                     monkeypatch.setattr(mod, attr, counting(val, counted[val]))
-        quantile = GaussianMixture.quantile
+        bisect = distributions._bisect
 
-        def counting_quantile(law, u):
-            items = u if isinstance(u, tuple) else (u,)
-            calls.append(("quantile", law_key(law), tuple(len(v) for v in items)))
-            return quantile(law, u)
+        def counting_bisect(items):
+            solved = tuple((law_key(law), len(u)) for law, u in items)
+            calls.append(("bisect", None, solved))
+            return bisect(items)
 
-        monkeypatch.setattr(GaussianMixture, "quantile", counting_quantile)
+        monkeypatch.setattr(distributions, "_bisect", counting_bisect)
 
+        def forbidden(law, u):
+            raise AssertionError("a sweep solves its quantiles in one batch")
+
+        monkeypatch.setattr(GaussianMixture, "quantile", forbidden)
+
+        # translate pairs share one component count, mixture-weight ones two
+        for kind in ("translate", "mixture-weight"):
+            sc = tiny_scenario(kind=kind)
+            n = len(sc.h_grid)
+            per_sweep = []
+            for _ in range(2):
+                calls.clear()
+                rep = run_sweep(sc)
+                assert all(r["ok1"] and r["ok2"] and r["okp"] for r in rep.rows)
+                per_sweep.append(sorted(calls))
+            # no evaluation outlives its sweep: the second sweep repeats the work
+            assert per_sweep[0] == per_sweep[1]
+            names = [name for name, _, _ in per_sweep[0]]
+            # both envelopes of a law read the one derivative stack its char
+            # grid keeps
+            for name in ("char_fn_grid", "derivative_stack", "poly_envelope",
+                         "exp_envelope"):
+                assert names.count(name) == n + 1
+            ref = law_key(sc.base)
+            laws = {ref} | {law_key(perturb_pair(sc, h)[1]) for h in sc.h_grid}
+            assert len(laws) == n + 1
+            # one bisection per component count solves both rule orders of all
+            # N + 1 laws, each law once
+            batches = [items for name, _, items in per_sweep[0] if name == "bisect"]
+            counts = {law.n_components for h in sc.h_grid for law in perturb_pair(sc, h)}
+            assert len(batches) == len(counts) == (1 if kind == "translate" else 2)
+            solved = [law for items in batches for law, _ in items[::2]]
+            assert sorted(solved) == sorted(laws)
+            for items in batches:
+                assert all(
+                    first[0] == second[0] and (first[1], second[1]) == (128, 256)
+                    for first, second in zip(items[::2], items[1::2])
+                )
+            discretized = [
+                (law, d) for name, law, d in per_sweep[0] if name == "discretize"
+            ]
+            assert len(discretized) == len(set(discretized))
+            assert sum(law == ref for law, _ in discretized) >= 2  # level 0 and 1
+
+    def test_sweep_computes_grid_geometry_once_per_grid(self, monkeypatch):
+        from tvrates.distributions import SpaceGrid
+
+        computed = []  # (key, grid, value) per computation
+        keep = SpaceGrid._keep
+
+        def counting_keep(grid, key, compute):
+            def counted():
+                value = compute()
+                computed.append((key, grid, value))
+                return value
+
+            return keep(grid, key, counted)
+
+        monkeypatch.setattr(SpaceGrid, "_keep", counting_keep)
         sc = tiny_scenario()
-        n = len(sc.h_grid)
         per_sweep = []
         for _ in range(2):
-            calls.clear()
-            rep = run_sweep(sc)
-            assert all(r["ok1"] and r["ok2"] and r["okp"] for r in rep.rows)
-            per_sweep.append(sorted(calls))
-        # no evaluation outlives its sweep: the second sweep repeats the work
-        assert per_sweep[0] == per_sweep[1]
-        names = [name for name, _, _ in per_sweep[0]]
-        # both envelopes of a law read the one derivative stack its char grid keeps
-        for name in ("char_fn_grid", "derivative_stack", "poly_envelope", "exp_envelope"):
-            assert names.count(name) == n + 1
-        ref = law_key(sc.base)
-        # one bisection per law solves both rule orders of the gap
-        quantiled = [(law, d) for name, law, d in per_sweep[0] if name == "quantile"]
-        assert len(quantiled) == len({law for law, _ in quantiled}) == n + 1
-        assert all(d == (128, 256) for _, d in quantiled)
-        assert ref in {law for law, _ in quantiled}
-        discretized = [(law, d) for name, law, d in per_sweep[0] if name == "discretize"]
-        assert len(discretized) == len(set(discretized))
-        assert sum(law == ref for law, _ in discretized) >= 2  # level 0 and 1
+            computed.clear()
+            run_sweep(sc)
+            per_sweep.append(list(computed))
+        first, second = per_sweep
+        keys = [(key, grid) for key, grid, _ in first]
+        # every derived array or grid is computed once per grid value
+        assert len(keys) == len(set(keys))
+        base = common_grid(*perturb_pair(sc, sc.h_grid[0]), sc.box_sigmas, sc.resolution)
+        for key in ("axes", "mesh", "radii", "freq_axes", "freq_mesh", "freq_radii",
+                    ("phases", 1.0), ("phases", -1.0), ("refined", 2)):
+            assert (key, base) in keys
+        assert ("mesh", base.refined()) in keys and ("radii", base.refined()) in keys
+        for _, _, value in first:
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    assert not arr.flags.writeable
+        # nothing is kept past a sweep: the second one computes it all again
+        assert [(key, grid) for key, grid, _ in second] == keys
+        assert all(a is not b for (_, _, a), (_, _, b) in zip(first, second))
 
     def test_smoothed_sequence_rate_beats_certified_exponent(self):
         # contaminated sequence at rates h_n, compared after smoothing:

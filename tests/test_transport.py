@@ -260,6 +260,41 @@ class TestWasserstein1d:
         scaled = wasserstein_1d(bimodal.scale(3.0), other.scale(3.0), 2).value
         assert abs(scaled - 3.0 * base) <= 1e-8
 
+    @pytest.mark.parametrize("mixed_k", [False, True])
+    def test_one_solver_call_for_both_laws_and_orders(
+        self, std_normal, bimodal, monkeypatch, mixed_k
+    ):
+        import tvrates.distributions as dmod
+        from tvrates.transport import QUANTILE_ORDERS, normal_levels, quantile_distance
+
+        other = bimodal.translate(0.3) if mixed_k else gaussian(0.3, 1.5)
+        want = quantile_distance(
+            [(std_normal.quantile(normal_levels(n)), other.quantile(normal_levels(n)))
+             for n in QUANTILE_ORDERS],
+            2.5,
+        )
+        solver, bisect = dmod.mixture_quantiles, dmod._bisect
+        calls = {"solver": [], "bisect": []}
+
+        def counting_solver(items):
+            calls["solver"].append([len(u) for _, u in items])
+            return solver(items)
+
+        def counting_bisect(items):
+            calls["bisect"].append(len(items))
+            return bisect(items)
+
+        def forbidden(law, u):
+            raise AssertionError("both laws go through one solver call")
+
+        monkeypatch.setattr(tvrates.transport, "mixture_quantiles", counting_solver)
+        monkeypatch.setattr(dmod, "_bisect", counting_bisect)
+        monkeypatch.setattr(GaussianMixture, "quantile", forbidden)
+        assert wasserstein_1d(std_normal, other, 2.5) == want
+        assert calls["solver"] == [[128, 256, 128, 256]]
+        # one bisection per component count
+        assert calls["bisect"] == ([2, 2] if mixed_k else [4])
+
     def test_grid_density_inputs_match_analytic(self, std_normal):
         grid = SpaceGrid((-10.5,), (10.5,), (4096,))
         fa = discretize(std_normal, grid)
