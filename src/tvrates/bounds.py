@@ -27,18 +27,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .distributions import (
-    GaussianMixture,
-    SpaceGrid,
-    common_grid,
-    discretize,
-    mixture_quantiles,
-)
+from .distributions import GaussianMixture, SpaceGrid, common_grid, discretize
 from .errors import PreconditionError
 from .spectral import (
     ExpEnvelopeTable,
@@ -49,9 +44,8 @@ from .spectral import (
     poly_envelope,
 )
 from .transport import (
-    QUANTILE_ORDERS,
     _require_exponent,
-    normal_levels,
+    _rule_quantiles,
     quantile_distance,
     refine_weighted_l1,
 )
@@ -107,6 +101,8 @@ class BoundParams:
             raise PreconditionError(
                 f"dimension d must be an integer >= 1, got {self.d!r}"
             )
+        # the certificates' truncation order must stay in the float range
+        choose_l(self.epsilon, self.p, self.d)
 
     @property
     def p_even(self) -> int:
@@ -196,7 +192,14 @@ def choose_l(epsilon: float, p: float, d: int) -> int:
     if not 0 < epsilon < 1:
         raise PreconditionError("epsilon must lie in (0, 1)")
     root = math.sqrt(1.0 - epsilon)
-    l = max(math.ceil((d + root * (p + d)) / (1.0 - root) - 1e-9), d + 1)
+    ratio = (d + root * (p + d)) / (1.0 - root)
+    # theta_exponent forms l^2, which must stay a float; nan fails too
+    if not ratio * ratio < math.inf:
+        raise PreconditionError(
+            f"weight power p = {p!r} at epsilon = {epsilon!r} puts the "
+            "truncation order l past the float range"
+        )
+    l = max(math.ceil(ratio - 1e-9), d + 1)
     while theta_exponent(l, p, d) < 1.0 - epsilon:
         l += 1
     return l
@@ -362,26 +365,19 @@ class LawEvaluation:
         return self._kept[key]
 
     def quantiles(self, n_nodes: int) -> np.ndarray:
-        """The law's quantiles at ``normal_levels(n_nodes)``, for the two
-        rule orders of :func:`tvrates.transport.quantile_distance`."""
-        if self._quantiles is None:
-            LawEvaluation.solve_quantiles([self])
+        """The law's quantiles at the levels of the order-``n_nodes`` rule
+        of :func:`tvrates.transport.quantile_distance`."""
+        LawEvaluation.solve_quantiles([self])
         return self._quantiles[n_nodes]
 
     @staticmethod
     def solve_quantiles(evaluations) -> None:
         """Fill the quantiles of every evaluation that lacks them with one
-        :func:`tvrates.distributions.mixture_quantiles` call, in which each
-        law's two rule orders are two items with their own stopping tests;
-        an evaluation met twice is solved once."""
-        todo = {id(ev): ev for ev in evaluations if ev._quantiles is None}
-        todo = list(todo.values())
-        if not todo:
-            return
-        levels = [normal_levels(n) for n in QUANTILE_ORDERS]
-        values = iter(mixture_quantiles([(ev.law, u) for ev in todo for u in levels]))
-        for ev in todo:
-            ev._quantiles = {n: next(values) for n in QUANTILE_ORDERS}
+        :func:`tvrates.transport._rule_quantiles` call; an evaluation met
+        twice is solved once."""
+        todo = list({id(ev): ev for ev in evaluations if ev._quantiles is None}.values())
+        for ev, quantiles in zip(todo, _rule_quantiles([ev.law for ev in todo])):
+            ev._quantiles = quantiles
 
     def density(self, level: int):
         return self._keep(
@@ -417,22 +413,16 @@ class PairEvaluation:
     quantiles), rho_p and tv (one refinement ladder over the two laws'
     kept densities) and the pair's combined decay-envelope tables, so
     certificates built from one evaluation share them and a certificate
-    computes only what it reads.  ``grid`` is the shared space grid (the
-    pair's common sigma-box grid when omitted).  :meth:`of_laws` builds a
-    pair from evaluations that other pairs share, as a sweep does for its
-    reference law.  Concurrent first uses recompute the same deterministic
+    computes only what it reads.  Both laws live on the pair's common
+    sigma-box grid; :meth:`of_laws` builds a pair from evaluations on
+    another grid that other pairs share, as a sweep does for its reference
+    law.  Concurrent first uses recompute the same deterministic
     value.
     """
 
-    def __init__(
-        self,
-        a: GaussianMixture,
-        b: GaussianMixture,
-        params: BoundParams,
-        grid: SpaceGrid | None = None,
-    ):
+    def __init__(self, a: GaussianMixture, b: GaussianMixture, params: BoundParams):
         _check_pair(a, b, params)
-        grid = grid if grid is not None else common_grid(a, b)
+        grid = common_grid(a, b)
         self._setup(
             LawEvaluation(a, grid, params.p_even),
             LawEvaluation(b, grid, params.p_even),
@@ -461,14 +451,14 @@ class PairEvaluation:
             return 0.0
         la, lb = self.laws
         LawEvaluation.solve_quantiles(self.laws)
-        quantiles = [(la.quantiles(n), lb.quantiles(n)) for n in QUANTILE_ORDERS]
-        return quantile_distance(quantiles, self.params.q).value
+        return quantile_distance(la._quantiles, lb._quantiles, self.params.q).value
 
     @cached_property
     def distances(self) -> tuple:
         """The :class:`DistanceResult` of rho_p and of tv, from one ladder;
-        each equals its standalone :func:`tvrates.transport.rho_p` value on
-        ``grid``, but if either does not resolve, reading both raises."""
+        on the pair's common grid each equals its standalone
+        :func:`tvrates.transport.rho_p` value, but if either does not
+        resolve, reading both raises."""
         la, lb = self.laws
         return refine_weighted_l1(
             lambda level: (la.density(level), lb.density(level)),
@@ -592,9 +582,16 @@ def pointwise_certificate(pair: PairEvaluation, alpha=None) -> BoundCertificate:
     a, b = pair.laws
     params = pair.params
     p, d = params.p_even, params.d
-    alpha = tuple(int(x) for x in (alpha if alpha is not None else (0,) * d))
-    if len(alpha) != d or any(x < 0 for x in alpha):
-        raise PreconditionError("alpha must be a nonnegative multiindex of rank d")
+    alpha = tuple(alpha) if alpha is not None else (0,) * d
+    if len(alpha) != d or not all(
+        isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0
+        for x in alpha
+    ):
+        raise PreconditionError(
+            f"alpha must be a multiindex of rank {d} with integer entries >= 0, "
+            f"got {alpha!r}"
+        )
+    alpha = tuple(int(x) for x in alpha)
     k_a = sum(alpha)
     l = max(choose_l(params.epsilon, p, d), d + k_a + 1)
     A = pair.gap

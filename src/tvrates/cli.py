@@ -21,7 +21,7 @@ from .bounds import (
 )
 from .distributions import GaussianMixture, common_grid, discretize
 from .errors import NumericalError, PreconditionError
-from .harness import Scenario, emit_report, run_sweep
+from .harness import Scenario, _check_formats, emit_report, run_sweep
 from .spectral import char_fn_grid, poly_envelope
 from .transport import rho_p, tv_mass, wasserstein_1d
 
@@ -73,17 +73,22 @@ def _cmd_certify(args) -> int:
     else:
         alpha = None
         if args.alpha:
-            alpha = tuple(int(x) for x in args.alpha.split(","))
+            try:
+                alpha = tuple(int(x) for x in args.alpha.split(","))
+            except ValueError:
+                raise PreconditionError(
+                    f"--alpha must be comma-separated integers, got {args.alpha!r}"
+                ) from None
         cert = pointwise_certificate(pair, alpha=alpha)
     print(json.dumps(cert.to_json(), sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
+    formats = _check_formats(f.strip() for f in args.formats.split(",") if f.strip())
     with open(args.scenario, "r", encoding="utf-8") as fh:
         sc = Scenario.from_json(json.load(fh))
     report = run_sweep(sc)
-    formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
     paths = emit_report(report, args.out, formats)
     print(json.dumps({"written": paths, "slope": report.slope,
                       "stderr": report.stderr}, sort_keys=True))

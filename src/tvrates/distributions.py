@@ -67,7 +67,7 @@ class SpaceGrid:
 
     A grid is a value (``lo``, ``hi``, ``shape``), but it keeps what it
     derives from them: its node and frequency axes, meshes and radii, its
-    FFT phase vectors and its refined and coarsened grids are computed on
+    FFT phase vectors and its refined grids are computed on
     first use and then returned as the same read-only arrays and grids, so
     every density, transform and envelope on one grid shares them.  The
     kept data goes away with the grid.  Concurrent first uses recompute the
@@ -84,8 +84,9 @@ class SpaceGrid:
     def __post_init__(self):
         if len(self.lo) != len(self.hi) or len(self.lo) != len(self.shape):
             raise PreconditionError("box and resolution ranks differ")
-        if not all(h > l for l, h in zip(self.lo, self.hi)):
-            raise PreconditionError("box intervals must have positive length")
+        # the negated test also rejects nan and a length past the float range
+        if not all(0 < h - l < math.inf for l, h in zip(self.lo, self.hi)):
+            raise PreconditionError("box intervals must have finite positive length")
         if not all(_is_pow2(int(n)) for n in self.shape):
             raise PreconditionError("per-axis resolution must be a power of two")
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
@@ -182,12 +183,6 @@ class SpaceGrid:
             return self
         return self._keep(("refined", factor), lambda: SpaceGrid(
             self.lo, self.hi, tuple(n * factor for n in self.shape)
-        ))
-
-    def coarsened(self) -> "SpaceGrid":
-        """Same box with half as many nodes per axis."""
-        return self._keep("coarsened", lambda: SpaceGrid(
-            self.lo, self.hi, tuple(n // 2 for n in self.shape)
         ))
 
 
@@ -340,20 +335,15 @@ class GaussianMixture:
     def quantile(self, u):
         """Inverse CDF by bracketed bisection; |F(result) - u| <= 1e-12.
 
-        ``u`` is a level or an array of levels, or a tuple of them: a tuple
-        gives the tuple of their quantiles, each item solved as its own item
-        of :func:`mixture_quantiles`, so ``quantile((u1, u2))`` equals
-        ``(quantile(u1), quantile(u2))`` bit for bit.  A level outside
-        (0, 1), nan included, raises PreconditionError.
+        ``u`` is a level or an array of levels, solved as one item of
+        :func:`mixture_quantiles`.  A level outside (0, 1), nan included,
+        raises PreconditionError.
 
         Bisection is deliberately preferred over faster root finders:
         the mixture CDF can be extremely flat between well-separated
         components and bisection is immune to that.
         """
-        self._require_1d()
-        items = u if isinstance(u, tuple) else (u,)
-        out = mixture_quantiles([(self, v) for v in items])
-        return tuple(out) if isinstance(u, tuple) else out[0]
+        return mixture_quantiles([(self, u)])[0]
 
     # -- moments --------------------------------------------------------------
 
@@ -497,6 +487,15 @@ class GaussianMixture:
             raise PreconditionError("operation requires a one-dimensional mixture")
 
 
+def _require_mixtures(*objs):
+    """PreconditionError unless every object is a :class:`GaussianMixture`."""
+    for obj in objs:
+        if not isinstance(obj, GaussianMixture):
+            raise PreconditionError(
+                f"expected Gaussian mixtures, got {type(obj).__name__}"
+            )
+
+
 def _json_numbers(doc, key: str, where: str = "") -> np.ndarray:
     """``doc[key]`` of a mixture document, a number or nested lists of
     numbers, as a float array; PreconditionError names a missing or
@@ -571,6 +570,13 @@ def _bisect(items) -> list:
         # equal levels follow one trajectory, so each is bisected once
         levels, inverse = np.unique(v.ravel() * total, return_inverse=True)
         lo, hi = float(np.min(means - 10.0 * s)), float(np.max(means + 10.0 * s))
+        # a bracket of zero width (mean +- 10 sd rounds to one double) never
+        # expands; the negated test also rejects an infinite one
+        if not 0 < hi - lo < math.inf:
+            raise PreconditionError(
+                f"quantile bracket [{lo!r}, {hi!r}] of mean +- 10 sd is not a "
+                "finite interval of positive width in floating point"
+            )
         # expand the bracket until it surrounds every level of the item
         while levels.size and law.cdf(lo) >= levels[0]:
             lo -= (hi - lo)
@@ -763,6 +769,11 @@ def common_grid(
     bb = sigma_box(b, box_sigmas)
     lo = np.minimum(ba[:, 0], bb[:, 0])
     hi = np.maximum(ba[:, 1], bb[:, 1])
+    # the negated test also rejects nan
+    if not all(h - l < math.inf for l, h in zip(lo.tolist(), hi.tolist())):
+        raise PreconditionError(
+            f"box_sigmas = {box_sigmas!r} makes the grid box wider than the float range"
+        )
     if resolution is None:
         if a.d not in DEFAULT_RESOLUTION:
             raise PreconditionError("no default resolution for d > 3; pass one")
@@ -808,23 +819,3 @@ class AtomSet:
 
     def __len__(self):
         return self.locations.shape[0]
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "atoms": [
-                {"x": x.tolist(), "m": float(m)}
-                for x, m in zip(self.locations, self.masses)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, doc) -> "AtomSet":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        locs = np.array([a["x"] for a in doc["atoms"]], dtype=float)
-        masses = np.array([a["m"] for a in doc["atoms"]], dtype=float)
-        out = cls(locs, masses)
-        if out.d != int(doc["d"]):
-            raise PreconditionError("declared dimension does not match atoms")
-        return out

@@ -247,7 +247,7 @@ def fit_rate(rows):
 @dataclass(frozen=True)
 class SweepReport:
     """Rows, fitted rate and metadata of one sweep; serializes to a JSON
-    document that reconstructs an identical report."""
+    document."""
 
     scenario: dict
     rows: tuple
@@ -265,19 +265,6 @@ class SweepReport:
             "metadata": dict(self.metadata),
             "failures": [list(f) for f in self.failures],
         }
-
-    @classmethod
-    def from_json(cls, doc) -> "SweepReport":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        return cls(
-            scenario=doc["scenario"],
-            rows=tuple(doc["rows"]),
-            slope=doc["slope"],
-            stderr=doc["stderr"],
-            metadata=doc["metadata"],
-            failures=tuple(tuple(f) for f in doc["failures"]),
-        )
 
 
 def _sweep_row(sc: Scenario, h: float, pair: PairEvaluation) -> dict:
@@ -493,23 +480,34 @@ def _svg_text(report: SweepReport) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _json_text(report: SweepReport) -> str:
+    return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+# The text of each report format.
+_REPORT_TEXT = {"csv": _csv_text, "json": _json_text, "svg": _svg_text}
+
+
+def _check_formats(formats) -> tuple:
+    """``formats`` as a tuple; PreconditionError names the first unknown one."""
+    formats = tuple(formats)
+    for fmt in formats:
+        if fmt not in _REPORT_TEXT:
+            raise PreconditionError(f"unknown report format {fmt!r}")
+    return formats
+
+
 def emit_report(report: SweepReport, out_dir, formats=("csv", "json")) -> list[str]:
     """Write the report in the requested formats; returns the file paths.
-    Output is byte-deterministic for a fixed report."""
+    Every format is checked before any file is written.  Output is
+    byte-deterministic for a fixed report."""
+    formats = _check_formats(formats)
     os.makedirs(out_dir, exist_ok=True)
     name = report.scenario["name"]
     paths = []
     for fmt in formats:
         path = os.path.join(out_dir, f"{name}.{fmt}")
-        if fmt == "csv":
-            text = _csv_text(report)
-        elif fmt == "json":
-            text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-        elif fmt == "svg":
-            text = _svg_text(report)
-        else:
-            raise PreconditionError(f"unknown report format {fmt!r}")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.write(_REPORT_TEXT[fmt](report))
         paths.append(path)
     return paths

@@ -22,7 +22,6 @@ tests rather than by proof.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -31,9 +30,9 @@ import numpy as np
 from scipy import integrate
 
 from .distributions import (
-    GaussianMixture,
     GridDensity,
     SpaceGrid,
+    _require_mixtures,
     common_grid,
     discretize,
 )
@@ -220,23 +219,17 @@ def _axis_powers(d: int, p: int):
 def weighted_diff_reconstruct(a, b, p: int):
     """Reconstruct ``(f_a(x) - f_b(x)) * sum_j x_j^p`` from frequency data.
 
-    Returns ``(grid, values)``.  Two mixtures are discretized on their
+    Returns ``(grid, values)``.  The two mixtures are discretized on their
     :func:`common_grid`.  The product is recovered as the inverse transform
     of the difference of the two coordinate-power derivative grids; for
     even p the prefactors cancel and the result is real up to round-off.
     """
-    if isinstance(a, GaussianMixture) and isinstance(b, GaussianMixture):
-        if a.d != b.d:
-            raise PreconditionError("dimension mismatch")
-        grid = common_grid(a, b)
-        a, b = discretize(a, grid), discretize(b, grid)
-    elif not (isinstance(a, GridDensity) and isinstance(b, GridDensity)):
-        raise PreconditionError("inputs must both be mixtures or both be grids")
-    if a.grid != b.grid:
-        raise PreconditionError("mismatched grids")
-    diff = delta_p_char(a, p).values - delta_p_char(b, p).values
-    vals = (-1j) ** p * inverse_transform(a.grid, diff)
-    return a.grid, vals.real
+    _require_mixtures(a, b)
+    grid = common_grid(a, b)
+    fa, fb = discretize(a, grid), discretize(b, grid)
+    diff = delta_p_char(fa, p).values - delta_p_char(fb, p).values
+    vals = (-1j) ** p * inverse_transform(grid, diff)
+    return grid, vals.real
 
 
 # ---------------------------------------------------------------------------
@@ -297,26 +290,13 @@ class PolyEnvelopeTable:
             ],
         }
 
-    @classmethod
-    def from_json(cls, doc) -> "PolyEnvelopeTable":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        ks = [e["k"] for e in doc["entries"]]
-        ls = [e["l"] for e in doc["entries"]]
-        table = np.full((max(ks) + 1, max(ls) + 1), np.nan)
-        for e in doc["entries"]:
-            table[e["k"], e["l"]] = e["c"]
-        if np.any(np.isnan(table)):
-            raise PreconditionError("envelope JSON does not cover a full rectangle")
-        return cls(doc["side"], max(ks), max(ls), table)
-
 
 @dataclass(frozen=True)
 class ExpEnvelopeTable:
     """Exponential-decay constants per derivative order k: rates r_k > 0 and
     integrals c_k >= int |g_k(u)| exp(r_k |u|) du, where g_k is the Euclidean
     norm of the order-k derivative tensor.  ``sups`` additionally records the
-    grid supremum of g_k (used by the certificate engine, not serialized)."""
+    grid supremum of g_k (used by the certificate engine)."""
 
     rates: dict = field(default_factory=dict)
     integrals: dict = field(default_factory=dict)
@@ -345,22 +325,6 @@ class ExpEnvelopeTable:
         integrals = {k: self.integrals[k] + other.integrals[k] for k in ks}
         sups = {k: self.sups.get(k, 0.0) + other.sups.get(k, 0.0) for k in ks}
         return ExpEnvelopeTable(rates, integrals, sups)
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {"k": k, "r": float(self.rates[k]), "c": float(self.integrals[k])}
-                for k in sorted(self.rates)
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, doc) -> "ExpEnvelopeTable":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        rates = {e["k"]: e["r"] for e in doc["entries"]}
-        integrals = {e["k"]: e["c"] for e in doc["entries"]}
-        return cls(rates, integrals, {})
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from scipy.special import ndtr
 from .distributions import (
     AtomSet,
     GaussianMixture,
-    GridDensity,
     SpaceGrid,
+    _require_mixtures,
     common_grid,
     discretize,
     mixture_quantiles,
@@ -117,20 +117,6 @@ def _weighted_l1(va: np.ndarray, vb: np.ndarray, grid: SpaceGrid, p: float) -> f
     return float(diff.sum() * grid.cell_volume)
 
 
-def _coarsen_value(fa: GridDensity, fb: GridDensity, p: float) -> float:
-    """Same quadrature on the 2x coarser grid (block averages)."""
-
-    def blocks(v):
-        for ax in range(v.ndim):
-            n = v.shape[ax]
-            v = v.reshape(v.shape[:ax] + (n // 2, 2) + v.shape[ax + 1:]).mean(
-                axis=ax + 1
-            )
-        return v
-
-    return _weighted_l1(blocks(fa.values), blocks(fb.values), fa.grid.coarsened(), p)
-
-
 MAX_REFINEMENTS = {1: 4, 2: 2, 3: 1}
 
 # Refinement tolerance of the grid quadrature distances.
@@ -171,36 +157,20 @@ def refine_weighted_l1(densities, powers) -> tuple:
     )
 
 
-def rho_p(a, b, p: float, grid: SpaceGrid | None = None) -> DistanceResult:
+def rho_p(a, b, p: float) -> DistanceResult:
     """Weighted total variation int (1 + |x|^p) |f_a - f_b| dx for p > 0.
 
     The zero-power weight is the constant 1, so rho_p(a, b, 0) equals the
     total variation mass int |f_a - f_b| dx (twice the usual TV probability
-    metric).  Mixture inputs are discretized on a shared sigma-box grid and
-    refined until the refinement difference drops below ``QUADRATURE_TOL``,
-    through :func:`refine_weighted_l1`, the ladder that
+    metric).  Both mixtures are discretized on their :func:`common_grid`
+    and refined until the refinement difference drops below
+    ``QUADRATURE_TOL``, through :func:`refine_weighted_l1`, the ladder that
     :class:`tvrates.bounds.PairEvaluation` runs once for rho_p and tv
     together on its laws' kept densities, so both paths give the same bits.
-    Grid inputs cannot be refined, so their error estimate comes from
-    coarsening and ``QUADRATURE_TOL`` is enforced as-is.
     """
     _require_exponent(p, "weight power p", 0.0)
-    if isinstance(a, GridDensity) and isinstance(b, GridDensity):
-        if a.grid != b.grid:
-            raise PreconditionError("grid densities must share one grid")
-        value = _weighted_l1(a.values, b.values, a.grid, p)
-        err = abs(value - _coarsen_value(a, b, p))
-        if err > QUADRATURE_TOL:
-            raise NumericalError(
-                f"grid quadrature error estimate {err:.3e} exceeds tol "
-                f"{QUADRATURE_TOL:.3e}"
-            )
-        return DistanceResult(value, "grid-quadrature", err)
-    if not (isinstance(a, GaussianMixture) and isinstance(b, GaussianMixture)):
-        raise PreconditionError("inputs must both be mixtures or both be grid densities")
-    g = grid if grid is not None else common_grid(a, b)
-    if g.d not in MAX_REFINEMENTS:
-        raise PreconditionError("mixture quadrature needs dimension <= 3")
+    _require_mixtures(a, b)
+    g = common_grid(a, b)
 
     def densities(level):
         fine = g.refined(2**level)
@@ -209,36 +179,14 @@ def rho_p(a, b, p: float, grid: SpaceGrid | None = None) -> DistanceResult:
     return refine_weighted_l1(densities, (p,))[0]
 
 
-def tv_mass(a, b, grid: SpaceGrid | None = None) -> DistanceResult:
+def tv_mass(a, b) -> DistanceResult:
     """Total variation mass int |f_a - f_b| dx."""
-    return rho_p(a, b, 0.0, grid=grid)
+    return rho_p(a, b, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # one-dimensional Wasserstein
 # ---------------------------------------------------------------------------
-
-def _grid_quantile(f: GridDensity, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of a one-dimensional grid density (piecewise-constant
-    density, hence piecewise-linear CDF)."""
-    h = float(f.grid.spacings[0])
-    masses = f.values * h
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
-    cum /= cum[-1]
-    edges = f.grid.lo[0] + np.arange(f.grid.shape[0] + 1) * h
-    idx = np.clip(np.searchsorted(cum, u, side="left"), 1, len(cum) - 1)
-    seg = np.maximum(cum[idx] - cum[idx - 1], 1e-300)
-    return edges[idx - 1] + (u - cum[idx - 1]) / seg * h
-
-
-def _check_quantile_input(obj):
-    if isinstance(obj, GaussianMixture):
-        obj._require_1d()
-    elif not isinstance(obj, GridDensity):
-        raise PreconditionError("expected a GaussianMixture or 1-D GridDensity")
-    elif obj.d != 1:
-        raise PreconditionError("quantile quadrature requires dimension one")
-
 
 @functools.cache
 def _normal_rule(n_nodes: int):
@@ -271,74 +219,54 @@ QUANTILE_NODES = 128
 QUANTILE_ORDERS = (QUANTILE_NODES, 2 * QUANTILE_NODES)
 
 
-def quantile_distance(quantiles, q: float) -> DistanceResult:
-    """W_q from quantile values: ``quantiles`` holds, for each order ``n``
-    of ``QUANTILE_ORDERS`` in turn, both laws' quantiles at
-    ``normal_levels(n)``; the rule of order ``QUANTILE_NODES`` is checked
-    against the doubled one, which gives the value."""
-    v1, v2 = (
-        _quantile_wq(qa, qb, q, n) for n, (qa, qb) in zip(QUANTILE_ORDERS, quantiles)
-    )
+def _rule_quantiles(laws) -> list:
+    """For each 1-D mixture of ``laws``, its quantiles at
+    ``normal_levels(n)`` for both orders ``n`` of ``QUANTILE_ORDERS``, as a
+    dict keyed by ``n``; every law's levels are solved in one
+    :func:`tvrates.distributions.mixture_quantiles` call, in which each
+    law's two orders are two items with their own stopping tests."""
+    levels = [normal_levels(n) for n in QUANTILE_ORDERS]
+    values = iter(mixture_quantiles([(law, u) for law in laws for u in levels]))
+    return [{n: next(values) for n in QUANTILE_ORDERS} for _ in laws]
+
+
+def quantile_distance(qa: dict, qb: dict, q: float) -> DistanceResult:
+    """W_q from two laws' :func:`_rule_quantiles`; the rule of order
+    ``QUANTILE_NODES`` is checked against the doubled one, which gives the
+    value."""
+    v1, v2 = (_quantile_wq(qa[n], qb[n], q, n) for n in QUANTILE_ORDERS)
     return DistanceResult(v2, "quantile-quadrature", abs(v2 - v1))
 
 
 def wasserstein_1d(a, b, q: float) -> DistanceResult:
-    """W_q via the quantile representation, for q > 1 in dimension one.
+    """W_q via the quantile representation, for q > 1 between two 1-D
+    mixtures.
 
     The unit-interval integral is computed under the normal substitution
     u = Phi(t) on a Gauss-Hermite rule, which removes the inverse-CDF blowup
     at the endpoints; the error estimate comes from doubling the order.
-    The mixtures among ``a`` and ``b`` are solved at both orders in one
-    :func:`tvrates.distributions.mixture_quantiles` call.
+    Both laws are solved at both orders in one :func:`_rule_quantiles` call.
     q <= 1 is rejected: the certificate machinery requires q > 1 (use
     :func:`ot_exact` for discrete W_1).
     """
     _require_exponent(q, "quantile quadrature exponent q", 1.0, strict=True)
-    for obj in (a, b):
-        _check_quantile_input(obj)
-    levels = [normal_levels(n) for n in QUANTILE_ORDERS]
-    solved = iter(mixture_quantiles(
-        [(obj, u) for obj in (a, b) if isinstance(obj, GaussianMixture) for u in levels]
-    ))
-    qa, qb = (
-        [next(solved) if isinstance(obj, GaussianMixture) else _grid_quantile(obj, u)
-         for u in levels]
-        for obj in (a, b)
-    )
-    return quantile_distance(zip(qa, qb), q)
+    _require_mixtures(a, b)
+    return quantile_distance(*_rule_quantiles((a, b)), q)
 
 
-def _w1_cdf_1d(a, b) -> DistanceResult:
-    """W_1 = int |F_a - F_b| dx for one-dimensional inputs, by grid sums."""
-
-    def cdf_on(xs, obj):
-        if isinstance(obj, GaussianMixture):
-            return obj.cdf(xs)
-        h = float(obj.grid.spacings[0])
-        cum = np.cumsum(obj.values) * h
-        cum /= cum[-1]
-        edges = obj.grid.lo[0] + (np.arange(obj.grid.shape[0]) + 1) * h
-        idx = np.searchsorted(edges, xs, side="left")
-        out = np.where(idx == 0, 0.0, cum[np.maximum(idx - 1, 0)])
-        return np.where(idx >= len(cum), 1.0, out)
-
+def _w1_cdf_1d(a: GaussianMixture, b: GaussianMixture) -> DistanceResult:
+    """W_1 = int |F_a - F_b| dx for one-dimensional mixtures, by grid sums."""
     lo, hi = [], []
     for obj in (a, b):
-        if isinstance(obj, GaussianMixture):
-            obj._require_1d()
-            s = np.sqrt(obj.covs[:, 0, 0])
-            lo.append(float(np.min(obj.means[:, 0] - 12 * s)))
-            hi.append(float(np.max(obj.means[:, 0] + 12 * s)))
-        else:
-            lo.append(obj.grid.lo[0])
-            hi.append(obj.grid.hi[0])
+        obj._require_1d()
+        s = np.sqrt(obj.covs[:, 0, 0])
+        lo.append(float(np.min(obj.means[:, 0] - 12 * s)))
+        hi.append(float(np.max(obj.means[:, 0] + 12 * s)))
     left, right = min(lo), max(hi)
 
     def value(m):
         xs = np.linspace(left, right, m)
-        return float(
-            np.trapezoid(np.abs(cdf_on(xs, a) - cdf_on(xs, b)), xs)
-        )
+        return float(np.trapezoid(np.abs(a.cdf(xs) - b.cdf(xs)), xs))
 
     v1, v2 = value(16384), value(32768)
     return DistanceResult(v2, "grid-quadrature", abs(v2 - v1))
@@ -626,15 +554,16 @@ def ot_entropic(
 
 def fm_upper(a, b) -> DistanceResult:
     """Certified upper bound min(2, W_1) for the bounded-Lipschitz
-    (Fortet-Mourier) distance.
+    (Fortet-Mourier) distance between two atom sets or two 1-D mixtures.
 
     The test class has sup-norm at most 1, which caps the distance at 2;
-    the Lipschitz bound gives W_1.  One-dimensional laws use the exact CDF
+    the Lipschitz bound gives W_1.  Mixtures use the exact CDF
     representation of W_1; atom sets use the exact discrete solver.
     """
     if isinstance(a, AtomSet) and isinstance(b, AtomSet):
         res, _ = ot_exact(a, b, q=1.0)
     else:
+        _require_mixtures(a, b)
         res = _w1_cdf_1d(a, b)
     if res.value >= 2.0:
         return DistanceResult(2.0, res.method, 0.0)

@@ -141,6 +141,11 @@ class TestThetaAndChoices:
     def test_choose_l_guard_near_one(self):
         assert choose_l(1 - 1e-9, 2, 1) >= 2
 
+    def test_choose_l_past_float_range_names_p(self):
+        # (d + sqrt(1 - eps)(p + d)) / (1 - sqrt(1 - eps)) overflows a double
+        with pytest.raises(PreconditionError, match="weight power p = 1e"):
+            choose_l(0.1, 1e308, 1)
+
     @settings(max_examples=60, deadline=None)
     @given(
         eps=st.floats(0.02, 0.98),
@@ -327,6 +332,17 @@ class TestPointwiseCertificate:
         )
         assert cert.to_json()["regime"] == "pointwise"
 
+    @pytest.mark.parametrize("alpha", [(0.5,), (True,), (1.0,), ("1",), (-1,), (0, 0)])
+    def test_non_integer_multiindex_rejected(self, std_normal, default_params, alpha):
+        pair = PairEvaluation(std_normal, gaussian(0.05, 1.0), default_params)
+        with pytest.raises(PreconditionError, match="alpha must be a multiindex"):
+            pointwise_certificate(pair, alpha=alpha)
+
+    def test_numpy_integer_multiindex_accepted(self, std_normal, default_params):
+        pair = PairEvaluation(std_normal, gaussian(0.05, 1.0), default_params)
+        got = pointwise_certificate(pair, alpha=(np.int64(1),))
+        assert got.to_json_str() == pointwise_certificate(pair, alpha=(1,)).to_json_str()
+
 
 class TestExponentialCertificate:
     def test_identical_inputs(self, std_normal, default_params):
@@ -450,10 +466,9 @@ class TestPairEvaluation:
     def test_one_ladder_matches_standalone_distances(self, std_normal, h, params):
         b = gaussian(h, 1.0)
         pair = PairEvaluation(std_normal, b, params)
-        g = pair.grid
         rho, tv = pair.distances
-        assert rho == rho_p_distance(std_normal, b, params.p, grid=g)
-        assert tv == tv_mass(std_normal, b, grid=g)
+        assert rho == rho_p_distance(std_normal, b, params.p)
+        assert tv == tv_mass(std_normal, b)
         assert (pair.rho, pair.tv) == (rho.value, tv.value)
 
     def test_envelope_overflow_is_a_typed_error(self, std_normal):
@@ -481,7 +496,11 @@ class TestPairEvaluation:
             shared = PairEvaluation.of_laws(
                 ref, LawEvaluation(b, grid, default_params.p_even), default_params
             )
-            fresh = PairEvaluation(std_normal, b, default_params, grid)
+            fresh = PairEvaluation.of_laws(
+                LawEvaluation(std_normal, grid, default_params.p_even),
+                LawEvaluation(b, grid, default_params.p_even),
+                default_params,
+            )
             for build in (polynomial_rate_certificate, exponential_rate_certificate,
                           pointwise_certificate):
                 assert build(shared).to_json_str() == build(fresh).to_json_str()

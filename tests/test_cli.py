@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvrates import GaussianMixture, Scenario, SweepReport, gaussian
 from tvrates.cli import main
@@ -140,6 +146,26 @@ class TestCertify:
         assert code == 0
         assert json.loads(out)["satisfied"] is True
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (("--regime", "pointwise", "--alpha", "x"), "--alpha"),
+            (("--regime", "pointwise", "--alpha", "0.5"), "--alpha"),
+            (("--regime", "pointwise", "--alpha", "1,1"), "alpha"),
+            (("--regime", "lemma1", "--p", "1e308"), "weight power p"),
+            (("--regime", "pointwise", "--p", "1e308"), "weight power p"),
+        ],
+    )
+    def test_bad_option_is_one_line_precondition(
+        self, mixture_files, capsys, args, field
+    ):
+        a, b = mixture_files
+        code = main(["certify", "--a", a, "--b", b, *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("precondition violation:")
+        assert field in err
+
 
 class TestSweep:
     def scenario_doc(self):
@@ -213,6 +239,8 @@ class TestSweep:
             ("entropic_check", 1),
             ("entropic_check", None),
             ("name", 5),
+            ("box_sigmas", 1e308),
+            ("p", 1e308),
         ],
     )
     def test_bad_field_is_one_line_precondition(self, tmp_path, capsys, field, value):
@@ -255,6 +283,22 @@ class TestSweep:
         assert field in err
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_format_rejected_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def forbidden(sc):
+            raise AssertionError("an unknown format must stop the command first")
+
+        monkeypatch.setattr("tvrates.cli.run_sweep", forbidden)
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(self.scenario_doc()))
+        code = main(["sweep", "--scenario", str(sc), "--out", str(tmp_path / "o"),
+                     "--formats", "csv,pdf"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "'pdf'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from tvrates.errors import NumericalError
 
@@ -267,3 +311,71 @@ class TestSweep:
         code, _ = run_cli(capsys, "sweep", "--scenario", str(sc),
                           "--out", str(tmp_path / "o"))
         assert code == 3
+
+
+# Values a fuzzed document field is set to.
+FUZZ_VALUES = (None, "x", math.nan, -1, [], {}, True)
+
+# Commands run on a fuzzed mixture document (the second law of the pair).
+MIXTURE_COMMANDS = (
+    ("dist", "--metric", "wq"),
+    ("dist", "--metric", "tv"),
+    ("dist", "--metric", "rho_p"),
+    ("certify", "--regime", "lemma1"),
+)
+
+
+def _key_paths(doc, prefix=()):
+    """The path of every value inside a JSON document's objects and lists."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """``(document kind, fuzzed document, command)``: a valid scenario or
+    mixture document with one key dropped or set to one of FUZZ_VALUES."""
+    kind = draw(st.sampled_from(("scenario", "mixture")))
+    if kind == "scenario":
+        doc = TestSweep().scenario_doc()
+    else:
+        doc = gaussian(0.5, 2.0).to_json()
+    path = draw(st.sampled_from(list(_key_paths(doc))))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    if isinstance(owner, dict) and draw(st.booleans()):
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+    command = None if kind == "scenario" else draw(st.sampled_from(MIXTURE_COMMANDS))
+    return kind, doc, command
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(run=fuzzed_runs())
+def test_fuzzed_documents_exit_with_a_code_and_one_line(run):
+    kind, doc, command = run
+    with tempfile.TemporaryDirectory() as tmp:
+        fuzzed = os.path.join(tmp, "doc.json")
+        with open(fuzzed, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        if kind == "scenario":
+            argv = ["sweep", "--scenario", fuzzed, "--out", os.path.join(tmp, "out")]
+        else:
+            a = os.path.join(tmp, "a.json")
+            with open(a, "w", encoding="utf-8") as fh:
+                json.dump(gaussian(0.0, 1.0).to_json(), fh)
+            argv = [command[0], "--a", a, "--b", fuzzed, *command[1:]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert err.getvalue().count("\n") <= 1

@@ -203,6 +203,18 @@ class TestDiscretize:
         with pytest.raises(PreconditionError):
             discretize(std_normal, SpaceGrid((-10,), (10,), (1000,)))
 
+    @pytest.mark.parametrize("box_sigmas", [1e308, math.inf, math.nan])
+    def test_box_past_float_range_names_box_sigmas(self, std_normal, box_sigmas):
+        with pytest.raises(PreconditionError, match="box_sigmas"):
+            common_grid(std_normal, std_normal, box_sigmas)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(-1e308, 1e308), (-math.inf, 0.0), (0.0, math.nan)]
+    )
+    def test_grid_box_must_be_finite(self, lo, hi):
+        with pytest.raises(PreconditionError, match="finite positive length"):
+            SpaceGrid((lo,), (hi,), (16,))
+
     def test_grid_dimension_must_match_law(self, std_normal):
         planar = gaussian([0.0, 0.0], np.eye(2))
         with pytest.raises(PreconditionError, match="grid dimension 2"):
@@ -275,7 +287,7 @@ class TestQuantile:
             with pytest.raises(PreconditionError):
                 std_normal.quantile(u)
         with pytest.raises(PreconditionError):
-            std_normal.quantile(([0.5], [0.5, 1.0]))
+            std_normal.quantile([0.5, 1.0])
 
     def test_weights_short_of_one_terminate(self, std_normal, bimodal):
         # weights summing to 1 - 5e-13 pass the constructor, so the CDF never
@@ -297,6 +309,28 @@ class TestQuantile:
         want = wasserstein_1d(std_normal, bimodal, 2).value
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
+    @pytest.mark.parametrize("mean", [1e18, -1e18, 1e300])
+    def test_bracket_below_float_resolution_terminates(self, std_normal, mean):
+        # mean +- 10 sd rounds to one double, so the bracket cannot expand
+        def deadline(signum, frame):
+            raise TimeoutError("quantile did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, deadline)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            with pytest.raises(PreconditionError, match="quantile bracket"):
+                gaussian(mean, 1.0).quantile(0.3)
+            with pytest.raises(PreconditionError, match="quantile bracket"):
+                wasserstein_1d(std_normal, gaussian(mean, 1.0), 2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_largest_resolvable_mean_still_solves(self):
+        # at 1e17 the bracket keeps a few ulps, and the solver returns
+        x = gaussian(1e17, 1.0).quantile(0.3)
+        assert abs(x - 1e17) <= 64.0
+
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(1, 3))
@@ -317,7 +351,7 @@ class TestQuantile:
     @given(data=st.data(), n=st.integers(1, 3), rows=st.integers(1, 4))
     def test_duplicated_unsorted_2d_levels_match_where_loop(self, data, n, rows):
         # each distinct level is bisected once and scattered back; duplicates,
-        # order and shape must not move a bit, nor may a second tuple item
+        # order and shape must not move a bit, nor may a second item
         weights = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
         means = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
         variances = data.draw(st.lists(st.floats(0.05, 25.0), min_size=n, max_size=n))
@@ -334,7 +368,7 @@ class TestQuantile:
         u = u.reshape(rows, cols)
         np.testing.assert_array_equal(law.quantile(u), quantile_bisection(law, u))
         v = np.concatenate([u.ravel(), u.ravel()[::-1]])
-        got_u, got_v = law.quantile((u, v))
+        got_u, got_v = mixture_quantiles([(law, u), (law, v)])
         np.testing.assert_array_equal(got_u, quantile_bisection(law, u))
         np.testing.assert_array_equal(got_v, quantile_bisection(law, v))
 
@@ -346,15 +380,19 @@ class TestQuantile:
         u1, u2 = normal_levels(128), normal_levels(256)
         merged = law.quantile(np.concatenate([u1, u2]))
         assert not np.array_equal(merged[128:], law.quantile(u2))
-        got1, got2 = law.quantile((u1, u2))
+        got1, got2 = mixture_quantiles([(law, u1), (law, u2)])
         np.testing.assert_array_equal(got1, quantile_bisection(law, u1))
         np.testing.assert_array_equal(got2, quantile_bisection(law, u2))
 
     def test_scalar_and_empty_levels(self, bimodal):
         assert isinstance(bimodal.quantile(0.3), float)
         assert bimodal.quantile(np.empty((0, 2))).shape == (0, 2)
-        first, second = bimodal.quantile(([], 0.3))
+        first, second = mixture_quantiles([(bimodal, []), (bimodal, 0.3)])
         assert first.shape == (0,) and second == bimodal.quantile(0.3)
+        # a tuple of levels is an array of levels
+        np.testing.assert_array_equal(
+            bimodal.quantile((0.3, 0.7)), bimodal.quantile(np.array([0.3, 0.7]))
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -472,14 +510,6 @@ class TestValidationAndJson:
         assert set(doc["components"][0]) == {"w", "mean", "cov"}
         back = GaussianMixture.from_json(json.dumps(doc))
         assert back == bimodal
-
-    def test_atom_set_json_round_trip(self):
-        atoms = AtomSet(np.array([[0.0, 1.0], [2.0, -1.0]]), np.array([0.25, 0.75]))
-        doc = atoms.to_json()
-        assert set(doc) == {"d", "atoms"}
-        back = AtomSet.from_json(json.dumps(doc))
-        np.testing.assert_array_equal(back.locations, atoms.locations)
-        np.testing.assert_array_equal(back.masses, atoms.masses)
 
     def test_atom_masses_validated(self):
         with pytest.raises(PreconditionError):

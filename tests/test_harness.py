@@ -327,8 +327,8 @@ class TestEmitReport:
         rep = run_sweep(tiny_scenario(hs=(0.1, 0.03, 0.01, 0.003, 0.001)))
         csv_path, json_path = emit_report(rep, tmp_path, ("csv", "json"))
         assert len(open(csv_path).read().splitlines()) == 6
-        back = SweepReport.from_json(open(json_path).read())
-        assert back.to_json() == rep.to_json()
+        with open(json_path, encoding="utf-8") as fh:
+            assert json.load(fh) == json.loads(json.dumps(rep.to_json()))
 
     def test_svg_has_three_polylines(self, tmp_path):
         rep = run_sweep(tiny_scenario(hs=(0.1, 0.01, 0.001)))
@@ -340,6 +340,14 @@ class TestEmitReport:
         rep = SweepReport(scenario={"name": "x"}, rows=(), slope=0.0, stderr=0.0)
         with pytest.raises(PreconditionError):
             emit_report(rep, tmp_path, ("pdf",))
+
+    def test_unknown_format_writes_no_file(self, tmp_path):
+        # every format is checked before the first file is written
+        rep = SweepReport(scenario={"name": "x"}, rows=(), slope=0.0, stderr=0.0)
+        out = tmp_path / "out"
+        with pytest.raises(PreconditionError, match="'pdf'"):
+            emit_report(rep, out, ("csv", "json", "pdf"))
+        assert not out.exists()
 
     def test_reproducible_bytes(self, tmp_path):
         sc = tiny_scenario(hs=(0.1, 0.01, 0.001))

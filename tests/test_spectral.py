@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from tvrates import (
     DecayError,
     ExpEnvelopeTable,
     GaussianMixture,
-    PolyEnvelopeTable,
     PreconditionError,
     ResolutionError,
     SpaceGrid,
@@ -187,11 +187,11 @@ class TestWeightedDiffReconstruct:
         strong = np.abs(direct) > 1e-6
         assert np.all(np.sign(vals[strong]) == np.sign(direct[strong]))
 
-    def test_grid_inputs_must_match(self):
-        fa = discretize(gaussian(0.0, 1.0), SpaceGrid((-10,), (10,), (512,)))
-        fb = discretize(gaussian(0.0, 1.0), SpaceGrid((-12,), (12,), (512,)))
-        with pytest.raises(PreconditionError):
-            weighted_diff_reconstruct(fa, fb, 2)
+    def test_grid_inputs_rejected(self):
+        f = discretize(gaussian(0.0, 1.0), SpaceGrid((-10,), (10,), (512,)))
+        for args in ((f, f), (gaussian(0.0, 1.0), f)):
+            with pytest.raises(PreconditionError, match="Gaussian mixtures"):
+                weighted_diff_reconstruct(*args, 2)
 
 
 class TestPolyEnvelope:
@@ -230,12 +230,12 @@ class TestPolyEnvelope:
 
     def test_json_round_trip(self, std_normal):
         tab = poly_envelope(grid_of(std_normal), 2, 3)
-        doc = tab.to_json()
+        doc = json.loads(json.dumps(tab.to_json()))
         assert set(doc) == {"side", "entries"}
-        assert set(doc["entries"][0]) == {"k", "l", "c"}
-        back = PolyEnvelopeTable.from_json(doc)
-        np.testing.assert_array_equal(back.table, tab.table)
-        assert back.side == tab.side
+        assert doc["side"] == tab.side
+        assert {(e["k"], e["l"]): e["c"] for e in doc["entries"]} == {
+            (k, l): tab.table[k, l] for k in range(3) for l in range(4)
+        }
 
     def test_pair_combination_is_entrywise_max(self, std_normal, bimodal):
         ta = poly_envelope(grid_of(std_normal), 2, 2)
@@ -292,14 +292,6 @@ class TestExpEnvelope:
         for k in range(3):
             assert comb.rates[k] == min(ea.rates[k], eb.rates[k])
             assert comb.integrals[k] >= max(ea.integrals[k], eb.integrals[k])
-
-    def test_json_matches_declared_schema(self, std_normal):
-        tab = exp_envelope(char_fn_grid(grid_of(std_normal)), 1)
-        doc = tab.to_json()
-        assert set(doc) == {"entries"}
-        assert set(doc["entries"][0]) == {"k", "r", "c"}
-        back = ExpEnvelopeTable.from_json(doc)
-        assert back.rates == tab.rates
 
     def test_rate_without_integral_rejected(self):
         with pytest.raises(PreconditionError):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -21,6 +22,7 @@ from tvrates import (
     ConvergenceError,
     DistanceResult,
     GaussianMixture,
+    PairEvaluation,
     PreconditionError,
     SpaceGrid,
     discretize,
@@ -211,27 +213,24 @@ class TestRhoAndTv:
         ).value - 1e-12
 
     def test_grid_density_inputs(self, std_normal):
+        # the distances take mixtures only; a grid density is refused
         grid = SpaceGrid((-10.5,), (10.5,), (4096,))
         fa = discretize(std_normal, grid)
         fb = discretize(gaussian(1.0, 1.0), grid)
-        got = tv_mass(fa, fb)
-        np.testing.assert_allclose(got.value, TV_UNIT_TRANSLATE, atol=1e-4)
-
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    def test_grid_inputs_match_mixture_inputs(self, std_normal, p):
-        # the grid path takes its error from the weighted coarse-grid sum
-        grid = SpaceGrid((-10.0,), (10.0,), (4096,))
-        b = gaussian(0.5, 1.0)
-        got = rho_p(discretize(std_normal, grid), discretize(b, grid), p)
-        want = rho_p(std_normal, b, p, grid=grid)
-        assert 0.0 < got.err <= 1e-5
-        assert abs(got.value - want.value) <= 1e-6
+        for args in ((fa, fb), (std_normal, fb), (fa, std_normal)):
+            with pytest.raises(PreconditionError, match="GridDensity"):
+                tv_mass(*args)
+            with pytest.raises(PreconditionError, match="GridDensity"):
+                rho_p(*args, 2.0)
 
     def test_mixture_grid_beyond_refinable_dimensions_rejected(self):
         g4 = gaussian(np.zeros(4), np.eye(4))
-        grid = SpaceGrid((-6.0,) * 4, (6.0,) * 4, (16,) * 4)
-        with pytest.raises(PreconditionError, match="dimension <= 3"):
-            rho_p(g4, g4.translate(np.full(4, 0.1)), 2.0, grid=grid)
+        with pytest.raises(PreconditionError, match="d > 3"):
+            rho_p(g4, g4.translate(np.full(4, 0.1)), 2.0)
+
+    def test_no_grid_parameter(self):
+        for fn in (rho_p, tv_mass, PairEvaluation):
+            assert "grid" not in inspect.signature(fn).parameters
 
 
 class TestWasserstein1d:
@@ -269,8 +268,8 @@ class TestWasserstein1d:
 
         other = bimodal.translate(0.3) if mixed_k else gaussian(0.3, 1.5)
         want = quantile_distance(
-            [(std_normal.quantile(normal_levels(n)), other.quantile(normal_levels(n)))
-             for n in QUANTILE_ORDERS],
+            *({n: law.quantile(normal_levels(n)) for n in QUANTILE_ORDERS}
+              for law in (std_normal, other)),
             2.5,
         )
         solver, bisect = dmod.mixture_quantiles, dmod._bisect
@@ -295,12 +294,16 @@ class TestWasserstein1d:
         # one bisection per component count
         assert calls["bisect"] == ([2, 2] if mixed_k else [4])
 
-    def test_grid_density_inputs_match_analytic(self, std_normal):
-        grid = SpaceGrid((-10.5,), (10.5,), (4096,))
-        fa = discretize(std_normal, grid)
-        fb = discretize(gaussian(0.5, 1.0), grid)
-        got = wasserstein_1d(fa, fb, 2)
-        assert abs(got.value - 0.5) <= 1e-3
+    def test_grid_density_inputs_rejected(self, std_normal):
+        f = discretize(std_normal, SpaceGrid((-10.5,), (10.5,), (4096,)))
+        for args in ((f, f), (std_normal, f)):
+            with pytest.raises(PreconditionError, match="GridDensity"):
+                wasserstein_1d(*args, 2)
+
+    def test_two_dimensional_mixture_rejected(self):
+        g2 = gaussian([0.0, 0.0], np.eye(2))
+        with pytest.raises(PreconditionError, match="one-dimensional"):
+            wasserstein_1d(g2, g2, 2)
 
     def test_matches_exact_ot_on_quantile_atoms(self, std_normal):
         # 512-atom quantile discretizations of the pair
@@ -641,14 +644,22 @@ class TestFmUpper:
         np.testing.assert_allclose(got.value, 0.25, atol=1e-12)
         assert got.method == "exact-ot"
 
+    def test_grid_density_and_mixed_inputs_rejected(self, std_normal):
+        f = discretize(std_normal, SpaceGrid((-10.0,), (10.0,), (512,)))
+        atoms = AtomSet(np.array([[0.0]]), np.array([1.0]))
+        for args in ((f, f), (std_normal, f), (atoms, std_normal)):
+            with pytest.raises(PreconditionError, match="expected Gaussian mixtures"):
+                fm_upper(*args)
+
 
 class TestBoundedSupportComparison:
     def test_w1_below_radius_times_tv(self):
-        # grid densities supported in [-R, R]: W_1 <= R * tv
-        grid = SpaceGrid((-8.0,), (8.0,), (2048,))
-        fa = discretize(gaussian(0.0, 1.0), grid)
-        fb = discretize(GaussianMixture([0.5, 0.5], [[-1.0], [1.5]],
-                                        [[[0.7]], [[1.2]]]), grid)
-        w1 = fm_upper(fa, fb).value
-        tv = tv_mass(fa, fb).value
-        assert w1 <= 8.0 * tv + 1e-9
+        # Kantorovich-Rubinstein: W_1 = sup over 1-Lipschitz g vanishing at 0
+        # of int g (f_a - f_b) <= int |x| |f_a - f_b| dx, and rho_1 adds the
+        # total variation mass, so W_1 <= rho_1 (for support in [-R, R] the
+        # weight |x| is at most R, which gives W_1 <= R tv)
+        a = gaussian(0.0, 1.0)
+        b = GaussianMixture([0.5, 0.5], [[-1.0], [1.5]], [[[0.7]], [[1.2]]])
+        w1 = fm_upper(a, b)
+        rho_1 = rho_p(a, b, 1.0)
+        assert w1.value + w1.err <= rho_1.value - rho_1.err
