@@ -46,7 +46,7 @@ et = exp_envelope(char_fn_grid(f), 2)
 for k in sorted(et.rates):
     print(f"k={k}: rate r = {et.rates[k]:.4f}, integral c = {et.integrals[k]:.2f}")
 
-params = BoundParams(p=2.0, q=2.0, epsilon=0.1, d=1)
+params = BoundParams(p=2.0, q=2.0, epsilon=0.1)
 pair = PairEvaluation(base, gaussian(1e-3, 1.0), params)
 
 print()

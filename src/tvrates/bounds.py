@@ -25,7 +25,6 @@ certificate is strong evidence, not a proof, and carries that provenance tag.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -80,7 +79,8 @@ ZERO_GAP = 1e-14
 @dataclass(frozen=True)
 class BoundParams:
     """Certificate parameters: finite weight power p >= 1, finite transport
-    exponent q > 1, rate slack epsilon in (0, 1) and integer dimension d >= 1.
+    exponent q > 1 and rate slack epsilon in (0, 1).  The dimension is the
+    pair's, which a :class:`PairEvaluation` requires to be one.
 
     The Fourier argument needs an even weight power, so ``p_even`` rounds p
     up to the next even integer >= 2; the original p is retained and the
@@ -90,19 +90,15 @@ class BoundParams:
     p: float
     q: float
     epsilon: float
-    d: int
 
     def __post_init__(self):
         _require_exponent(self.p, "weight power p", 1.0)
         _require_exponent(self.q, "transport exponent q", 1.0, strict=True)
         if not 0 < self.epsilon < 1:
             raise PreconditionError("epsilon must lie in (0, 1)")
-        if not (float(self.d).is_integer() and self.d >= 1):
-            raise PreconditionError(
-                f"dimension d must be an integer >= 1, got {self.d!r}"
-            )
-        # the certificates' truncation order must stay in the float range
-        choose_l(self.epsilon, self.p, self.d)
+        # the truncation order of the (1-D) certificates must stay in the
+        # float range
+        choose_l(self.epsilon, self.p, 1)
 
     @property
     def p_even(self) -> int:
@@ -113,7 +109,7 @@ class BoundParams:
         return float(self.p).is_integer() and int(self.p) % 2 == 0
 
     def to_json(self) -> dict:
-        return {"p": self.p, "q": self.q, "epsilon": self.epsilon, "d": self.d}
+        return {"p": self.p, "q": self.q, "epsilon": self.epsilon}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +307,6 @@ class BoundCertificate:
     lhs: float
     rhs: float
     ledger: ConstantLedger
-    envelope_note: str
     provenance: str = "empirical"
 
     @property
@@ -332,9 +327,6 @@ class BoundCertificate:
             "provenance": self.provenance,
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # the pair evaluation and shared assembly pieces
@@ -346,16 +338,16 @@ class LawEvaluation:
     The quantiles at the Gauss-Hermite levels of both rule orders, the law
     discretized on ``grid`` refined ``level`` times (the grid keeps the
     refined grids and their meshes, so every law on it shares them), its
-    characteristic grid, its order-``K`` decay-envelope tables and its
-    absolute and exponential moments are each computed on first use and
+    characteristic grid, its decay-envelope tables per derivative order and
+    its absolute and exponential moments are each computed on first use and
     then kept, so every pair that holds this evaluation shares them.
     :meth:`solve_quantiles` fills the quantiles of many evaluations from
     one solver call, as a sweep does for all of its laws.  Concurrent first
     uses recompute the same deterministic value.
     """
 
-    def __init__(self, law: GaussianMixture, grid: SpaceGrid, K: int):
-        self.law, self.grid, self.K = law, grid, K
+    def __init__(self, law: GaussianMixture, grid: SpaceGrid):
+        self.law, self.grid = law, grid
         self._kept = {}
         self._quantiles = None
 
@@ -389,14 +381,13 @@ class LawEvaluation:
     def char_grid(self):
         return char_fn_grid(self.density(0))
 
-    def poly_envelope(self, L: int) -> PolyEnvelopeTable:
+    def poly_envelope(self, K: int, L: int) -> PolyEnvelopeTable:
         return self._keep(
-            ("poly_envelope", L), lambda: poly_envelope(self.char_grid, self.K, L)
+            ("poly_envelope", K, L), lambda: poly_envelope(self.char_grid, K, L)
         )
 
-    @cached_property
-    def exp_envelope(self) -> ExpEnvelopeTable:
-        return exp_envelope(self.char_grid, self.K)
+    def exp_envelope(self, K: int) -> ExpEnvelopeTable:
+        return self._keep(("exp_envelope", K), lambda: exp_envelope(self.char_grid, K))
 
     def abs_moment(self, m: float) -> float:
         return self._keep(("abs_moment", m), lambda: self.law.abs_moment(m))
@@ -421,20 +412,16 @@ class PairEvaluation:
     """
 
     def __init__(self, a: GaussianMixture, b: GaussianMixture, params: BoundParams):
-        _check_pair(a, b, params)
+        _check_pair(a, b)
         grid = common_grid(a, b)
-        self._setup(
-            LawEvaluation(a, grid, params.p_even),
-            LawEvaluation(b, grid, params.p_even),
-            params,
-        )
+        self._setup(LawEvaluation(a, grid), LawEvaluation(b, grid), params)
 
     @classmethod
     def of_laws(cls, la: LawEvaluation, lb: LawEvaluation, params: BoundParams):
-        """The pair of two law evaluations on one grid, at order p_even."""
-        _check_pair(la.law, lb.law, params)
-        if la.grid != lb.grid or la.K != params.p_even or lb.K != params.p_even:
-            raise PreconditionError("law evaluations disagree on the grid or order")
+        """The pair of two law evaluations on one grid."""
+        _check_pair(la.law, lb.law)
+        if la.grid != lb.grid:
+            raise PreconditionError("law evaluations disagree on the grid")
         pair = cls.__new__(cls)
         pair._setup(la, lb, params)
         return pair
@@ -477,20 +464,22 @@ class PairEvaluation:
         """Frequency-side table valid for both laws, k <= p_even, l <= L."""
         if L not in self._poly_envelopes:
             la, lb = self.laws
-            self._poly_envelopes[L] = la.poly_envelope(L).combine_max(lb.poly_envelope(L))
+            K = self.params.p_even
+            self._poly_envelopes[L] = la.poly_envelope(K, L).combine_max(
+                lb.poly_envelope(K, L)
+            )
         return self._poly_envelopes[L]
 
     @cached_property
     def exp_envelopes(self) -> ExpEnvelopeTable:
         """Exponential-decay table valid for both laws, k <= p_even."""
         la, lb = self.laws
-        return la.exp_envelope.combine(lb.exp_envelope)
+        K = self.params.p_even
+        return la.exp_envelope(K).combine(lb.exp_envelope(K))
 
 
-def _check_pair(a: GaussianMixture, b: GaussianMixture, params: BoundParams):
-    if a.d != b.d or a.d != params.d:
-        raise PreconditionError("pair and parameter dimensions disagree")
-    if params.d != 1:
+def _check_pair(a: GaussianMixture, b: GaussianMixture):
+    if a.d != 1 or b.d != 1:
         raise PreconditionError(
             "certificates require an exact Wasserstein gap, which is only "
             "available in dimension one for analytic inputs"
@@ -505,9 +494,7 @@ def _trivial_rho_bound(a, b, p: float) -> float:
 def _zero_certificate(params, regime, l) -> BoundCertificate:
     ledger = ConstantLedger()
     ledger.extra["branch"] = "identical-inputs"
-    return BoundCertificate(
-        params, regime, l, 1.0, 0.0, 0.0, 0.0, ledger, "not-needed (A = 0)"
-    )
+    return BoundCertificate(params, regime, l, 1.0, 0.0, 0.0, 0.0, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +511,7 @@ def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
     """
     a, b = pair.laws
     params = pair.params
-    p, d = params.p_even, params.d
+    p, d = params.p_even, pair.a.d
     l = choose_l(params.epsilon, p, d)
     A = pair.gap
     if A <= ZERO_GAP:
@@ -566,9 +553,7 @@ def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
         ledger.extra["branch"] = "constant"
         rhs = triv * A
     ledger.validate()
-
-    note = f"empirical frequency-side envelopes, k <= {envelopes.max_k}, l <= {envelopes.max_l}"
-    return BoundCertificate(params, "lemma1-poly", l, M, A, pair.rho, rhs, ledger, note)
+    return BoundCertificate(params, "lemma1-poly", l, M, A, pair.rho, rhs, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +566,7 @@ def pointwise_certificate(pair: PairEvaluation, alpha=None) -> BoundCertificate:
     moments and the frequency-side envelope at orders 0 and p_even."""
     a, b = pair.laws
     params = pair.params
-    p, d = params.p_even, params.d
+    p, d = params.p_even, pair.a.d
     alpha = tuple(alpha) if alpha is not None else (0,) * d
     if len(alpha) != d or not all(
         isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0
@@ -639,8 +624,7 @@ def pointwise_certificate(pair: PairEvaluation, alpha=None) -> BoundCertificate:
         diff = np.abs(density_derivative(fa, alpha) - density_derivative(fb, alpha))
     weight = 1.0 + pair.grid.radii() ** params.p
     lhs = float(np.max(diff * weight))
-    note = f"empirical frequency-side envelopes, k <= {envelopes.max_k}, l <= {envelopes.max_l}"
-    return BoundCertificate(params, "pointwise", l, M, A, lhs, rhs, ledger, note)
+    return BoundCertificate(params, "pointwise", l, M, A, lhs, rhs, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +654,7 @@ def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundC
     """
     a, b = pair.laws
     params = pair.params
-    p, d = params.p_even, params.d
+    p, d = params.p_even, pair.a.d
     if r <= 0:
         raise PreconditionError("exponential moment rate must be > 0")
     A = pair.gap
@@ -706,10 +690,7 @@ def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundC
         ledger.extra["branch"] = "constant"
         ledger.validate()
         rhs = triv * max(A, 1.0)
-        return BoundCertificate(
-            params, "lemma2-exp", d + 1, 1.0, A, lhs, rhs, ledger,
-            "empirical exponential envelopes (fallback branch)",
-        )
+        return BoundCertificate(params, "lemma2-exp", d + 1, 1.0, A, lhs, rhs, ledger)
 
     log_gap = abs(math.log(A))
     vball = _unit_ball_volume(d)
@@ -766,6 +747,5 @@ def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundC
 
     rhs = c4 * A * log_gap ** (2 * d + 1)
     return BoundCertificate(
-        params, "lemma2-exp", d + 1, 2.0 * log_gap / r_p, A, lhs, rhs, ledger,
-        "empirical exponential envelopes",
+        params, "lemma2-exp", d + 1, 2.0 * log_gap / r_p, A, lhs, rhs, ledger
     )

@@ -64,7 +64,7 @@ def _cmd_envelope(args) -> int:
 def _cmd_certify(args) -> int:
     a = _load_mixture(args.a)
     b = _load_mixture(args.b)
-    params = BoundParams(p=args.p, q=args.q, epsilon=args.eps, d=a.d)
+    params = BoundParams(p=args.p, q=args.q, epsilon=args.eps)
     pair = PairEvaluation(a, b, params)
     if args.regime == "lemma1":
         cert = polynomial_rate_certificate(pair)

@@ -347,9 +347,6 @@ class GaussianMixture:
 
     # -- moments --------------------------------------------------------------
 
-    def mean(self) -> np.ndarray:
-        return self._w @ self._m
-
     def abs_moment(self, p: float) -> float:
         """E |X|^p for real p >= 0 (Euclidean norm).
 

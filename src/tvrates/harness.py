@@ -53,10 +53,11 @@ CSV_COLUMNS = ("h", "A", "rho_p", "tv", "rhs1", "rhs2", "psup", "prhs",
 class Scenario:
     """A named sweep configuration.
 
-    ``h_grid`` must hold finite values > 0 in strictly descending order,
-    ``box_sigmas``, ``smoothing_sigma`` and ``r_exp`` must be finite and
-    > 0, ``resolution`` is None or a power of two, ``seed`` an integer
-    >= 0 and ``entropic_check`` a bool; a violation raises
+    ``base`` must be a 1-D mixture and ``contaminant``, if given, one of the
+    same dimension; ``h_grid`` must hold finite values > 0 in strictly
+    descending order, ``box_sigmas``, ``smoothing_sigma`` and ``r_exp``
+    must be finite and > 0, ``resolution`` is None or a power of two,
+    ``seed`` an integer >= 0 and ``entropic_check`` a bool; a violation raises
     :class:`PreconditionError` naming the field.  The
     contaminant (for the mixture-weight and smoothed-sequence families)
     defaults to the base translated by +2.  ``entropic_check`` adds an
@@ -87,6 +88,16 @@ class Scenario:
             )
         if self.perturbation not in PERTURBATION_KINDS:
             raise PreconditionError(f"unknown perturbation {self.perturbation!r}")
+        # the certificates need the exact gap, which exists in 1-D only
+        if self.base.d != 1:
+            raise PreconditionError(
+                f"scenario field base must be a 1-D mixture, got dimension {self.base.d}"
+            )
+        if self.contaminant is not None and self.contaminant.d != self.base.d:
+            raise PreconditionError(
+                "scenario field contaminant must have the dimension of base "
+                f"({self.base.d}), got {self.contaminant.d}"
+            )
         try:
             hs = tuple(_real(h, "h_grid") for h in self.h_grid)
         except TypeError:
@@ -160,7 +171,7 @@ class Scenario:
         base = GaussianMixture.from_json(doc["base"])
         params = BoundParams(
             p=_real(doc["p"], "p"), q=_real(doc["q"], "q"),
-            epsilon=_real(doc["epsilon"], "epsilon"), d=base.d,
+            epsilon=_real(doc["epsilon"], "epsilon"),
         )
         contaminant = (
             GaussianMixture.from_json(doc["contaminant"])
@@ -321,7 +332,7 @@ def run_sweep(sc: Scenario) -> SweepReport:
         for ev in kept:
             if ev.law == law:
                 return ev
-        ev = LawEvaluation(law, grid, sc.params.p_even)
+        ev = LawEvaluation(law, grid)
         if keep:
             kept.append(ev)
         return ev
@@ -372,7 +383,7 @@ def run_sweep(sc: Scenario) -> SweepReport:
     )
 
 
-def default_scenarios(params: BoundParams | None = None) -> list[Scenario]:
+def default_scenarios() -> list[Scenario]:
     """The standard validation suite: one scenario per perturbation family
     on a standard normal base.
 
@@ -384,7 +395,7 @@ def default_scenarios(params: BoundParams | None = None) -> list[Scenario]:
     """
     from .distributions import gaussian
 
-    params = params or BoundParams(p=2.0, q=2.0, epsilon=0.1, d=1)
+    params = BoundParams(p=2.0, q=2.0, epsilon=0.1)
     base = gaussian(0.0, 1.0)
     grids = {
         "translate": (0.5, 0.1, 1e-2, 1e-3, 1e-4),

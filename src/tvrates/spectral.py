@@ -105,9 +105,6 @@ class CharGrid:
     def freq_axes(self):
         return self.space_grid.freq_axes()
 
-    def freq_radii(self):
-        return self.space_grid.freq_radii()
-
     def value_at(self, u) -> complex:
         """Value at the grid node nearest to frequency u."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -307,10 +304,6 @@ class ExpEnvelopeTable:
             if not (r > 0 and math.isfinite(self.integrals.get(k, math.nan))):
                 raise PreconditionError("exponential envelopes need r > 0, c finite")
 
-    @property
-    def max_k(self) -> int:
-        return max(self.rates)
-
     def get(self, k: int):
         if k not in self.rates:
             raise PreconditionError(f"exponential envelope missing order {k}")
@@ -338,6 +331,8 @@ def _derivative_stack(obj, K: int):
     (alpha, |derivative| array) over all |alpha| = k, and coord_radii is |x|
     (density side) or |u| (frequency side) at the nodes.  The arrays are
     read-only, so a :class:`CharGrid` can keep the stack for every reader.
+    Orders are built one at a time; the first whose magnitudes leave the
+    float range raises :class:`ResolutionError`.
     """
     if isinstance(obj, GridDensity):
         side = "density"
@@ -350,7 +345,7 @@ def _derivative_stack(obj, K: int):
             mult = (-1j) ** sum(alpha) * _monomial(freq_mesh, alpha)
             return np.abs(inverse_transform(grid, phi * mult))
 
-        _check_diff_stability(np.abs(phi), grid.freq_radii(), K)
+        weight_mag, dual_radii = np.abs(phi), grid.freq_radii()
     elif isinstance(obj, CharGrid):
         side = "frequency"
         grid = obj.space_grid
@@ -363,14 +358,23 @@ def _derivative_stack(obj, K: int):
             moment = forward_transform(grid, _monomial(mesh, alpha) * dens)
             return np.abs((1j) ** sum(alpha) * moment)
 
-        _check_diff_stability(np.abs(dens), grid.radii(), K)
+        weight_mag, dual_radii = np.abs(dens), grid.radii()
     else:
         raise PreconditionError("expected a GridDensity or CharGrid")
 
-    stacks = {
-        k: [(alpha, deriv(alpha)) for alpha in multiindices(grid.d, k)]
-        for k in range(K + 1)
-    }
+    stacks = {}
+    # overflowed orders are caught below, so numpy need not warn about them;
+    # the stability check passes when both of its maxima overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_diff_stability(weight_mag, dual_radii, K)
+        for k in range(K + 1):
+            stack = [(alpha, deriv(alpha)) for alpha in multiindices(grid.d, k)]
+            if not all(np.isfinite(mag).all() for _, mag in stack):
+                raise ResolutionError(
+                    f"order-{k} derivative magnitudes overflowed; "
+                    "lower the derivative order"
+                )
+            stacks[k] = stack
     for arr in [radii] + [mag for stack in stacks.values() for _, mag in stack]:
         arr.flags.writeable = False
     return side, grid, radii, stacks
@@ -435,14 +439,13 @@ def poly_envelope(obj, K: int, L: int) -> PolyEnvelopeTable:
     log_weight = np.log1p(radii)
     table = np.zeros((K + 1, L + 1))
     for k in range(K + 1):
-        for alpha, mag in stacks[k]:
-            for l, v in enumerate(_resolved_log_maxima(mag, log_weight, L)):
-                if v > LOG_FLOAT_MAX:
-                    table[k, l] = math.inf
-                elif v > -math.inf:
-                    table[k, l] = max(table[k, l], math.exp(v))
-    if not np.all(np.isfinite(table)):
-        raise ResolutionError("envelope entries overflowed; lower the weight power")
+        # exp is monotone, so the exp of the largest log is the largest entry
+        logs = np.max(
+            [_resolved_log_maxima(mag, log_weight, L) for _, mag in stacks[k]], axis=0
+        )
+        if logs.max() > LOG_FLOAT_MAX:
+            raise ResolutionError("envelope entries overflowed; lower the weight power")
+        table[k] = [math.exp(v) for v in logs]
     return PolyEnvelopeTable(side, K, L, table)
 
 

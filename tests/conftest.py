@@ -15,4 +15,4 @@ def bimodal():
 
 @pytest.fixture
 def default_params():
-    return BoundParams(p=2.0, q=2.0, epsilon=0.1, d=1)
+    return BoundParams(p=2.0, q=2.0, epsilon=0.1)

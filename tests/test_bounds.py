@@ -37,7 +37,7 @@ from tvrates.transport import normal_levels
 
 
 def assert_law_quantiles_match_order_calls(law):
-    ev = LawEvaluation(law, common_grid(law, law), 2)
+    ev = LawEvaluation(law, common_grid(law, law))
     for n in (128, 256):
         np.testing.assert_array_equal(ev.quantiles(n), law.quantile(normal_levels(n)))
 
@@ -240,7 +240,7 @@ class TestPolynomialCertificate:
         assert cert.satisfied
 
     def test_odd_p_supplement_recorded(self, std_normal):
-        params = BoundParams(p=3.0, q=2.0, epsilon=0.2, d=1)
+        params = BoundParams(p=3.0, q=2.0, epsilon=0.2)
         cert = polynomial_rate_certificate(
             PairEvaluation(std_normal, gaussian(0.1, 1.0), params)
         )
@@ -254,7 +254,7 @@ class TestPolynomialCertificate:
         c2 = polynomial_rate_certificate(
             PairEvaluation(std_normal, gaussian(0.2, 1.0), default_params)
         )
-        assert c1.to_json_str() == c2.to_json_str()
+        assert c1.to_json() == c2.to_json()
 
     def test_intermediate_product_step_sound(self, std_normal, default_params):
         # the assembled Chat also bounds the measurable intermediate step:
@@ -278,15 +278,13 @@ class TestPolynomialCertificate:
         lhs = np.abs((std_normal.pdf(x) - b.pdf(x)) * x**2).max()
         assert lhs <= chat * gap ** (1.0 - 2.0 / (l + 1.0))
 
-    def test_multivariate_pairs_rejected(self):
+    def test_multivariate_pairs_rejected(self, std_normal, default_params):
         import numpy as np_
 
         g2 = gaussian([0.0, 0.0], np_.eye(2))
-        params = BoundParams(p=2.0, q=2.0, epsilon=0.1, d=2)
-        with pytest.raises(PreconditionError, match="dimension one"):
-            polynomial_rate_certificate(
-                PairEvaluation(g2, g2.translate([0.1, 0.0]), params)
-            )
+        for a, b in ((g2, g2.translate([0.1, 0.0])), (std_normal, g2), (g2, std_normal)):
+            with pytest.raises(PreconditionError, match="dimension one"):
+                PairEvaluation(a, b, default_params)
 
     def test_json_schema(self, std_normal, default_params):
         cert = polynomial_rate_certificate(
@@ -298,6 +296,7 @@ class TestPolynomialCertificate:
             "satisfied", "provenance",
         }
         assert doc["regime"] == "lemma1-poly"
+        assert doc["params"] == {"p": 2.0, "q": 2.0, "epsilon": 0.1}
         assert doc["provenance"] == "empirical"
 
 
@@ -341,7 +340,7 @@ class TestPointwiseCertificate:
     def test_numpy_integer_multiindex_accepted(self, std_normal, default_params):
         pair = PairEvaluation(std_normal, gaussian(0.05, 1.0), default_params)
         got = pointwise_certificate(pair, alpha=(np.int64(1),))
-        assert got.to_json_str() == pointwise_certificate(pair, alpha=(1,)).to_json_str()
+        assert got.to_json() == pointwise_certificate(pair, alpha=(1,)).to_json()
 
 
 class TestExponentialCertificate:
@@ -400,26 +399,23 @@ class TestExponentialCertificate:
 class TestParams:
     def test_validation(self):
         for bad in (
-            dict(p=0.5, q=2, epsilon=0.1, d=1),
-            dict(p=2, q=1.0, epsilon=0.1, d=1),
-            dict(p=2, q=2, epsilon=0.0, d=1),
-            dict(p=2, q=2, epsilon=0.1, d=0),
-            dict(p=math.inf, q=2, epsilon=0.1, d=1),
-            dict(p=math.nan, q=2, epsilon=0.1, d=1),
-            dict(p=2, q=math.inf, epsilon=0.1, d=1),
-            dict(p=2, q=math.nan, epsilon=0.1, d=1),
-            dict(p=2, q=2, epsilon=0.1, d=1.5),
-            dict(p=2, q=2, epsilon=0.1, d=math.inf),
+            dict(p=0.5, q=2, epsilon=0.1),
+            dict(p=2, q=1.0, epsilon=0.1),
+            dict(p=2, q=2, epsilon=0.0),
+            dict(p=math.inf, q=2, epsilon=0.1),
+            dict(p=math.nan, q=2, epsilon=0.1),
+            dict(p=2, q=math.inf, epsilon=0.1),
+            dict(p=2, q=math.nan, epsilon=0.1),
         ):
             with pytest.raises(PreconditionError):
                 BoundParams(**bad)
 
     def test_even_promotion(self):
-        assert BoundParams(p=1, q=2, epsilon=0.5, d=1).p_even == 2
-        assert BoundParams(p=2, q=2, epsilon=0.5, d=1).p_even == 2
-        assert BoundParams(p=2.5, q=2, epsilon=0.5, d=1).p_even == 4
-        assert BoundParams(p=3, q=2, epsilon=0.5, d=1).p_even == 4
-        assert BoundParams(p=4, q=2, epsilon=0.5, d=1).p_even == 4
+        assert BoundParams(p=1, q=2, epsilon=0.5).p_even == 2
+        assert BoundParams(p=2, q=2, epsilon=0.5).p_even == 2
+        assert BoundParams(p=2.5, q=2, epsilon=0.5).p_even == 4
+        assert BoundParams(p=3, q=2, epsilon=0.5).p_even == 4
+        assert BoundParams(p=4, q=2, epsilon=0.5).p_even == 4
 
 
 class TestPairEvaluation:
@@ -438,9 +434,9 @@ class TestPairEvaluation:
     @pytest.mark.parametrize(
         "h, params",
         [
-            (1e-3, BoundParams(p=2.0, q=2.0, epsilon=0.1, d=1)),  # rate branch
-            (5.0, BoundParams(p=2.0, q=2.0, epsilon=0.1, d=1)),  # constant branch
-            (0.1, BoundParams(p=3.0, q=2.0, epsilon=0.2, d=1)),  # odd p
+            (1e-3, BoundParams(p=2.0, q=2.0, epsilon=0.1)),  # rate branch
+            (5.0, BoundParams(p=2.0, q=2.0, epsilon=0.1)),  # constant branch
+            (0.1, BoundParams(p=3.0, q=2.0, epsilon=0.2)),  # odd p
         ],
     )
     def test_shared_evaluation_matches_fresh_ones(self, std_normal, h, params):
@@ -453,14 +449,14 @@ class TestPairEvaluation:
         shared = PairEvaluation(std_normal, b, params)
         for build in builders:
             fresh = PairEvaluation(std_normal, b, params)
-            assert build(shared).to_json_str() == build(fresh).to_json_str()
+            assert build(shared).to_json() == build(fresh).to_json()
 
     @pytest.mark.parametrize(
         "h, params",
         [
-            (1e-3, BoundParams(p=2.0, q=2.0, epsilon=0.1, d=1)),  # rate branch
-            (5.0, BoundParams(p=2.0, q=2.0, epsilon=0.1, d=1)),  # constant branch
-            (0.1, BoundParams(p=3.0, q=2.0, epsilon=0.2, d=1)),  # odd p
+            (1e-3, BoundParams(p=2.0, q=2.0, epsilon=0.1)),  # rate branch
+            (5.0, BoundParams(p=2.0, q=2.0, epsilon=0.1)),  # constant branch
+            (0.1, BoundParams(p=3.0, q=2.0, epsilon=0.2)),  # odd p
         ],
     )
     def test_one_ladder_matches_standalone_distances(self, std_normal, h, params):
@@ -474,7 +470,7 @@ class TestPairEvaluation:
     def test_envelope_overflow_is_a_typed_error(self, std_normal):
         # epsilon = 0.02 needs l ~ 300, whose frequency weights exceed a double
         pair = PairEvaluation(
-            std_normal, gaussian(0.01, 1.0), BoundParams(2, 2, 0.02, 1)
+            std_normal, gaussian(0.01, 1.0), BoundParams(2, 2, 0.02)
         )
         with pytest.raises(TvratesError, match="overflowed"):
             polynomial_rate_certificate(pair)
@@ -483,39 +479,30 @@ class TestPairEvaluation:
     def test_moment_overflow_is_a_typed_error(self, std_normal, epsilon, order):
         # the envelopes stay finite here, but a_{0,2l} overflows a double
         pair = PairEvaluation(
-            std_normal, gaussian(0.01, 1.0), BoundParams(2, 2, epsilon, 1)
+            std_normal, gaussian(0.01, 1.0), BoundParams(2, 2, epsilon)
         )
         with pytest.raises(TvratesError, match=f"order {order}"):
             polynomial_rate_certificate(pair)
 
     def test_pairs_share_law_evaluations(self, std_normal, default_params):
         grid = PairEvaluation(std_normal, gaussian(0.1, 1.0), default_params).grid
-        ref = LawEvaluation(std_normal, grid, default_params.p_even)
+        ref = LawEvaluation(std_normal, grid)
         for h in (0.1, 0.01):
             b = gaussian(h, 1.0)
-            shared = PairEvaluation.of_laws(
-                ref, LawEvaluation(b, grid, default_params.p_even), default_params
-            )
+            shared = PairEvaluation.of_laws(ref, LawEvaluation(b, grid), default_params)
             fresh = PairEvaluation.of_laws(
-                LawEvaluation(std_normal, grid, default_params.p_even),
-                LawEvaluation(b, grid, default_params.p_even),
-                default_params,
+                LawEvaluation(std_normal, grid), LawEvaluation(b, grid), default_params
             )
             for build in (polynomial_rate_certificate, exponential_rate_certificate,
                           pointwise_certificate):
-                assert build(shared).to_json_str() == build(fresh).to_json_str()
+                assert build(shared).to_json() == build(fresh).to_json()
 
     def test_law_evaluations_must_agree(self, std_normal, default_params):
         grid = PairEvaluation(std_normal, gaussian(0.1, 1.0), default_params).grid
         b = gaussian(0.1, 1.0)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="grid"):
             PairEvaluation.of_laws(
-                LawEvaluation(std_normal, grid, 2), LawEvaluation(b, grid.refined(), 2),
-                default_params,
-            )
-        with pytest.raises(PreconditionError):
-            PairEvaluation.of_laws(
-                LawEvaluation(std_normal, grid, 4), LawEvaluation(b, grid, 4),
+                LawEvaluation(std_normal, grid), LawEvaluation(b, grid.refined()),
                 default_params,
             )
 

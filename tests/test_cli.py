@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import signal
 import tempfile
 
 import numpy as np
@@ -27,6 +28,30 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+class Deadline(Exception):
+    """Raised by the alarm; ``main`` catches no such exception."""
+
+
+def assert_overflow_within_deadline(capsys, argv, seconds=10.0):
+    """``main(argv)`` returns within ``seconds`` with exit 2 and one stderr
+    line that says the derivative orders overflowed."""
+
+    def expire(signum, frame):
+        raise Deadline(f"{argv[0]} did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("precondition violation:")
+    assert "overflowed" in err
 
 
 class TestDist:
@@ -117,6 +142,14 @@ class TestEnvelope:
         assert len(doc["entries"]) == 3 * 4
         assert all(set(e) == {"k", "l", "c"} for e in doc["entries"])
 
+    @pytest.mark.parametrize("side", ["density", "frequency"])
+    def test_order_past_the_float_range_is_one_line(self, mixture_files, capsys, side):
+        # x^400 and u^400 leave the float range on the default grid
+        a, _ = mixture_files
+        assert_overflow_within_deadline(
+            capsys, ["envelope", "--input", a, "--side", side, "--K", "400"]
+        )
+
 
 class TestCertify:
     @pytest.mark.parametrize("regime,tag", [
@@ -165,6 +198,15 @@ class TestCertify:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("precondition violation:")
         assert field in err
+
+    def test_weight_power_past_the_derivative_range_is_one_line(
+        self, mixture_files, capsys
+    ):
+        # p_even = 1e6 is the order of each law's derivative stack
+        a, b = mixture_files
+        assert_overflow_within_deadline(
+            capsys, ["certify", "--a", a, "--b", b, "--regime", "lemma1", "--p", "1e6"]
+        )
 
 
 class TestSweep:
@@ -261,6 +303,23 @@ class TestSweep:
         doc = self.scenario_doc()
         base = doc["base"]
         del (base if field in base else base["components"][0])[field]
+        self.assert_one_line_precondition(tmp_path, capsys, doc, field)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("base", lambda doc: doc.update(base=gaussian([0.0, 0.0], np.eye(2)).to_json())),
+            ("contaminant", lambda doc: doc.update(
+                perturbation="mixture-weight",
+                contaminant=gaussian([2.0, 0.0], np.eye(2)).to_json(),
+            )),
+        ],
+    )
+    def test_multivariate_law_is_one_line_precondition(
+        self, tmp_path, capsys, field, edit
+    ):
+        doc = self.scenario_doc()
+        edit(doc)
         self.assert_one_line_precondition(tmp_path, capsys, doc, field)
 
     def test_non_object_scenario_is_one_line_precondition(self, tmp_path, capsys):

@@ -23,7 +23,7 @@ def tiny_scenario(name="t", kind="translate", hs=(0.1, 0.01, 0.001)):
         base=gaussian(0.0, 1.0),
         perturbation=kind,
         h_grid=hs,
-        params=BoundParams(p=2.0, q=2.0, epsilon=0.1, d=1),
+        params=BoundParams(p=2.0, q=2.0, epsilon=0.1),
         resolution=2048,
     )
 
@@ -298,7 +298,7 @@ class TestRunSweep:
             base=gaussian(0.0, 1.0),
             perturbation="translate",
             h_grid=(0.8, 0.4, 0.2),
-            params=BoundParams(p=2.0, q=2.0, epsilon=0.1, d=1),
+            params=BoundParams(p=2.0, q=2.0, epsilon=0.1),
             resolution=2048,
             entropic_check=True,
         )
@@ -355,3 +355,16 @@ class TestEmitReport:
         p2 = emit_report(run_sweep(sc), tmp_path / "two", ("csv", "json", "svg"))
         for a, b in zip(p1, p2):
             assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_benchmark_tracer_binds_every_traced_function(monkeypatch):
+    # the benchmark's traced runs wrap these functions by name; building the
+    # tracer looks each one up, so deleting or renaming one fails here
+    import importlib
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    traced = tracer.Tracer()
+    assert len(traced.names) == sum(len(specs) for specs in tracer.LAYERS.values())
+    assert all(sites for _, _, sites in traced.targets)

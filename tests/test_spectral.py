@@ -251,7 +251,7 @@ class TestPolyEnvelope:
             grid = common_grid(ref, first, sc.box_sigmas, sc.resolution)
             K, L = sc.params.p_even, 77
             for law in [ref] + [perturb_pair(sc, h)[1] for h in sc.h_grid]:
-                cg = LawEvaluation(law, grid, K).char_grid
+                cg = LawEvaluation(law, grid).char_grid
                 _, _, radii, stacks = _derivative_stack(cg, K)
                 want = poly_table_loop(stacks, radii, K, L, RESOLVED_FLOOR, LOG_FLOAT_MAX)
                 np.testing.assert_array_equal(poly_envelope(cg, K, L).table, want)
