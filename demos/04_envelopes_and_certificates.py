@@ -32,7 +32,7 @@ from tvrates import (
 
 base = gaussian(0.0, 1.0)
 # the density at the midpoints of 4096 cells on [-10, 10]
-f = discretize(base, SpaceGrid((-10,), (10,), (4096,)))
+f = discretize(base, SpaceGrid(-10, 10, 4096))
 
 print("== polynomial decay table of the standard normal (density side) ==")
 tab = poly_envelope(f, 2, 4)

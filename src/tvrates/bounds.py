@@ -17,7 +17,7 @@ Two regimes are implemented, plus a pointwise variant:
   ``M = s |ln A|/r``.  Rows outside the small-gap regime fall back to a
   trivially sound constant bound.
 
-* ``pointwise``: sup-norm version for a fixed derivative multiindex.
+* ``pointwise``: sup-norm version for a fixed derivative order.
 
 All certificates are *empirical*: envelope constants are grid maxima, so a
 certificate is strong evidence, not a proof, and carries that provenance tag.
@@ -71,6 +71,10 @@ __all__ = [
 # Gaps below this are treated as zero (identical laws up to round-off).
 ZERO_GAP = 1e-14
 
+# The dimension d of the paper's constants for every certified pair: the
+# exact W_q gap exists for one-dimensional laws only.
+DIM = 1
+
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -79,8 +83,8 @@ ZERO_GAP = 1e-14
 @dataclass(frozen=True)
 class BoundParams:
     """Certificate parameters: finite weight power p >= 1, finite transport
-    exponent q > 1 and rate slack epsilon in (0, 1).  The dimension is the
-    pair's, which a :class:`PairEvaluation` requires to be one.
+    exponent q > 1 and rate slack epsilon in (0, 1); the laws, and so the
+    dimension ``DIM``, are one-dimensional.
 
     The Fourier argument needs an even weight power, so ``p_even`` rounds p
     up to the next even integer >= 2; the original p is retained and the
@@ -96,9 +100,9 @@ class BoundParams:
         _require_exponent(self.q, "transport exponent q", 1.0, strict=True)
         if not 0 < self.epsilon < 1:
             raise PreconditionError("epsilon must lie in (0, 1)")
-        # the truncation order of the (1-D) certificates must stay in the
-        # float range
-        choose_l(self.epsilon, self.p, 1)
+        # the truncation order of the certificates must stay in the float
+        # range
+        choose_l(self.epsilon, self.p, DIM)
 
     @property
     def p_even(self) -> int:
@@ -412,14 +416,12 @@ class PairEvaluation:
     """
 
     def __init__(self, a: GaussianMixture, b: GaussianMixture, params: BoundParams):
-        _check_pair(a, b)
         grid = common_grid(a, b)
         self._setup(LawEvaluation(a, grid), LawEvaluation(b, grid), params)
 
     @classmethod
     def of_laws(cls, la: LawEvaluation, lb: LawEvaluation, params: BoundParams):
         """The pair of two law evaluations on one grid."""
-        _check_pair(la.law, lb.law)
         if la.grid != lb.grid:
             raise PreconditionError("law evaluations disagree on the grid")
         pair = cls.__new__(cls)
@@ -478,14 +480,6 @@ class PairEvaluation:
         return la.exp_envelope(K).combine(lb.exp_envelope(K))
 
 
-def _check_pair(a: GaussianMixture, b: GaussianMixture):
-    if a.d != 1 or b.d != 1:
-        raise PreconditionError(
-            "certificates require an exact Wasserstein gap, which is only "
-            "available in dimension one for analytic inputs"
-        )
-
-
 def _trivial_rho_bound(a, b, p: float) -> float:
     """rho_p(a, b) <= int (1 + |x|^p)(f_a + f_b) = 2 + E_a|X|^p + E_b|X|^p."""
     return 2.0 + a.abs_moment(p) + b.abs_moment(p)
@@ -511,7 +505,7 @@ def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
     """
     a, b = pair.laws
     params = pair.params
-    p, d = params.p_even, pair.a.d
+    p, d = params.p_even, DIM
     l = choose_l(params.epsilon, p, d)
     A = pair.gap
     if A <= ZERO_GAP:
@@ -560,24 +554,19 @@ def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
 # pointwise regime
 # ---------------------------------------------------------------------------
 
-def pointwise_certificate(pair: PairEvaluation, alpha=None) -> BoundCertificate:
-    """Sup-norm certificate: ||(d^alpha f_a - d^alpha f_b)(1 + |x|^p)||_inf
-    <= K A^{(l - d - |alpha|)/(l + 1)} with K assembled from the pair's
+def pointwise_certificate(pair: PairEvaluation, alpha: int = 0) -> BoundCertificate:
+    """Sup-norm certificate: ||(f_a^{(alpha)} - f_b^{(alpha)})(1 + |x|^p)||_inf
+    <= K A^{(l - d - alpha)/(l + 1)} with K assembled from the pair's
     moments and the frequency-side envelope at orders 0 and p_even."""
     a, b = pair.laws
     params = pair.params
-    p, d = params.p_even, pair.a.d
-    alpha = tuple(alpha) if alpha is not None else (0,) * d
-    if len(alpha) != d or not all(
-        isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0
-        for x in alpha
-    ):
+    p, d = params.p_even, DIM
+    if not (isinstance(alpha, numbers.Integral) and not isinstance(alpha, bool)
+            and alpha >= 0):
         raise PreconditionError(
-            f"alpha must be a multiindex of rank {d} with integer entries >= 0, "
-            f"got {alpha!r}"
+            f"alpha must be a derivative order: an integer >= 0, got {alpha!r}"
         )
-    alpha = tuple(int(x) for x in alpha)
-    k_a = sum(alpha)
+    k_a = int(alpha)
     l = max(choose_l(params.epsilon, p, d), d + k_a + 1)
     A = pair.gap
     if A <= ZERO_GAP:
@@ -592,12 +581,12 @@ def pointwise_certificate(pair: PairEvaluation, alpha=None) -> BoundCertificate:
     ledger.theta[(l, p)] = theta_exponent(l, p, d)
     vball = _unit_ball_volume(d)
     inv_two_pi_d = (2.0 * math.pi) ** (-d)
-    # weighted part: |d^alpha(f_a - f_b)| sum_j |x_j|^p
+    # weighted part: |(f_a - f_b)^{(alpha)}| |x|^p
     k_weighted = inv_two_pi_d * (
         2.0 * d * ledger.c_ring[p] * vball
         + 2.0 * d * envelopes.get(p, l) * ledger.gamma[l - k_a]
     )
-    # flat part: |d^alpha(f_a - f_b)| alone, via plain inversion
+    # flat part: |(f_a - f_b)^{(alpha)}| alone, via plain inversion
     k_flat = inv_two_pi_d * (
         2.0 * vball + 2.0 * envelopes.get(0, l) * ledger.gamma[l - k_a]
     )
@@ -621,7 +610,7 @@ def pointwise_certificate(pair: PairEvaluation, alpha=None) -> BoundCertificate:
     if k_a == 0:
         diff = np.abs(fa.values - fb.values)
     else:
-        diff = np.abs(density_derivative(fa, alpha) - density_derivative(fb, alpha))
+        diff = np.abs(density_derivative(fa, k_a) - density_derivative(fb, k_a))
     weight = 1.0 + pair.grid.radii() ** params.p
     lhs = float(np.max(diff * weight))
     return BoundCertificate(params, "pointwise", l, M, A, lhs, rhs, ledger)
@@ -654,7 +643,7 @@ def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundC
     """
     a, b = pair.laws
     params = pair.params
-    p, d = params.p_even, pair.a.d
+    p, d = params.p_even, DIM
     if r <= 0:
         raise PreconditionError("exponential moment rate must be > 0")
     A = pair.gap

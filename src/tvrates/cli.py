@@ -71,14 +71,12 @@ def _cmd_certify(args) -> int:
     elif args.regime == "lemma2":
         cert = exponential_rate_certificate(pair, r=args.r)
     else:
-        alpha = None
-        if args.alpha:
-            try:
-                alpha = tuple(int(x) for x in args.alpha.split(","))
-            except ValueError:
-                raise PreconditionError(
-                    f"--alpha must be comma-separated integers, got {args.alpha!r}"
-                ) from None
+        try:
+            alpha = int(args.alpha)
+        except ValueError:
+            raise PreconditionError(
+                f"--alpha must be an integer >= 0, got {args.alpha!r}"
+            ) from None
         cert = pointwise_certificate(pair, alpha=alpha)
     print(json.dumps(cert.to_json(), sort_keys=True))
     return EXIT_OK
@@ -131,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument(
         "--regime", required=True, choices=("lemma1", "lemma2", "pointwise")
     )
-    p_cert.add_argument("--alpha", default=None,
-                        help="comma-separated multiindex for --regime pointwise")
+    p_cert.add_argument("--alpha", default="0",
+                        help="derivative order for --regime pointwise")
     p_cert.add_argument("--r", type=float, default=1.0,
                         help="exponential moment rate for --regime lemma2")
     p_cert.set_defaults(func=_cmd_certify)

@@ -40,8 +40,8 @@ __all__ = [
 # Mass allowed outside a discretization box before it is rejected.
 MASS_DEFECT_LIMIT = 1e-6
 
-# Default per-axis grid resolution by dimension (powers of two).
-DEFAULT_RESOLUTION = {1: 4096, 2: 512, 3: 64}
+# Default grid resolution (a power of two).
+DEFAULT_RESOLUTION = 4096
 
 # Default half-width of sigma boxes, in per-component standard deviations.
 DEFAULT_BOX_SIGMAS = 10.0
@@ -57,133 +57,93 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class SpaceGrid:
-    """Uniform rectangular grid of cell midpoints.
+    """Uniform grid of cell midpoints on an interval.
 
-    The box ``[lo_j, hi_j]`` on axis ``j`` is split into ``shape[j]`` equal
-    cells; node ``k`` sits at the midpoint ``lo_j + (k + 1/2) h_j``.  The dual
-    frequency grid (see :meth:`freq_axes`) has nodes ``-U_j + m * du_j`` with
-    ``U_j = pi / h_j`` and ``du_j = 2 pi / (n_j h_j)``, so ``u = 0`` is always
-    a node.
+    The interval ``[lo, hi]`` is split into ``n`` equal cells of width
+    ``h``; node ``k`` sits at the midpoint ``lo + (k + 1/2) h``.  The dual
+    frequency grid (see :meth:`freqs`) has nodes ``-U + m * du`` with
+    ``U = pi / h`` and ``du = 2 pi / (n h)``, so ``u = 0`` is always a node.
 
-    A grid is a value (``lo``, ``hi``, ``shape``), but it keeps what it
-    derives from them: its node and frequency axes, meshes and radii, its
-    FFT phase vectors and its refined grids are computed on
-    first use and then returned as the same read-only arrays and grids, so
-    every density, transform and envelope on one grid shares them.  The
-    kept data goes away with the grid.  Concurrent first uses recompute the
-    same deterministic value.
+    A grid is a value (``lo``, ``hi``, ``n``), but it keeps what it derives
+    from them: its nodes, frequencies and radii, its FFT phase vectors and
+    its refined grids are computed on first use and then returned as the
+    same read-only arrays and grids, so every density, transform and
+    envelope on one grid shares them.  The kept data goes away with the
+    grid.  Concurrent first uses recompute the same deterministic value.
     """
 
-    lo: tuple
-    hi: tuple
-    shape: tuple
+    lo: float
+    hi: float
+    n: int
     # derived arrays and grids, built on first use by _keep; derived data,
     # so not part of the value
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.lo) != len(self.hi) or len(self.lo) != len(self.shape):
-            raise PreconditionError("box and resolution ranks differ")
         # the negated test also rejects nan and a length past the float range
-        if not all(0 < h - l < math.inf for l, h in zip(self.lo, self.hi)):
-            raise PreconditionError("box intervals must have finite positive length")
-        if not all(_is_pow2(int(n)) for n in self.shape):
-            raise PreconditionError("per-axis resolution must be a power of two")
-        object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        if not 0 < self.hi - self.lo < math.inf:
+            raise PreconditionError("the grid interval must have finite positive length")
+        if not _is_pow2(int(self.n)):
+            raise PreconditionError("grid resolution must be a power of two")
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
+        object.__setattr__(self, "n", int(self.n))
 
     def _keep(self, key, compute):
-        """``compute()`` on the first call for ``key``, then the kept result;
-        the arrays it returns, alone or in a tuple, are made read-only."""
+        """``compute()`` on the first call for ``key``, then the kept result,
+        made read-only if it is an array."""
         if key not in self._derived:
             value = compute()
-            for arr in value if isinstance(value, tuple) else (value,):
-                if isinstance(arr, np.ndarray):
-                    arr.flags.writeable = False
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             self._derived[key] = value
         return self._derived[key]
 
     @property
-    def d(self) -> int:
-        return len(self.shape)
+    def spacing(self) -> float:
+        return (self.hi - self.lo) / self.n
 
     @property
-    def spacings(self) -> np.ndarray:
-        return self._keep("spacings", lambda: (
-            (np.asarray(self.hi) - np.asarray(self.lo)) / np.asarray(self.shape)
-        ))
+    def freq_spacing(self) -> float:
+        return 2.0 * math.pi / (self.n * self.spacing)
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacings))
-
-    def axes(self) -> tuple:
-        hs = self.spacings
-        return self._keep("axes", lambda: tuple(
-            self.lo[j] + (np.arange(self.shape[j]) + 0.5) * hs[j]
-            for j in range(self.d)
-        ))
-
-    def mesh(self) -> tuple:
+    def nodes(self) -> np.ndarray:
         return self._keep(
-            "mesh", lambda: tuple(np.meshgrid(*self.axes(), indexing="ij"))
+            "nodes", lambda: self.lo + (np.arange(self.n) + 0.5) * self.spacing
         )
 
     def radii(self) -> np.ndarray:
-        """Euclidean norm ``|x|`` at every node."""
-        return self._keep("radii", lambda: np.sqrt(sum(m * m for m in self.mesh())))
+        """``|x|`` at every node."""
+        return self._keep("radii", lambda: np.abs(self.nodes()))
 
-    def freq_axes(self) -> tuple:
-        def compute():
-            out = []
-            for n, h in zip(self.shape, self.spacings):
-                du = 2.0 * math.pi / (n * h)
-                out.append((np.arange(n) - n // 2) * du)
-            return tuple(out)
-
-        return self._keep("freq_axes", compute)
-
-    def freq_spacings(self) -> np.ndarray:
-        return 2.0 * math.pi / (np.asarray(self.shape) * self.spacings)
-
-    def freq_mesh(self) -> tuple:
+    def freqs(self) -> np.ndarray:
         return self._keep(
-            "freq_mesh", lambda: tuple(np.meshgrid(*self.freq_axes(), indexing="ij"))
+            "freqs", lambda: (np.arange(self.n) - self.n // 2) * self.freq_spacing
         )
 
     def freq_radii(self) -> np.ndarray:
-        return self._keep(
-            "freq_radii", lambda: np.sqrt(sum(m * m for m in self.freq_mesh()))
-        )
+        return self._keep("freq_radii", lambda: np.abs(self.freqs()))
 
-    def freq_cell_volume(self) -> float:
-        return float(np.prod(self.freq_spacings()))
-
-    def phases(self, sign: float) -> tuple:
-        """Per-axis factors ``exp(sign * i * u * x0)`` over the frequencies
-        in FFT (wrapped) order, each broadcastable over the grid: the box
-        offset correction of the transforms in :mod:`tvrates.spectral`."""
+    def phases(self, sign: float) -> np.ndarray:
+        """Factors ``exp(sign * i * u * x0)`` over the frequencies in FFT
+        (wrapped) order: the box offset correction of the transforms in
+        :mod:`tvrates.spectral`."""
+        h = self.spacing
 
         def compute():
-            out = []
-            for j, (lo, n, h) in enumerate(zip(self.lo, self.shape, self.spacings)):
-                shape = [1] * self.d
-                shape[j] = n
-                uw = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-                out.append(np.exp(sign * 1j * uw * (lo + 0.5 * h)).reshape(shape))
-            return tuple(out)
+            uw = 2.0 * math.pi * np.fft.fftfreq(self.n, d=h)
+            return np.exp(sign * 1j * uw * (self.lo + 0.5 * h))
 
         return self._keep(("phases", sign), compute)
 
     def refined(self, factor: int = 2) -> "SpaceGrid":
-        """Same box with ``factor`` times as many nodes per axis; the grid
-        itself for a factor of 1."""
+        """Same interval with ``factor`` times as many nodes; the grid itself
+        for a factor of 1."""
         if factor == 1:
             return self
-        return self._keep(("refined", factor), lambda: SpaceGrid(
-            self.lo, self.hi, tuple(n * factor for n in self.shape)
-        ))
+        return self._keep(
+            ("refined", factor), lambda: SpaceGrid(self.lo, self.hi, self.n * factor)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -191,31 +151,39 @@ class SpaceGrid:
 # ---------------------------------------------------------------------------
 
 def _as_mixture_arrays(weights, means, covs):
+    """Weights, means and variances as (K,) arrays; a mean may come as
+    ``[m]`` and a variance as ``[v]`` or ``[[v]]``."""
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     m = np.asarray(means, dtype=float)
-    if m.ndim == 1:
-        m = m[:, None]
-    c = np.asarray(covs, dtype=float)
-    if c.ndim == 1:
-        c = c[:, None, None]
-    elif c.ndim == 2 and m.shape[1] == 1:
-        # list of 1x1 matrices collapsed by asarray
-        c = c.reshape(len(w), 1, 1)
-    return w, m, c
+    v = np.asarray(covs, dtype=float)
+    if m.ndim == 2 and m.shape[1:] == (1,):
+        m = m[:, 0]
+    if v.ndim > 1 and v.shape[1:] in ((1,), (1, 1)):
+        v = v.reshape(len(v))
+    if m.ndim != 1 or v.ndim != 1:
+        raise PreconditionError(
+            "mixtures are one-dimensional: give each component a scalar mean "
+            "and variance"
+        )
+    return w, m, v
 
 
 class GaussianMixture:
-    """Finite Gaussian mixture on R^d with exact densities and moments.
+    """Finite Gaussian mixture on the real line with exact densities and
+    moments.
 
     Parameters
     ----------
     weights : (K,) array-like, positive, summing to 1 within 1e-12
-    means : (K, d) array-like (a (K,) vector is promoted to d = 1)
-    covs : (K, d, d) array-like of symmetric positive-definite matrices
+    means : (K,) array-like (or (K, 1))
+    covs : (K,) array-like of variances > 0 (or (K, 1) or (K, 1, 1))
+
+    ``means`` and ``covs`` read back in the (K, 1) and (K, 1, 1) shapes of
+    the JSON document.
     """
 
     def __init__(self, weights, means, covs):
-        w, m, c = _as_mixture_arrays(weights, means, covs)
+        w, m, v = _as_mixture_arrays(weights, means, covs)
         if w.ndim != 1 or len(w) == 0:
             raise PreconditionError("weights must be a non-empty vector")
         # nan fails both comparisons, so it is rejected with the rest
@@ -223,40 +191,20 @@ class GaussianMixture:
             raise PreconditionError("weights must lie in (0, 1]")
         if abs(w.sum() - 1.0) > 1e-12:
             raise PreconditionError(f"weights sum to {w.sum()!r}, not 1")
-        if m.shape[0] != len(w) or c.shape[0] != len(w):
+        if len(m) != len(w) or len(v) != len(w):
             raise PreconditionError("component count mismatch")
-        d = m.shape[1]
-        if d < 1:
-            raise PreconditionError("dimension must be >= 1")
-        if c.shape[1:] != (d, d):
-            raise PreconditionError("covariance shape mismatch")
-        if not np.allclose(c, np.swapaxes(c, 1, 2), atol=1e-12):
-            raise PreconditionError("covariances must be symmetric")
-        if not np.all(np.isfinite(m)) or not np.all(np.isfinite(c)):
+        if not np.all(np.isfinite(m)) or not np.all(np.isfinite(v)):
             raise PreconditionError("parameters must be finite")
+        if not np.all(v > 0):
+            raise PreconditionError("variances must be > 0")
 
-        self._w = w
-        self._m = m
-        self._c = c
-        self._d = d
-        try:
-            self._chol = np.linalg.cholesky(c)
-        except np.linalg.LinAlgError:
-            raise PreconditionError("covariances must be positive definite") from None
-        self._chol_inv = np.linalg.inv(self._chol)
-        self._log_norm = -0.5 * d * math.log(2.0 * math.pi) - np.log(
-            np.abs(self._chol.diagonal(axis1=1, axis2=2)).prod(axis=1)
-        )
-        arrays = (self._w, self._m, self._c, self._chol, self._chol_inv,
-                  self._log_norm)
-        for a in arrays:
+        self._w, self._m, self._v = w, m, v
+        self._s = np.sqrt(v)
+        self._log_norm = -0.5 * math.log(2.0 * math.pi) - np.log(self._s)
+        for a in (w, m, v, self._s, self._log_norm):
             a.flags.writeable = False
 
     # -- basic accessors ----------------------------------------------------
-
-    @property
-    def d(self) -> int:
-        return self._d
 
     @property
     def n_components(self) -> int:
@@ -268,68 +216,45 @@ class GaussianMixture:
 
     @property
     def means(self) -> np.ndarray:
-        return self._m
+        return self._m[:, None]
 
     @property
     def covs(self) -> np.ndarray:
-        return self._c
+        return self._v[:, None, None]
 
     def __eq__(self, other):
         return (
             isinstance(other, GaussianMixture)
             and self._w.shape == other._w.shape
-            and self._d == other._d
             and np.array_equal(self._w, other._w)
             and np.array_equal(self._m, other._m)
-            and np.array_equal(self._c, other._c)
+            and np.array_equal(self._v, other._v)
         )
 
     def __repr__(self):
-        return f"GaussianMixture(d={self._d}, K={len(self._w)})"
+        return f"GaussianMixture(K={len(self._w)})"
 
-    # -- density / cf -------------------------------------------------------
+    # -- density / cf / cdf ---------------------------------------------------
 
     def pdf(self, x) -> np.ndarray:
-        """Mixture density at points ``x`` of shape (..., d) (or scalars in 1-D)."""
+        """Mixture density at the points ``x`` (a scalar or any array)."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        if self._d == 1 and (scalar or x.shape[-1] != 1):
-            x = x.reshape(x.shape + (1,))
-        if x.shape[-1] != self._d:
-            raise PreconditionError(
-                f"point dimension {x.shape[-1]} != distribution dimension {self._d}"
-            )
-        diff = x[..., None, :] - self._m  # (..., K, d)
-        z = np.einsum("kij,...kj->...ki", self._chol_inv, diff)
-        expo = -0.5 * np.sum(z * z, axis=-1) + self._log_norm
-        out = np.sum(self._w * np.exp(expo), axis=-1)
-        return float(out) if scalar else out
+        z = (x[..., None] - self._m) * (1.0 / self._s)
+        out = np.sum(self._w * np.exp(-0.5 * (z * z) + self._log_norm), axis=-1)
+        return float(out) if x.ndim == 0 else out
 
     def char_fn(self, u) -> np.ndarray:
-        """Characteristic function E exp(i <u, X>) at frequencies ``u``.
-
-        Accepts shape (..., d) (or scalars in 1-D) and returns complex values
-        of shape (...). Exact: sum_k w_k exp(i <u, m_k> - u' S_k u / 2).
-        """
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        if self._d == 1 and (scalar or u.shape[-1] != 1):
-            u = u.reshape(u.shape + (1,))
-        if u.shape[-1] != self._d:
-            raise PreconditionError("frequency dimension mismatch")
-        phase = np.einsum("...j,kj->...k", u, self._m)
-        quad = np.einsum("...i,kij,...j->...k", u, self._c, u)
-        out = np.sum(self._w * np.exp(1j * phase - 0.5 * quad), axis=-1)
-        return complex(out) if scalar else out
-
-    # -- one-dimensional cdf / quantile --------------------------------------
+        """Characteristic function E exp(i u X) at the frequencies ``u`` (a
+        scalar or any array), complex valued.  Exact:
+        sum_k w_k exp(i u m_k - s_k^2 u^2 / 2)."""
+        u = np.asarray(u, dtype=float)[..., None]
+        out = np.sum(self._w * np.exp(1j * u * self._m - 0.5 * self._v * u * u), axis=-1)
+        return complex(out) if out.ndim == 0 else out
 
     def cdf(self, x) -> np.ndarray:
-        """Mixture CDF; one-dimensional mixtures only."""
-        self._require_1d()
+        """Mixture CDF."""
         x = np.asarray(x, dtype=float)
-        s = np.sqrt(self._c[:, 0, 0])
-        z = (x[..., None] - self._m[:, 0]) / s
+        z = (x[..., None] - self._m) / self._s
         return np.sum(self._w * special.ndtr(z), axis=-1)
 
     def quantile(self, u):
@@ -348,13 +273,11 @@ class GaussianMixture:
     # -- moments --------------------------------------------------------------
 
     def abs_moment(self, p: float) -> float:
-        """E |X|^p for real p >= 0 (Euclidean norm).
+        """E |X|^p for real p >= 0.
 
-        Closed form for even integer p in any dimension (moments of the
-        quadratic form |X|^2 from its cumulants) and for any other p in
-        dimension one (Gaussian absolute moments via the confluent
-        hypergeometric function); other orders need d = 1.  Relative error
-        <= 1e-8.
+        Closed form: for even integer p from the cumulants of X^2, for any
+        other p from the Gaussian absolute moments (the confluent
+        hypergeometric function).  Relative error <= 1e-8.
         """
         if not 0 <= p < math.inf:
             raise PreconditionError(f"moment order must be finite and >= 0, got {p!r}")
@@ -362,28 +285,25 @@ class GaussianMixture:
             return 1.0
         if float(p).is_integer() and int(p) % 2 == 0:
             p = int(p)
-            terms = (_norm_sq_moment(mu, cov, p // 2) for mu, cov in zip(self._m, self._c))
+            terms = (_norm_sq_moment(m, v, p // 2) for m, v in zip(self._m, self._v))
         else:
-            self._require_1d()
             terms = (
-                _gauss_abs_moment_1d(m, math.sqrt(c), p)
-                for m, c in zip(self._m[:, 0], self._c[:, 0, 0])
+                _gauss_abs_moment_1d(m, math.sqrt(v), p) for m, v in zip(self._m, self._v)
             )
         return self._finite_mean(terms, f"moment of order {p} (E|X|^{p})")
 
     def exp_abs_moment(self, r: float) -> float:
-        """E exp(r |X|) for finite r >= 0; closed form in dimension one."""
+        """E exp(r |X|) for finite r >= 0, in closed form."""
         if not 0 <= r < math.inf:
             raise PreconditionError(f"rate must be finite and >= 0, got {r!r}")
         if r == 0:
             return 1.0
-        self._require_1d()
 
         def terms():
-            for m, c in zip(self._m[:, 0], self._c[:, 0, 0]):
-                s = math.sqrt(c)
+            for m, v in zip(self._m, self._v):
+                s = math.sqrt(v)
                 # E e^{r|X|} = e^{rm + r^2 s^2/2} Phi(m/s + rs) + e^{-rm + r^2 s^2/2} Phi(-m/s + rs)
-                half = 0.5 * r * r * c
+                half = 0.5 * r * r * v
                 yield (
                     math.exp(r * m + half) * special.ndtr(m / s + r * s)
                     + math.exp(-r * m + half) * special.ndtr(-m / s + r * s)
@@ -410,21 +330,19 @@ class GaussianMixture:
     # -- transformations -------------------------------------------------------
 
     def smooth(self, sigma: float) -> "GaussianMixture":
-        """Law of X + theta with theta ~ N(0, sigma^2 I) independent of X."""
+        """Law of X + theta with theta ~ N(0, sigma^2) independent of X."""
         if sigma <= 0:
             raise PreconditionError("smoothing width must be > 0")
-        bump = sigma * sigma * np.eye(self._d)
-        return GaussianMixture(self._w, self._m, self._c + bump)
+        return GaussianMixture(self._w, self._m, self._v + sigma * sigma)
 
-    def translate(self, shift) -> "GaussianMixture":
-        shift = np.broadcast_to(np.asarray(shift, dtype=float), (self._d,))
-        return GaussianMixture(self._w, self._m + shift, self._c)
+    def translate(self, shift: float) -> "GaussianMixture":
+        return GaussianMixture(self._w, self._m + float(shift), self._v)
 
     def scale(self, factor: float) -> "GaussianMixture":
         """Law of factor * X."""
         if factor <= 0:
             raise PreconditionError("scale factor must be > 0")
-        return GaussianMixture(self._w, self._m * factor, self._c * factor**2)
+        return GaussianMixture(self._w, self._m * factor, self._v * factor**2)
 
     def sample(self, n: int, seed) -> "AtomSet":
         """n i.i.d. draws with equal masses 1/n; deterministic given seed."""
@@ -432,18 +350,17 @@ class GaussianMixture:
             raise PreconditionError("sample size must be >= 1")
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(self._w), size=n, p=self._w)
-        z = rng.standard_normal((n, self._d))
-        pts = self._m[idx] + np.einsum("nij,nj->ni", self._chol[idx], z)
+        pts = self._m[idx] + self._s[idx] * rng.standard_normal(n)
         return AtomSet(pts, np.full(n, 1.0 / n))
 
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
-            "d": self._d,
+            "d": 1,
             "components": [
-                {"w": float(w), "mean": m.tolist(), "cov": c.tolist()}
-                for w, m, c in zip(self._w, self._m, self._c)
+                {"w": float(w), "mean": [float(m)], "cov": [[float(v)]]}
+                for w, m, v in zip(self._w, self._m, self._v)
             ],
         }
 
@@ -454,34 +371,28 @@ class GaussianMixture:
         if isinstance(doc, str):
             doc = json.loads(doc)
         d = _json_numbers(doc, "d")
-        if d.ndim != 0 or not (d >= 1 and float(d).is_integer()):
+        if d.ndim != 0 or d != 1:
             raise PreconditionError(
-                f"mixture field d must be an integer >= 1, got {d!r}"
+                f"mixture field d must be 1 (mixtures are one-dimensional), "
+                f"got {doc['d']!r}"
             )
-        d = int(d)
         comps = doc.get("components")
         if not isinstance(comps, list) or not comps:
             raise PreconditionError(
                 f"mixture field components must be a non-empty list, got {comps!r}"
             )
-        w, m, cov = [], [], []
+        fields = {"w": [], "mean": [], "cov": []}
         for i, comp in enumerate(comps):
             where = f"components[{i}]."
-            fields = ((w, "w", ()), (m, "mean", (d,)), (cov, "cov", (d, d)))
-            for out, key, shape in fields:
+            for key, out in fields.items():
                 value = _json_numbers(comp, key, where)
-                # a 1-D document may give a mean or variance as a bare number
-                if value.size != math.prod(shape):
+                # a mean or variance may be a bare number, [m] or [[v]]
+                if value.size != 1:
                     raise PreconditionError(
-                        f"mixture field {where}{key} must hold {math.prod(shape)} "
-                        f"numbers for d = {d}"
+                        f"mixture field {where}{key} must hold 1 number for d = 1"
                     )
-                out.append(value.reshape(shape))
-        return cls(w, m, cov)
-
-    def _require_1d(self):
-        if self._d != 1:
-            raise PreconditionError("operation requires a one-dimensional mixture")
+                out.append(float(value.reshape(())))
+        return cls(fields["w"], fields["mean"], fields["cov"])
 
 
 def _require_mixtures(*objs):
@@ -517,13 +428,10 @@ def _json_numbers(doc, key: str, where: str = "") -> np.ndarray:
     )
 
 
-def gaussian(mean, cov) -> GaussianMixture:
-    """Single-component mixture; scalars are accepted in dimension one."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim == 0:
-        cov = cov.reshape(1, 1)
-    return GaussianMixture([1.0], mean[None, :], cov[None, :, :])
+def gaussian(mean, var) -> GaussianMixture:
+    """Single-component mixture N(mean, var); ``mean`` may also be given as
+    ``[m]`` and ``var`` as ``[v]`` or ``[[v]]``."""
+    return GaussianMixture([1.0], np.reshape(mean, (1, -1)), np.reshape(var, (1, -1)))
 
 
 def mixture_quantiles(items) -> list:
@@ -541,7 +449,6 @@ def mixture_quantiles(items) -> list:
     """
     items = [(law, np.asarray(u, dtype=float)) for law, u in items]
     for law, v in items:
-        law._require_1d()
         # nan fails both comparisons, so it is rejected with the rest
         if not np.all((v > 0.0) & (v < 1.0)):
             raise PreconditionError("quantile level must lie in (0, 1)")
@@ -563,7 +470,7 @@ def _bisect(items) -> list:
         # weights sum to 1 only within 1e-12: levels are fractions of their
         # sum, and the upper bracket stops growing once the CDF reaches it
         total = float(law.weights.sum())
-        means, s = law.means[:, 0], np.sqrt(law.covs[:, 0, 0])
+        means, s = law._m, law._s
         # equal levels follow one trajectory, so each is bisected once
         levels, inverse = np.unique(v.ravel() * total, return_inverse=True)
         lo, hi = float(np.min(means - 10.0 * s)), float(np.max(means + 10.0 * s))
@@ -635,30 +542,26 @@ def _gauss_abs_moment_1d(m: float, s: float, p: float) -> float:
     )
 
 
-def _norm_sq_moment(mu, cov, k: int) -> float:
-    """E (|X|^2)^k for X ~ N(mu, cov) via the cumulants of the quadratic form:
-    kappa_j = 2^{j-1} (j-1)! [tr(cov^j) + j mu' cov^{j-1} mu].
+def _norm_sq_moment(m: float, v: float, k: int) -> float:
+    """E X^{2k} for X ~ N(m, v) via the cumulants of X^2:
+    kappa_j = 2^{j-1} (j-1)! [v^j + j m^2 v^{j-1}].
 
-    All k cumulants come from one stack of the powers cov^0..cov^k, built
-    by the chained products ``power @ cov``; the traces and quadratic forms
-    are read off the whole stack, and each m_n is a left-to-right sum."""
+    The powers v^j are successive products and each quadratic term is
+    ``(m v^{j-1}) m``; each m_n is a left-to-right sum."""
     if k == 0:
         return 1.0
-    powers = np.empty((k + 1,) + cov.shape)
-    powers[0] = np.eye(len(mu))
-    for j in range(k):
-        np.matmul(powers[j], cov, out=powers[j + 1])
-    traces = np.trace(powers[1:], axis1=1, axis2=2)
-    # vecdot takes one dot product per row, as mu @ power @ mu does per order
-    quad = np.vecdot(mu @ powers[:-1], mu)
+    powers = np.empty(k + 1)
+    powers[0] = 1.0
+    np.multiply.accumulate(np.full(k, v), out=powers[1:])
+    quad = m * powers[:-1] * m
     kappa = np.empty(k + 1)
-    kappa[1:] = _cumulant_scales(k) * (traces + np.arange(1, k + 1) * quad)
-    m = np.empty(k + 1)
-    m[0] = 1.0
+    kappa[1:] = _cumulant_scales(k) * (powers[1:] + np.arange(1, k + 1) * quad)
+    out = np.empty(k + 1)
+    out[0] = 1.0
     for n in range(1, k + 1):
         # m_n = sum_i C(n-1, i) kappa_{n-i} m_i, summed left to right
-        m[n] = np.add.accumulate(_binomial_row(n - 1) * kappa[n:0:-1] * m[:n])[-1]
-    return float(m[k])
+        out[n] = np.add.accumulate(_binomial_row(n - 1) * kappa[n:0:-1] * out[:n])[-1]
+    return float(out[k])
 
 
 @functools.cache
@@ -682,23 +585,21 @@ def _binomial_row(n: int) -> np.ndarray:
 # boxes and discretization
 # ---------------------------------------------------------------------------
 
-def sigma_box(dist: GaussianMixture, k_sigma: float = DEFAULT_BOX_SIGMAS) -> np.ndarray:
-    """Per-axis interval [min_c(m - k s), max_c(m + k s)], shape (d, 2)."""
-    s = np.sqrt(np.einsum("kjj->kj", dist.covs))
-    lo = np.min(dist.means - k_sigma * s, axis=0)
-    hi = np.max(dist.means + k_sigma * s, axis=0)
-    return np.stack([lo, hi], axis=1)
+def sigma_box(dist: GaussianMixture, k_sigma: float = DEFAULT_BOX_SIGMAS) -> tuple:
+    """The interval ``(min_c(m - k s), max_c(m + k s))``."""
+    return (
+        float(np.min(dist._m - k_sigma * dist._s)),
+        float(np.max(dist._m + k_sigma * dist._s)),
+    )
 
 
 def tail_mass_bound(dist: GaussianMixture, box) -> float:
-    """Union bound on the mixture mass outside ``box`` from per-axis
-    marginal Gaussian tails."""
-    box = np.asarray(box, dtype=float).reshape(dist.d, 2)
-    s = np.sqrt(np.einsum("kjj->kj", dist.covs))
-    lo_tail = special.ndtr((box[:, 0] - dist.means) / s)
-    hi_tail = special.ndtr(-((box[:, 1] - dist.means) / s))
-    per_comp = np.sum(lo_tail + hi_tail, axis=1)
-    return float(np.sum(dist.weights * np.minimum(per_comp, 1.0)))
+    """Union bound on the mixture mass outside the interval ``box = (lo,
+    hi)`` from the component Gaussian tails."""
+    lo, hi = box
+    lo_tail = special.ndtr((lo - dist._m) / dist._s)
+    hi_tail = special.ndtr(-((hi - dist._m) / dist._s))
+    return float(np.sum(dist.weights * np.minimum(lo_tail + hi_tail, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -713,11 +614,11 @@ class GridDensity:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise PreconditionError("value array does not match grid shape")
+        if vals.shape != (self.grid.n,):
+            raise PreconditionError("value array does not match the grid")
         if np.any(vals < 0):
             raise PreconditionError("density values must be >= 0")
-        mass = vals.sum() * self.grid.cell_volume
+        mass = vals.sum() * self.grid.spacing
         if abs(mass - 1.0) > MASS_DEFECT_LIMIT:
             raise PreconditionError(
                 f"grid mass {mass!r} deviates from 1 beyond {MASS_DEFECT_LIMIT}"
@@ -726,12 +627,8 @@ class GridDensity:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @property
-    def d(self) -> int:
-        return self.grid.d
-
     def mass(self) -> float:
-        return float(self.values.sum() * self.grid.cell_volume)
+        return float(self.values.sum() * self.grid.spacing)
 
 
 def discretize(dist: GaussianMixture, grid: SpaceGrid) -> GridDensity:
@@ -741,43 +638,28 @@ def discretize(dist: GaussianMixture, grid: SpaceGrid) -> GridDensity:
     Raises :class:`MassDefectError` when the tail bound for the mass outside
     the grid's box exceeds ``MASS_DEFECT_LIMIT``.
     """
-    if grid.d != dist.d:
-        raise PreconditionError(
-            f"grid dimension {grid.d} != distribution dimension {dist.d}"
-        )
-    defect = tail_mass_bound(dist, np.stack([grid.lo, grid.hi], axis=1))
+    defect = tail_mass_bound(dist, (grid.lo, grid.hi))
     if defect > MASS_DEFECT_LIMIT:
         raise MassDefectError(defect, MASS_DEFECT_LIMIT)
-    pts = np.stack(grid.mesh(), axis=-1)
-    return GridDensity(grid, dist.pdf(pts), mass_defect=defect)
+    return GridDensity(grid, dist.pdf(grid.nodes()), mass_defect=defect)
 
 
 def common_grid(
     a: GaussianMixture,
     b: GaussianMixture,
     box_sigmas: float = DEFAULT_BOX_SIGMAS,
-    resolution=None,
+    resolution: int | None = None,
 ) -> SpaceGrid:
-    """Smallest sigma-box covering both mixtures, at the default resolution
-    for their dimension unless overridden."""
-    if a.d != b.d:
-        raise PreconditionError("dimension mismatch")
-    ba = sigma_box(a, box_sigmas)
-    bb = sigma_box(b, box_sigmas)
-    lo = np.minimum(ba[:, 0], bb[:, 0])
-    hi = np.maximum(ba[:, 1], bb[:, 1])
+    """Smallest sigma-box covering both mixtures, at ``resolution`` nodes
+    (``DEFAULT_RESOLUTION`` unless given)."""
+    (lo_a, hi_a), (lo_b, hi_b) = sigma_box(a, box_sigmas), sigma_box(b, box_sigmas)
+    lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
     # the negated test also rejects nan
-    if not all(h - l < math.inf for l, h in zip(lo.tolist(), hi.tolist())):
+    if not hi - lo < math.inf:
         raise PreconditionError(
             f"box_sigmas = {box_sigmas!r} makes the grid box wider than the float range"
         )
-    if resolution is None:
-        if a.d not in DEFAULT_RESOLUTION:
-            raise PreconditionError("no default resolution for d > 3; pass one")
-        resolution = DEFAULT_RESOLUTION[a.d]
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * a.d
-    return SpaceGrid(tuple(lo), tuple(hi), tuple(resolution))
+    return SpaceGrid(lo, hi, DEFAULT_RESOLUTION if resolution is None else resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,7 @@ CSV_COLUMNS = ("h", "A", "rho_p", "tv", "rhs1", "rhs2", "psup", "prhs",
 class Scenario:
     """A named sweep configuration.
 
-    ``base`` must be a 1-D mixture and ``contaminant``, if given, one of the
-    same dimension; ``h_grid`` must hold finite values > 0 in strictly
+    ``h_grid`` must hold finite values > 0 in strictly
     descending order, ``box_sigmas``, ``smoothing_sigma`` and ``r_exp``
     must be finite and > 0, ``resolution`` is None or a power of two,
     ``seed`` an integer >= 0 and ``entropic_check`` a bool; a violation raises
@@ -88,16 +87,6 @@ class Scenario:
             )
         if self.perturbation not in PERTURBATION_KINDS:
             raise PreconditionError(f"unknown perturbation {self.perturbation!r}")
-        # the certificates need the exact gap, which exists in 1-D only
-        if self.base.d != 1:
-            raise PreconditionError(
-                f"scenario field base must be a 1-D mixture, got dimension {self.base.d}"
-            )
-        if self.contaminant is not None and self.contaminant.d != self.base.d:
-            raise PreconditionError(
-                "scenario field contaminant must have the dimension of base "
-                f"({self.base.d}), got {self.contaminant.d}"
-            )
         try:
             hs = tuple(_real(h, "h_grid") for h in self.h_grid)
         except TypeError:
@@ -168,16 +157,12 @@ class Scenario:
         for key in REQUIRED_FIELDS:
             if key not in doc:
                 raise PreconditionError(f"scenario field {key} is missing")
-        base = GaussianMixture.from_json(doc["base"])
+        base = _mixture(doc, "base")
         params = BoundParams(
             p=_real(doc["p"], "p"), q=_real(doc["q"], "q"),
             epsilon=_real(doc["epsilon"], "epsilon"),
         )
-        contaminant = (
-            GaussianMixture.from_json(doc["contaminant"])
-            if "contaminant" in doc
-            else None
-        )
+        contaminant = _mixture(doc, "contaminant") if "contaminant" in doc else None
         return cls(
             name=doc["name"],
             base=base,
@@ -192,6 +177,14 @@ class Scenario:
             seed=doc.get("seed", 0),
             entropic_check=doc.get("entropic_check", False),
         )
+
+
+def _mixture(doc: dict, field: str) -> GaussianMixture:
+    """The mixture of scenario field ``field``; PreconditionError names it."""
+    try:
+        return GaussianMixture.from_json(doc[field])
+    except PreconditionError as exc:
+        raise PreconditionError(f"scenario field {field}: {exc}") from None
 
 
 def _real(value, field: str) -> float:
@@ -308,7 +301,9 @@ def _sweep_row(sc: Scenario, h: float, pair: PairEvaluation) -> dict:
 
 def run_sweep(sc: Scenario) -> SweepReport:
     """Execute every row of a scenario; a row failure is recorded and the
-    sweep aborts only when more than 20% of rows fail.
+    sweep aborts only when more than 20% of rows fail, with a
+    :class:`PreconditionError` if every failed row broke a precondition and
+    a :class:`NumericalError` otherwise, naming each distinct message once.
 
     One grid serves the whole sweep, sized for the largest scale (whose box
     covers all smaller ones); per-row boxes would let the tail-fit window
@@ -350,21 +345,24 @@ def run_sweep(sc: Scenario) -> SweepReport:
     LawEvaluation.solve_quantiles(
         [ev for pair in pairs if isinstance(pair, PairEvaluation) for ev in pair.laws]
     )
-    rows, failures = [], []
+    rows, errors = [], []
     for i, h in enumerate(sc.h_grid):
         # the list lets go of each pair once its row is done
         pair, pairs[i] = pairs[i], None
         if isinstance(pair, TvratesError):
-            failures.append((h, str(pair)))
+            errors.append((h, pair))
             continue
         try:
             rows.append(_sweep_row(sc, h, pair))
         except TvratesError as exc:
-            failures.append((h, str(exc)))
+            errors.append((h, exc))
+    failures = tuple((h, str(exc)) for h, exc in errors)
     if len(failures) > 0.2 * len(sc.h_grid):
-        raise NumericalError(
+        # rows that all broke a precondition are the input's fault
+        precondition = all(isinstance(exc, PreconditionError) for _, exc in errors)
+        raise (PreconditionError if precondition else NumericalError)(
             f"sweep {sc.name!r}: {len(failures)} of {len(sc.h_grid)} rows failed: "
-            + "; ".join(msg for _, msg in failures)
+            + "; ".join(dict.fromkeys(msg for _, msg in failures))
         )
     slope, stderr = fit_rate(rows)
     metadata = {
@@ -379,7 +377,7 @@ def run_sweep(sc: Scenario) -> SweepReport:
         slope=slope,
         stderr=stderr,
         metadata=metadata,
-        failures=tuple(failures),
+        failures=failures,
     )
 
 

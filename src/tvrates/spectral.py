@@ -1,8 +1,8 @@
 """Characteristic functions on frequency grids and decay-envelope estimation.
 
 Sign convention, fixed once: the transform of an integrable f is
-``fhat(u) = int f(x) exp(-i<u,x>) dx`` and the characteristic function of a
-law with density f is ``phi(u) = fhat(-u) = int f(x) exp(+i<u,x>) dx``.
+``fhat(u) = int f(x) exp(-iux) dx`` and the characteristic function of a
+law with density f is ``phi(u) = fhat(-u) = int f(x) exp(+iux) dx``.
 All grid transforms below realize phi via the FFT with the continuous-phase
 correction for the box offset, so phi(0) = 1 exactly for unit-mass grids.
 
@@ -21,7 +21,6 @@ tests rather than by proof.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -67,8 +66,8 @@ LOG_FLOAT_MAX = math.log(sys.float_info.max)
 class CharGrid:
     """Complex values on the dual grid of a :class:`SpaceGrid`.
 
-    Frequencies run over ``[-U_j, U_j)`` per axis in ascending order with
-    ``u = 0`` a node.  ``is_characteristic`` marks grids representing a
+    Frequencies run over ``[-U, U)`` in ascending order with ``u = 0`` a
+    node.  ``is_characteristic`` marks grids representing a
     characteristic function itself (then ``|value| <= 1 + 1e-8`` everywhere
     and ``value = 1`` at ``u = 0`` within 1e-8); derived grids such as
     moment-weighted transforms carry no such constraint.
@@ -83,53 +82,40 @@ class CharGrid:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != self.space_grid.shape:
-            raise PreconditionError("value array does not match the dual grid shape")
+        if vals.shape != (self.space_grid.n,):
+            raise PreconditionError("value array does not match the dual grid")
         if self.is_characteristic:
             mags = np.abs(vals)
             if mags.max() > 1.0 + 1e-8:
                 raise PreconditionError(
                     f"|phi| reaches {mags.max()!r} > 1 + 1e-8 on the grid"
                 )
-            origin = tuple(n // 2 for n in vals.shape)
-            if abs(vals[origin] - 1.0) > 1e-8:
+            if abs(vals[len(vals) // 2] - 1.0) > 1e-8:
                 raise PreconditionError("phi(0) differs from 1 beyond 1e-8")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @property
-    def d(self) -> int:
-        return self.space_grid.d
+    def freqs(self) -> np.ndarray:
+        return self.space_grid.freqs()
 
-    def freq_axes(self):
-        return self.space_grid.freq_axes()
-
-    def value_at(self, u) -> complex:
+    def value_at(self, u: float) -> complex:
         """Value at the grid node nearest to frequency u."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        idx = tuple(
-            int(np.abs(ax - u[j]).argmin()) for j, ax in enumerate(self.freq_axes())
-        )
-        return complex(self.values[idx])
+        return complex(self.values[np.abs(self.freqs() - u).argmin()])
 
 
 def forward_transform(grid: SpaceGrid, values) -> np.ndarray:
-    """Discrete approximation of ``int g(x) exp(+i<u,x>) dx`` on the dual
+    """Discrete approximation of ``int g(x) exp(+iux) dx`` on the dual
     grid, ascending frequency order."""
-    out = np.fft.ifftn(np.asarray(values)) * np.prod(grid.shape) * grid.cell_volume
-    for ph in grid.phases(+1.0):
-        out = out * ph
+    out = np.fft.ifft(np.asarray(values)) * grid.n * grid.spacing * grid.phases(+1.0)
     return np.fft.fftshift(out)
 
 
 def inverse_transform(grid: SpaceGrid, freq_values) -> np.ndarray:
     """Exact inverse of :func:`forward_transform`; equals the Riemann sum of
-    ``(2 pi)^{-d} int V(u) exp(-i<u,x>) du`` over the dual grid."""
-    out = np.fft.ifftshift(np.asarray(freq_values, dtype=complex))
-    for ph in grid.phases(-1.0):
-        out = out * ph
-    return np.fft.fftn(out) / (np.prod(grid.shape) * grid.cell_volume)
+    ``(2 pi)^{-1} int V(u) exp(-iux) du`` over the dual grid."""
+    out = np.fft.ifftshift(np.asarray(freq_values, dtype=complex)) * grid.phases(-1.0)
+    return np.fft.fft(out) / (grid.n * grid.spacing)
 
 
 def char_fn_grid(f: GridDensity) -> CharGrid:
@@ -141,54 +127,27 @@ def char_fn_grid(f: GridDensity) -> CharGrid:
 # spectral derivatives
 # ---------------------------------------------------------------------------
 
-def multiindices(d: int, k: int):
-    """All multiindices of total order k in d variables."""
-    out = []
-    for combo in itertools.combinations_with_replacement(range(d), k):
-        alpha = [0] * d
-        for j in combo:
-            alpha[j] += 1
-        out.append(tuple(alpha))
-    return out
-
-
-def _multinomial(k: int, alpha) -> int:
-    num = math.factorial(k)
-    for a in alpha:
-        num //= math.factorial(a)
-    return num
-
-
-def _monomial(mesh, alpha) -> np.ndarray:
-    """x^alpha on a space mesh or u^alpha on a frequency mesh."""
-    out = np.ones(mesh[0].shape)
-    for m, a in zip(mesh, alpha):
-        if a:
-            out = out * m**a
-    return out
-
-
-def density_derivative(f: GridDensity, alpha) -> np.ndarray:
-    """partial_alpha f on the grid, by frequency-side multiplication."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != f.d:
-        raise PreconditionError("multiindex rank does not match dimension")
+def density_derivative(f: GridDensity, k: int) -> np.ndarray:
+    """The order-``k`` derivative of f on the grid, by frequency-side
+    multiplication."""
+    k = int(k)
+    if k < 0:
+        raise PreconditionError(f"derivative order must be >= 0, got {k!r}")
     phi = forward_transform(f.grid, f.values)
-    k = sum(alpha)
-    mult = (-1j) ** k * _monomial(f.grid.freq_mesh(), alpha)
+    mult = (-1j) ** k * f.grid.freqs() ** k
     return inverse_transform(f.grid, phi * mult).real
 
 
 # ---------------------------------------------------------------------------
-# the coordinate-power operator sum_j d^p/du_j^p
+# the power operator d^p/du^p
 # ---------------------------------------------------------------------------
 
 def delta_p_char(f: GridDensity, p: int) -> CharGrid:
-    """Grid of ``sum_j d^p phi / du_j^p`` for even p >= 2.
+    """Grid of ``d^p phi / du^p`` for even p >= 2.
 
     Equals ``i^p`` times the transform of the moment-weighted density
-    ``sum_j x_j^p f(x)``, taken through the fast transform; discretize a
-    mixture first.
+    ``x^p f(x)``, taken through the fast transform; discretize a mixture
+    first.
     """
     if not (float(p).is_integer() and p >= 2 and int(p) % 2 == 0):
         raise PreconditionError(
@@ -197,29 +156,17 @@ def delta_p_char(f: GridDensity, p: int) -> CharGrid:
     p = int(p)
     if not isinstance(f, GridDensity):
         raise PreconditionError("expected a GridDensity")
-    mesh = f.grid.mesh()
-    weight = sum(_monomial(mesh, alpha) for alpha in _axis_powers(f.d, p))
-    vals = (1j) ** p * forward_transform(f.grid, weight * f.values)
+    vals = (1j) ** p * forward_transform(f.grid, f.grid.nodes() ** p * f.values)
     return CharGrid(f.grid, vals, is_characteristic=False)
 
 
-def _axis_powers(d: int, p: int):
-    """Multiindices (0,...,p,...,0) realizing the coordinate powers x_j^p."""
-    out = []
-    for j in range(d):
-        alpha = [0] * d
-        alpha[j] = p
-        out.append(tuple(alpha))
-    return out
-
-
 def weighted_diff_reconstruct(a, b, p: int):
-    """Reconstruct ``(f_a(x) - f_b(x)) * sum_j x_j^p`` from frequency data.
+    """Reconstruct ``(f_a(x) - f_b(x)) * x^p`` from frequency data.
 
     Returns ``(grid, values)``.  The two mixtures are discretized on their
     :func:`common_grid`.  The product is recovered as the inverse transform
-    of the difference of the two coordinate-power derivative grids; for
-    even p the prefactors cancel and the result is real up to round-off.
+    of the difference of the two power-derivative grids; for even p the
+    prefactors cancel and the result is real up to round-off.
     """
     _require_mixtures(a, b)
     grid = common_grid(a, b)
@@ -235,8 +182,8 @@ def weighted_diff_reconstruct(a, b, p: int):
 
 @dataclass(frozen=True)
 class PolyEnvelopeTable:
-    """Constants c_{k,l} >= sup over the grid of |d^alpha g(x)| (1+|x|)^l,
-    maximized over multiindices |alpha| = k, for all k <= max_k, l <= max_l.
+    """Constants c_{k,l} >= sup over the grid of |g^{(k)}(x)| (1+|x|)^l for
+    all k <= max_k, l <= max_l.
 
     ``side`` is "density" (space-domain input) or "frequency"
     (characteristic-function input).  Entries are empirical grid maxima.
@@ -291,8 +238,8 @@ class PolyEnvelopeTable:
 @dataclass(frozen=True)
 class ExpEnvelopeTable:
     """Exponential-decay constants per derivative order k: rates r_k > 0 and
-    integrals c_k >= int |g_k(u)| exp(r_k |u|) du, where g_k is the Euclidean
-    norm of the order-k derivative tensor.  ``sups`` additionally records the
+    integrals c_k >= int |g_k(u)| exp(r_k |u|) du, where g_k is the order-k
+    derivative.  ``sups`` additionally records the
     grid supremum of g_k (used by the certificate engine)."""
 
     rates: dict = field(default_factory=dict)
@@ -327,36 +274,32 @@ class ExpEnvelopeTable:
 def _derivative_stack(obj, K: int):
     """Per-order spectral derivative magnitudes of the object.
 
-    Returns (side, grid, coord_radii, stacks) where stacks[k] is a list of
-    (alpha, |derivative| array) over all |alpha| = k, and coord_radii is |x|
-    (density side) or |u| (frequency side) at the nodes.  The arrays are
-    read-only, so a :class:`CharGrid` can keep the stack for every reader.
-    Orders are built one at a time; the first whose magnitudes leave the
-    float range raises :class:`ResolutionError`.
+    Returns (side, grid, coord_radii, stacks) where stacks[k] is the
+    |order-k derivative| array and coord_radii is |x| (density side) or
+    |u| (frequency side) at the nodes.  The arrays are read-only, so a
+    :class:`CharGrid` can keep the stack for every reader.  Orders are
+    built one at a time; the first whose magnitudes leave the float range
+    raises :class:`ResolutionError`.
     """
     if isinstance(obj, GridDensity):
         side = "density"
         grid = obj.grid
         phi = forward_transform(grid, obj.values)
-        radii = grid.radii()
-        freq_mesh = grid.freq_mesh()
+        radii, freqs = grid.radii(), grid.freqs()
 
-        def deriv(alpha):
-            mult = (-1j) ** sum(alpha) * _monomial(freq_mesh, alpha)
-            return np.abs(inverse_transform(grid, phi * mult))
+        def deriv(k):
+            return np.abs(inverse_transform(grid, phi * ((-1j) ** k * freqs**k)))
 
         weight_mag, dual_radii = np.abs(phi), grid.freq_radii()
     elif isinstance(obj, CharGrid):
         side = "frequency"
         grid = obj.space_grid
         dens = inverse_transform(grid, obj.values)
-        radii = grid.freq_radii()
-        mesh = grid.mesh()
+        radii, nodes = grid.freq_radii(), grid.nodes()
 
-        # partial_alpha phi: i^{|alpha|} times the transform of x^alpha f
-        def deriv(alpha):
-            moment = forward_transform(grid, _monomial(mesh, alpha) * dens)
-            return np.abs((1j) ** sum(alpha) * moment)
+        # phi^{(k)}: i^k times the transform of x^k f
+        def deriv(k):
+            return np.abs((1j) ** k * forward_transform(grid, nodes**k * dens))
 
         weight_mag, dual_radii = np.abs(dens), grid.radii()
     else:
@@ -368,15 +311,14 @@ def _derivative_stack(obj, K: int):
     with np.errstate(over="ignore", invalid="ignore"):
         _check_diff_stability(weight_mag, dual_radii, K)
         for k in range(K + 1):
-            stack = [(alpha, deriv(alpha)) for alpha in multiindices(grid.d, k)]
-            if not all(np.isfinite(mag).all() for _, mag in stack):
+            mag = deriv(k)
+            if not np.isfinite(mag).all():
                 raise ResolutionError(
                     f"order-{k} derivative magnitudes overflowed; "
                     "lower the derivative order"
                 )
-            stacks[k] = stack
-    for arr in [radii] + [mag for stack in stacks.values() for _, mag in stack]:
-        arr.flags.writeable = False
+            mag.flags.writeable = False
+            stacks[k] = mag
     return side, grid, radii, stacks
 
 
@@ -428,8 +370,8 @@ def _resolved_log_maxima(mag, log_weight, L: int) -> np.ndarray:
 def poly_envelope(obj, K: int, L: int) -> PolyEnvelopeTable:
     """Empirical polynomial decay table of a grid object.
 
-    Entry (k, l) is the grid maximum of |d^alpha g(x)| (1+|x|)^l over all
-    multiindices of order k, restricted to the resolved band.  Density-side
+    Entry (k, l) is the grid maximum of |g^{(k)}(x)| (1+|x|)^l, restricted
+    to the resolved band.  Density-side
     input produces the space-domain table; characteristic input produces the
     frequency-domain table.
     """
@@ -440,22 +382,11 @@ def poly_envelope(obj, K: int, L: int) -> PolyEnvelopeTable:
     table = np.zeros((K + 1, L + 1))
     for k in range(K + 1):
         # exp is monotone, so the exp of the largest log is the largest entry
-        logs = np.max(
-            [_resolved_log_maxima(mag, log_weight, L) for _, mag in stacks[k]], axis=0
-        )
+        logs = _resolved_log_maxima(stacks[k], log_weight, L)
         if logs.max() > LOG_FLOAT_MAX:
             raise ResolutionError("envelope entries overflowed; lower the weight power")
         table[k] = [math.exp(v) for v in logs]
     return PolyEnvelopeTable(side, K, L, table)
-
-
-def _tensor_norm(stack_k):
-    """Euclidean norm of the derivative tensor from per-multiindex entries."""
-    k = sum(stack_k[0][0])
-    total = np.zeros_like(stack_k[0][1])
-    for alpha, mag in stack_k:
-        total += _multinomial(k, alpha) * mag**2
-    return np.sqrt(total)
 
 
 def exp_envelope(obj: CharGrid, K: int) -> ExpEnvelopeTable:
@@ -471,12 +402,10 @@ def exp_envelope(obj: CharGrid, K: int) -> ExpEnvelopeTable:
     if not isinstance(obj, CharGrid):
         raise PreconditionError("exponential envelopes require a CharGrid")
     _, grid, radii, stacks = _stack_of(obj, K)
-    dvol = grid.freq_cell_volume()
-    d = grid.d
-    sphere_area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    dvol = grid.freq_spacing
     rates, integrals, sups = {}, {}, {}
     for k in range(K + 1):
-        g = _tensor_norm(stacks[k])
+        g = stacks[k]
         top = g.max()
         resolved = g >= top * RESOLVED_FLOOR
         u_res = radii[resolved].max()
@@ -495,11 +424,10 @@ def exp_envelope(obj: CharGrid, K: int) -> ExpEnvelopeTable:
         body = float(np.sum(g[resolved] * np.exp(r_k * radii[resolved])) * dvol)
         decay = slope + r_k  # = slope / 2 < 0
         tail, _ = integrate.quad(
-            lambda t: t ** (d - 1) * math.exp(intercept + decay * t),
-            u_res,
-            math.inf,
+            lambda t: math.exp(intercept + decay * t), u_res, math.inf
         )
         rates[k] = float(r_k)
-        integrals[k] = body + sphere_area * tail
+        # the fitted tail holds on both half-lines
+        integrals[k] = body + 2.0 * tail
         sups[k] = float(top)
     return ExpEnvelopeTable(rates, integrals, sups)

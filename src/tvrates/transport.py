@@ -114,10 +114,11 @@ def _weighted_l1(va: np.ndarray, vb: np.ndarray, grid: SpaceGrid, p: float) -> f
     diff = np.abs(va - vb)
     if p > 0:
         diff = diff * (1.0 + grid.radii() ** p)
-    return float(diff.sum() * grid.cell_volume)
+    return float(diff.sum() * grid.spacing)
 
 
-MAX_REFINEMENTS = {1: 4, 2: 2, 3: 1}
+# Largest number of grid doublings of the quadrature ladder.
+MAX_REFINEMENTS = 4
 
 # Refinement tolerance of the grid quadrature distances.
 QUADRATURE_TOL = 1e-4
@@ -127,11 +128,11 @@ def refine_weighted_l1(densities, powers) -> tuple:
     """One refinement ladder for several weight powers of one pair.
 
     ``densities(level)`` returns the pair's grid densities on the base grid
-    refined ``level`` times (doubling every axis each time).  Each power's
+    refined ``level`` times (doubling the nodes each time).  Each power's
     value is the weighted L1 difference at the first level whose change
     against the level below is at most ``QUADRATURE_TOL``, with that
     change as its error, so the result for a power does not depend on the
-    other powers.  The ladder runs at most ``MAX_REFINEMENTS[d]`` levels,
+    other powers.  The ladder runs at most ``MAX_REFINEMENTS`` levels,
     stops once every power has resolved and returns one
     :class:`DistanceResult` per power, in order.
     """
@@ -139,7 +140,7 @@ def refine_weighted_l1(densities, powers) -> tuple:
     values = [_weighted_l1(fa.values, fb.values, fa.grid, p) for p in powers]
     results = [None] * len(powers)
     err = math.inf
-    for level in range(1, MAX_REFINEMENTS[fa.d] + 1):
+    for level in range(1, MAX_REFINEMENTS + 1):
         fa, fb = densities(level)
         for i, p in enumerate(powers):
             if results[i] is None:
@@ -220,7 +221,7 @@ QUANTILE_ORDERS = (QUANTILE_NODES, 2 * QUANTILE_NODES)
 
 
 def _rule_quantiles(laws) -> list:
-    """For each 1-D mixture of ``laws``, its quantiles at
+    """For each mixture of ``laws``, its quantiles at
     ``normal_levels(n)`` for both orders ``n`` of ``QUANTILE_ORDERS``, as a
     dict keyed by ``n``; every law's levels are solved in one
     :func:`tvrates.distributions.mixture_quantiles` call, in which each
@@ -258,7 +259,6 @@ def _w1_cdf_1d(a: GaussianMixture, b: GaussianMixture) -> DistanceResult:
     """W_1 = int |F_a - F_b| dx for one-dimensional mixtures, by grid sums."""
     lo, hi = [], []
     for obj in (a, b):
-        obj._require_1d()
         s = np.sqrt(obj.covs[:, 0, 0])
         lo.append(float(np.min(obj.means[:, 0] - 12 * s)))
         hi.append(float(np.max(obj.means[:, 0] + 12 * s)))

@@ -89,21 +89,14 @@ def gauss_power_moment(mu, var, p):
 
 
 def delta_p_char_closed_form(mix, p, grid):
-    """``sum_j d^p phi / du_j^p`` of a Gaussian mixture on the dual grid of
+    """``d^p phi / du^p`` of a Gaussian mixture on the dual grid of
     ``grid``, by differentiating each component's characteristic function:
-    i^p phi_c(u) sum_j E Z_j^p with Z_j of mean m_j + i (cov u)_j and
-    variance cov_jj."""
-    u = np.stack(grid.freq_mesh(), axis=-1)
-    total = np.zeros(grid.shape, dtype=complex)
-    for w, m, cov in zip(mix.weights, mix.means, mix.covs):
-        quad = np.einsum("...i,ij,...j->...", u, cov, u)
-        phi_c = np.exp(1j * (u @ m) - 0.5 * quad)
-        su = u @ cov
-        msum = sum(
-            gauss_power_moment(m[j] + 1j * su[..., j], cov[j, j], p)
-            for j in range(mix.d)
-        )
-        total += w * phi_c * msum
+    i^p phi_c(u) E Z^p with Z of mean m + i v u and variance v."""
+    u = grid.freqs()
+    total = np.zeros(grid.n, dtype=complex)
+    for w, m, v in zip(mix.weights, mix.means[:, 0], mix.covs[:, 0, 0]):
+        phi_c = np.exp(1j * u * m - 0.5 * v * u * u)
+        total += w * phi_c * gauss_power_moment(m + 1j * v * u, v, p)
     return (1j) ** p * total
 
 
@@ -133,22 +126,20 @@ def norm_sq_moment_loop(mu, cov, k):
 
 
 def poly_table_loop(stacks, radii, K, L, floor, log_max):
-    """Polynomial envelope table from a derivative stack, one masked maximum
-    of log|g| + l log(1 + radius) per (alpha, l)."""
+    """Polynomial envelope table from a derivative stack (one magnitude
+    array per order), one masked maximum of log|g| + l log(1 + radius) per
+    (k, l)."""
     log_weight = np.log1p(radii)
     table = np.zeros((K + 1, L + 1))
     for k in range(K + 1):
-        for _, mag in stacks[k]:
-            top = mag.max()
-            if top == 0.0:
-                continue
-            for l in range(L + 1):
-                mask = mag >= top * floor
-                v = (np.log(mag[mask]) + l * log_weight[mask]).max()
-                if v > log_max:
-                    table[k, l] = math.inf
-                else:
-                    table[k, l] = max(table[k, l], math.exp(v))
+        mag = stacks[k]
+        top = mag.max()
+        if top == 0.0:
+            continue
+        for l in range(L + 1):
+            mask = mag >= top * floor
+            v = (np.log(mag[mask]) + l * log_weight[mask]).max()
+            table[k, l] = math.inf if v > log_max else math.exp(v)
     return table
 
 

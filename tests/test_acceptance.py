@@ -118,13 +118,13 @@ def test_criterion_05_fourier_reconstruction():
     a, b = gaussian(0.0, 1.0), gaussian(0.5, 1.0)
     t0 = time.time()
     grid, vals = weighted_diff_reconstruct(a, b, 2)
-    x = grid.mesh()[0]
+    x = grid.nodes()
     direct = (a.pdf(x) - b.pdf(x)) * x**2
     sup_err = float(np.abs(vals - direct).max())
     elapsed = time.time() - t0
     report(
         5,
-        sup_err <= 1e-3 and grid.shape == (4096,) and elapsed < 2.0,
+        sup_err <= 1e-3 and grid.n == 4096 and elapsed < 2.0,
         f"reconstruction sup-error {sup_err:.2e} (tol 1e-3) on n=4096, "
         f"runtime {elapsed:.2f}s (< 2s)",
     )

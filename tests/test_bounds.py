@@ -274,17 +274,14 @@ class TestPolynomialCertificate:
         chat = c_hat(l, 2, c_ring(2, 2.0, std_normal.abs_moment, b.abs_moment),
                      pair, 1)
         gap = tv.wasserstein_1d(std_normal, b, 2).value
-        x = grid.mesh()[0]
+        x = grid.nodes()
         lhs = np.abs((std_normal.pdf(x) - b.pdf(x)) * x**2).max()
         assert lhs <= chat * gap ** (1.0 - 2.0 / (l + 1.0))
 
-    def test_multivariate_pairs_rejected(self, std_normal, default_params):
-        import numpy as np_
-
-        g2 = gaussian([0.0, 0.0], np_.eye(2))
-        for a, b in ((g2, g2.translate([0.1, 0.0])), (std_normal, g2), (g2, std_normal)):
-            with pytest.raises(PreconditionError, match="dimension one"):
-                PairEvaluation(a, b, default_params)
+    def test_multivariate_pairs_rejected(self):
+        # the exact gap exists in dimension one only, so no 2-D law is built
+        with pytest.raises(PreconditionError, match="one-dimensional"):
+            gaussian([0.0, 0.0], np.eye(2))
 
     def test_json_schema(self, std_normal, default_params):
         cert = polynomial_rate_certificate(
@@ -313,13 +310,13 @@ class TestPointwiseCertificate:
         assert cert.satisfied
         # spectral-reconstruction oracle for the weighted sup
         grid, vals = weighted_diff_reconstruct(std_normal, b, 2)
-        x = grid.mesh()[0]
+        x = grid.nodes()
         direct = np.abs((std_normal.pdf(x) - b.pdf(x)) * x**2)
         assert abs(np.abs(vals).max() - direct.max()) <= 1e-3
 
     def test_first_derivative_multiindex(self, std_normal, default_params):
         cert = pointwise_certificate(
-            PairEvaluation(std_normal, gaussian(0.05, 1.0), default_params), alpha=(1,)
+            PairEvaluation(std_normal, gaussian(0.05, 1.0), default_params), alpha=1
         )
         assert cert.satisfied
         expected = (cert.l - 1 - 1) / (cert.l + 1.0)
@@ -331,16 +328,19 @@ class TestPointwiseCertificate:
         )
         assert cert.to_json()["regime"] == "pointwise"
 
-    @pytest.mark.parametrize("alpha", [(0.5,), (True,), (1.0,), ("1",), (-1,), (0, 0)])
+    @pytest.mark.parametrize(
+        "alpha", [0.5, True, 1.0, "1", -1, (0, 0)], ids=[f"alpha{i}" for i in range(6)]
+    )
     def test_non_integer_multiindex_rejected(self, std_normal, default_params, alpha):
+        # the derivative order is one integer >= 0
         pair = PairEvaluation(std_normal, gaussian(0.05, 1.0), default_params)
-        with pytest.raises(PreconditionError, match="alpha must be a multiindex"):
+        with pytest.raises(PreconditionError, match="alpha must be a derivative order"):
             pointwise_certificate(pair, alpha=alpha)
 
     def test_numpy_integer_multiindex_accepted(self, std_normal, default_params):
         pair = PairEvaluation(std_normal, gaussian(0.05, 1.0), default_params)
-        got = pointwise_certificate(pair, alpha=(np.int64(1),))
-        assert got.to_json() == pointwise_certificate(pair, alpha=(1,)).to_json()
+        got = pointwise_certificate(pair, alpha=np.int64(1))
+        assert got.to_json() == pointwise_certificate(pair, alpha=1).to_json()
 
 
 class TestExponentialCertificate:
@@ -385,6 +385,19 @@ class TestExponentialCertificate:
         )
         assert cert.ledger.extra["branch"] == "constant"
         assert cert.satisfied
+
+    @pytest.mark.parametrize("p, odd", [(2.5, True), (4.0, False)])
+    def test_weight_power_past_three_boosts_the_far_term(self, std_normal, p, odd):
+        # p_even = 4 > 2d + 1 doubles the space radius (s = 2), and a p
+        # that is not an even integer adds the tv supplement
+        params = BoundParams(p, 2.0, 0.1)
+        cert = exponential_rate_certificate(
+            PairEvaluation(std_normal, gaussian(1e-3, 1.0), params), r=1.0
+        )
+        extra = cert.ledger.extra
+        assert extra["branch"] == "polylog" and cert.satisfied
+        assert extra["s_factor"] == 2.0 and "far_boost" in extra
+        assert ("odd_p_tv_supplement_coef" in extra) is odd
 
     def test_chain_constants_recorded(self, std_normal, default_params):
         cert = exponential_rate_certificate(

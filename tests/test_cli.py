@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvrates import GaussianMixture, Scenario, SweepReport, gaussian
+from tvrates import GaussianMixture, Scenario, SweepReport, default_scenarios, gaussian
 from tvrates.cli import main
 
 
@@ -22,6 +22,13 @@ def mixture_files(tmp_path):
     a.write_text(json.dumps(gaussian(0.0, 1.0).to_json()))
     b.write_text(json.dumps(gaussian(1.0, 1.0).to_json()))
     return str(a), str(b)
+
+
+# A two-dimensional mixture document: mixtures are one-dimensional.
+PLANAR_DOC = {
+    "d": 2,
+    "components": [{"w": 1.0, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}],
+}
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +129,32 @@ class TestDist:
     def test_bare_numbers_in_one_dimension(self):
         doc = {"d": 1, "components": [{"w": 1.0, "mean": 0.5, "cov": 2.0}]}
         assert GaussianMixture.from_json(doc) == gaussian(0.5, 2.0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dist", "--metric", "rho_p"),
+            ("dist", "--metric", "tv"),
+            ("dist", "--metric", "wq"),
+            ("envelope", "--side", "frequency"),
+            ("certify", "--regime", "lemma1"),
+        ],
+    )
+    def test_planar_mixture_is_one_line_precondition(
+        self, mixture_files, capsys, tmp_path, argv
+    ):
+        a, _ = mixture_files
+        planar = tmp_path / "planar.json"
+        planar.write_text(json.dumps(PLANAR_DOC))
+        if argv[0] == "envelope":
+            argv = (*argv, "--input", str(planar))
+        else:
+            argv = (*argv, "--a", a, "--b", str(planar))
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("precondition violation:")
+        assert "mixture field d must be 1" in err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
@@ -308,10 +341,9 @@ class TestSweep:
     @pytest.mark.parametrize(
         "field, edit",
         [
-            ("base", lambda doc: doc.update(base=gaussian([0.0, 0.0], np.eye(2)).to_json())),
+            ("base", lambda doc: doc.update(base=PLANAR_DOC)),
             ("contaminant", lambda doc: doc.update(
-                perturbation="mixture-weight",
-                contaminant=gaussian([2.0, 0.0], np.eye(2)).to_json(),
+                perturbation="mixture-weight", contaminant=PLANAR_DOC,
             )),
         ],
     )
@@ -357,6 +389,19 @@ class TestSweep:
         assert code == 2
         assert err.count("\n") == 1 and "'pdf'" in err
         assert not (tmp_path / "o").exists()
+
+    def test_precondition_row_failures_exit_2_naming_each_once(self, tmp_path, capsys):
+        # at epsilon = 0.02 every row's envelope overflows: the input's fault
+        doc = default_scenarios()[0].to_json()
+        doc.update(epsilon=0.02, h_grid=doc["h_grid"][:3])
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(doc))
+        code = main(["sweep", "--scenario", str(sc), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("precondition violation:")
+        assert "3 of 3 rows failed" in err
+        assert err.count("envelope entries overflowed") == 1
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from tvrates.errors import NumericalError

@@ -156,7 +156,7 @@ class TestRunSweep:
             def wrapper(*args, **kwargs):
                 if name == "discretize":
                     law, grid = args
-                    calls.append((name, law_key(law), grid.shape))
+                    calls.append((name, law_key(law), grid.n))
                 else:
                     calls.append((name, None, None))
                 return fn(*args, **kwargs)
@@ -247,14 +247,13 @@ class TestRunSweep:
         # every derived array or grid is computed once per grid value
         assert len(keys) == len(set(keys))
         base = common_grid(*perturb_pair(sc, sc.h_grid[0]), sc.box_sigmas, sc.resolution)
-        for key in ("axes", "mesh", "radii", "freq_axes", "freq_mesh", "freq_radii",
+        for key in ("nodes", "radii", "freqs", "freq_radii",
                     ("phases", 1.0), ("phases", -1.0), ("refined", 2)):
             assert (key, base) in keys
-        assert ("mesh", base.refined()) in keys and ("radii", base.refined()) in keys
+        assert ("nodes", base.refined()) in keys and ("radii", base.refined()) in keys
         for _, _, value in first:
-            for arr in value if isinstance(value, tuple) else (value,):
-                if isinstance(arr, np.ndarray):
-                    assert not arr.flags.writeable
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable
         # nothing is kept past a sweep: the second one computes it all again
         assert [(key, grid) for key, grid, _ in second] == keys
         assert all(a is not b for (_, _, a), (_, _, b) in zip(first, second))
@@ -281,15 +280,48 @@ class TestRunSweep:
         assert rep.failures == ((0.03, "forced row failure"),)
 
     def test_majority_row_failures_abort(self, monkeypatch):
+        # rows that all broke a precondition abort with a PreconditionError
+        # naming the shared message once
         import tvrates.harness as hmod
-        from tvrates import NumericalError
 
         def always_fail(sc, h, grid):
             raise PreconditionError("forced row failure")
 
         monkeypatch.setattr(hmod, "_sweep_row", always_fail)
-        with pytest.raises(NumericalError):
+        with pytest.raises(PreconditionError) as exc:
             run_sweep(tiny_scenario())
+        assert str(exc.value).count("forced row failure") == 1
+
+    def test_majority_row_failures_of_mixed_kinds_are_numerical(self, monkeypatch):
+        import tvrates.harness as hmod
+        from tvrates import NumericalError
+
+        def fail(sc, h, grid):
+            if h == sc.h_grid[0]:
+                raise NumericalError("forced numerical failure")
+            raise PreconditionError("forced row failure")
+
+        monkeypatch.setattr(hmod, "_sweep_row", fail)
+        with pytest.raises(NumericalError) as exc:
+            run_sweep(tiny_scenario())
+        msg = str(exc.value)
+        assert msg.count("forced numerical failure") == 1
+        assert msg.count("forced row failure") == 1
+
+    def test_row_whose_pair_construction_raises_is_a_failure(self, monkeypatch):
+        # a scale whose perturbed law cannot be built fails its row alone
+        import tvrates.harness as hmod
+        real = hmod.perturb_pair
+
+        def perturb(sc, h):
+            if h == 0.03:
+                raise PreconditionError("forced pair failure")
+            return real(sc, h)
+
+        monkeypatch.setattr(hmod, "perturb_pair", perturb)
+        rep = run_sweep(tiny_scenario(hs=(0.1, 0.03, 0.01, 0.003, 0.001)))
+        assert [r["h"] for r in rep.rows] == [0.1, 0.01, 0.003, 0.001]
+        assert rep.failures == ((0.03, "forced pair failure"),)
 
     def test_entropic_check_adds_json_only_column(self):
         # larger gaps keep the entropic gap certification cheap here
@@ -368,3 +400,21 @@ def test_benchmark_tracer_binds_every_traced_function(monkeypatch):
     traced = tracer.Tracer()
     assert len(traced.names) == sum(len(specs) for specs in tracer.LAYERS.values())
     assert all(sites for _, _, sites in traced.targets)
+
+
+def test_benchmark_certify_oracle_accepts_first_op_of_each_regime(monkeypatch, tmp_path):
+    # the benchmark's oracles read the mixture representation; a change that
+    # breaks them fails here rather than in a benchmark run
+    import importlib
+    import sys
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    # the benchmark's own ``oracles`` module, not the tests' one of that name
+    for name in ("oracles", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    workloads = importlib.import_module("workloads")
+    ops = workloads.build("certify", 0, str(tmp_path)).ops
+    for regime in workloads.REGIMES:
+        op = next(op for op in ops if op.inputs["regime"] == regime)
+        op.check(op.run())
