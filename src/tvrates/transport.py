@@ -8,10 +8,10 @@ distances come in three flavors: the one-dimensional quantile representation
 solver (sorting in one dimension, an assignment between equal-size sets of
 equal masses, an LP otherwise), and an annealed Sinkhorn solver
 whose reported value is always the cost of a rounded feasible plan, hence an
-upper bound on the exact cost.  Its sweeps run in blocks as scalings of a
-kernel built from log potentials, which absorb the scalings at the end of
-every block; a block whose kernel under- or overflows reruns in the log
-domain.
+upper bound on the exact cost.  Its sweeps run as scalings of one kernel
+per annealing stage, built from log potentials that absorb the scalings only
+at the stage end or when they leave ``SCALING_RANGE``; a block whose kernel
+under- or overflows reruns in the log domain.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ class TransportPlan:
 
 def _require_exponent(x: float, name: str, low: float, strict: bool = False):
     """Reject an exponent that is not a finite number >= ``low`` (> ``low``
-    if ``strict``); every weight power and cost exponent goes through here."""
+    if ``strict``); every weight power and cost exponent goes through here,
+    and so does the relative accuracy of :func:`ot_entropic`."""
     if not (math.isfinite(x) and (x > low if strict else x >= low)):
         bound = f"{'>' if strict else '>='} {low:g}"
         raise PreconditionError(f"{name} must be a finite number {bound}, got {x!r}")
@@ -434,6 +435,14 @@ DEFAULT_REG_SCHEDULE = tuple(0.3 * 0.5**k for k in range(44))
 MARGINAL_TOL = 1e-3
 MARGINAL_CHECK_EVERY = 10
 
+# Range of the scalings carried across the blocks of one annealing stage;
+# a block that leaves it folds them into the log potentials and rebuilds
+# the kernel.
+SCALING_RANGE = (1e-8, 1e8)
+
+# Log of the smallest normal double: the floor of a kernel entry's exponent.
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
 # Cap on the sweeps of one annealing stage.
 MAX_STAGE_SWEEPS = 800
 
@@ -444,14 +453,33 @@ def _logsumexp_rows(M):
     return out.ravel()
 
 
-def _scaling_block(K, v, ma, mb, n):
-    """``n`` Sinkhorn sweeps ``u = ma / (K v)``, ``v = mb / (K^T u)`` on the
-    kernel ``K`` from the column scaling ``v``; returns ``(u, v)``, whose
-    plan is ``u[:, None] * K * v[None, :]``."""
-    for _ in range(n):
-        u = ma / (K @ v)
-        v = mb / (K.T @ u)
-    return u, v
+def _kernel(f, g, Cn, eps):
+    """The Gibbs kernel ``exp((f + g - Cn) / eps)`` of the log potentials
+    ``f``, ``g``.  An entry whose exponent is below the log of the smallest
+    normal double is 0: subnormal entries slow every sweep several-fold and
+    weigh below round-off in any row sum that has not itself underflowed.
+    Entries past the float range are inf."""
+    X = (f[:, None] + g[None, :] - Cn) / eps
+    X[X < _LOG_TINY] = -np.inf
+    with np.errstate(over="ignore"):
+        return np.exp(X, out=X)
+
+
+def _scaling_block(kernel, v, ma, mb, n):
+    """``n`` Sinkhorn sweeps ``u = ma / (K v)``, ``v = mb / (K^T u)`` from
+    the column scaling ``v``, where ``kernel`` is ``K`` and a C-contiguous
+    copy of ``K^T``.  Returns new arrays ``(u, v, rows)``, ``rows`` being
+    the row sums of the plan ``u[:, None] * K * v[None, :]``; zero or
+    non-finite scalings of an under- or overflowed kernel come back as
+    they are."""
+    K, KT = kernel
+    Kv, u = np.empty(len(ma)), np.empty(len(ma))
+    KTu, out = np.empty(len(mb)), np.empty(len(mb))
+    with np.errstate(all="ignore"):
+        for _ in range(n):
+            np.divide(ma, np.dot(K, v, out=Kv), out=u)
+            v = np.divide(mb, np.dot(KT, u, out=KTu), out=out)
+        return u, v, u * np.dot(K, v, out=Kv)
 
 
 def _round_to_feasible(plan, ma, mb):
@@ -480,31 +508,43 @@ def ot_entropic(
 
     ``reg_schedule`` lists decreasing regularization weights relative to the
     cost-matrix maximum, ending at the target epsilon.  The log potentials
-    ``f``, ``g`` warm-start each stage from the last.  Each stage sweeps in
-    blocks of ``MARGINAL_CHECK_EVERY``: a block runs the scaling updates
-    ``u = a / (K v)``, ``v = b / (K^T u)`` on the kernel
-    ``K = exp((f + g - C / max C) / eps)`` of the current potentials, then
-    folds ``eps log u`` and ``eps log v`` into ``f`` and ``g``, the same
-    iterates as log-sum-exp sweeps.  A block whose scalings come back zero or
-    non-finite (the kernel underflowed after a large drop in eps) is rerun
-    with log-sum-exp sweeps.  A stage ends after the block at which the L1
-    error of the plan's row marginal is at most ``MARGINAL_TOL``, or once
-    ``MAX_STAGE_SWEEPS`` sweeps have run.  At the end of every stage the plan
-    is rounded onto the feasibility polytope, so the reported value is the
-    cost of a feasible plan and therefore an upper bound on the exact cost;
-    the annealing stops as soon as the gap against the c-transform dual value
-    certifies relative accuracy ``rtol``, and raises :class:`ConvergenceError`
-    if no stage does.  The error estimate is that duality gap (in distance
-    units).
+    ``f``, ``g`` warm-start each stage from the last.  Each stage builds one
+    kernel ``K = exp((f + g - C / max C) / eps)`` and sweeps in blocks of
+    ``MARGINAL_CHECK_EVERY`` scaling updates ``u = a / (K v)``,
+    ``v = b / (K^T u)``, each block starting from the last block's ``v``.
+    ``eps log u`` and ``eps log v`` are folded into ``f`` and ``g`` at three
+    points only, which gives the same iterates as log-sum-exp sweeps:
+    (a) at the end of the stage; (b) after a block whose scalings leave
+    ``SCALING_RANGE``, which then rebuilds the kernel and restarts from
+    ``u = v = 1``; (c) before a block whose scalings come back zero or
+    non-finite (the kernel underflowed after a large drop in eps), which is
+    then rerun with log-sum-exp sweeps.  A stage ends after the block at
+    which the L1 error of the plan's row marginal is at most
+    ``MARGINAL_TOL``, or once ``MAX_STAGE_SWEEPS`` sweeps have run.  At the
+    end of every stage the plan ``exp((f + g - C / max C) / eps)`` is
+    rounded onto the feasibility polytope, so the reported value is the cost
+    of a feasible plan and therefore an upper bound on the exact cost; the
+    annealing stops as soon as the gap against the c-transform dual value
+    certifies relative accuracy ``rtol``, and raises
+    :class:`ConvergenceError` if no stage does.  The error estimate is that
+    duality gap (in distance units).  An empty schedule, a schedule entry
+    that is not a finite number > 0, a schedule that does not decrease and
+    an ``rtol`` that is not a finite number >= 0 raise
+    :class:`PreconditionError` before any sweep.
     """
     _require_exponent(q, "cost exponent q", 1.0)
+    _require_exponent(rtol, "relative accuracy rtol", 0.0)
     if len(a) < 1 or len(b) < 1:
         raise PreconditionError("atom sets must be non-empty")
     schedule = DEFAULT_REG_SCHEDULE if reg_schedule is None else tuple(reg_schedule)
-    if any(e <= 0 for e in schedule) or any(
+    if not schedule:
+        raise PreconditionError("regularization schedule must not be empty")
+    if not all(math.isfinite(e) and e > 0 for e in schedule) or any(
         e2 >= e1 for e1, e2 in zip(schedule, schedule[1:])
     ):
-        raise PreconditionError("regularization schedule must be positive, decreasing")
+        raise PreconditionError(
+            "regularization schedule must be finite, positive, decreasing"
+        )
     C = _cost_matrix(a, b, q)
     scale = float(C.max())
     if scale == 0.0:
@@ -516,28 +556,44 @@ def ot_entropic(
     g = np.zeros(len(b))
 
     atol = 1e-15 * scale
+    lo, hi = SCALING_RANGE
     for eps in schedule:
+        kernel = None  # None: f and g hold every scaling so far
         for done in range(0, MAX_STAGE_SWEEPS, MARGINAL_CHECK_EVERY):
             sweeps = min(MARGINAL_CHECK_EVERY, MAX_STAGE_SWEEPS - done)
-            with np.errstate(all="ignore"):
-                K = np.exp((f[:, None] + g[None, :] - Cn) / eps)
-                u, v = _scaling_block(K, np.ones(len(b)), a.masses, b.masses, sweeps)
-                rows = u * (K @ v)
-                df, dg = eps * np.log(u), eps * np.log(v)
-                if np.isfinite(df).all() and np.isfinite(dg).all():
-                    f, g = f + df, g + dg
-                else:
-                    # the kernel under- or overflowed (a large drop in eps):
-                    # redo the block in the log domain
-                    for _ in range(sweeps):
-                        f = eps * (la - _logsumexp_rows((g[None, :] - Cn) / eps))
-                        g = eps * (lb - _logsumexp_rows((f[None, :] - Cn.T) / eps))
-                    rows = np.exp((f[:, None] + g[None, :] - Cn) / eps).sum(axis=1)
+            if kernel is None:
+                K = _kernel(f, g, Cn, eps)
+                kernel = K, np.ascontiguousarray(K.T)
+                u, v = np.ones(len(a)), np.ones(len(b))
+            u_next, v_next, rows = _scaling_block(
+                kernel, v, a.masses, b.masses, sweeps
+            )
+            low = np.minimum(u_next.min(), v_next.min())
+            high = np.maximum(u_next.max(), v_next.max())
+            if not (0.0 < low and high < math.inf):
+                # (c) the kernel under- or overflowed (a large drop in eps):
+                # fold the scalings from before the block and redo it in the
+                # log domain; its final kernel is the next block's
+                f, g = f + eps * np.log(u), g + eps * np.log(v)
+                for _ in range(sweeps):
+                    f = eps * (la - _logsumexp_rows((g[None, :] - Cn) / eps))
+                    g = eps * (lb - _logsumexp_rows((f[None, :] - Cn.T) / eps))
+                K = _kernel(f, g, Cn, eps)
+                kernel = K, np.ascontiguousarray(K.T)
+                u, v = np.ones(len(a)), np.ones(len(b))
+                rows = K.sum(axis=1)
+            else:
+                u, v = u_next, v_next
+                if not (lo <= low and high <= hi):
+                    # (b) fold before the scalings lose precision
+                    f, g = f + eps * np.log(u), g + eps * np.log(v)
+                    kernel = None
             if np.abs(rows - a.masses).sum() <= MARGINAL_TOL:
                 break
-        plan = _round_to_feasible(
-            np.exp((f[:, None] + g[None, :] - Cn) / eps), a.masses, b.masses
-        )
+        if kernel is not None:
+            # (a) the stage end
+            f, g = f + eps * np.log(u), g + eps * np.log(v)
+        plan = _round_to_feasible(_kernel(f, g, Cn, eps), a.masses, b.masses)
         cost = float(np.sum(plan * C))
         gap = cost - max(_dual_value(C, f * scale, a, b), 0.0)
         if gap <= rtol * cost + atol:

@@ -1,4 +1,5 @@
-"""Independent oracles used to freeze or cross-check expected values.
+"""Independent reference implementations used to freeze or cross-check
+expected values.
 
 Everything here deliberately avoids the package's own code paths: moments by
 adaptive quadrature, distances by dense quadrature over scipy densities,

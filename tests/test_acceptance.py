@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from oracles import brute_force_ot_uniform
+from reference import brute_force_ot_uniform
 from tvrates import (
     AtomSet,
     char_fn_grid,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mc_pair_moment
+from reference import mc_pair_moment
 from tvrates import (
     BoundParams,
     PairEvaluation,

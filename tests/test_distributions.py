@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.stats import norm
 
-from oracles import (
+from reference import (
     mixture_pdf,
     norm_sq_moment_loop,
     quad_abs_moment,

@@ -406,13 +406,9 @@ def test_benchmark_certify_oracle_accepts_first_op_of_each_regime(monkeypatch, t
     # the benchmark's oracles read the mixture representation; a change that
     # breaks them fails here rather than in a benchmark run
     import importlib
-    import sys
     from pathlib import Path
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    # the benchmark's own ``oracles`` module, not the tests' one of that name
-    for name in ("oracles", "workloads"):
-        monkeypatch.delitem(sys.modules, name, raising=False)
     workloads = importlib.import_module("workloads")
     ops = workloads.build("certify", 0, str(tmp_path)).ops
     for regime in workloads.REGIMES:

@@ -19,7 +19,7 @@ from tvrates import (
     poly_envelope,
     weighted_diff_reconstruct,
 )
-from oracles import delta_p_char_closed_form, poly_table_loop
+from reference import delta_p_char_closed_form, poly_table_loop
 from tvrates import common_grid, default_scenarios
 from tvrates.bounds import LawEvaluation
 from tvrates.harness import perturb_pair

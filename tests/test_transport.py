@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import tvrates.transport
-from oracles import (
+from reference import (
     assignment_cost,
     brute_force_ot_uniform,
     marginal_constraints_kron,
@@ -108,6 +108,27 @@ def sweep_counter(monkeypatch):
 
     monkeypatch.setattr(tvrates.transport, "_scaling_block", counted_block)
     monkeypatch.setattr(tvrates.transport, "_logsumexp_rows", counted_lse)
+    return counts
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """Counts ``ot_entropic``'s kernel builds and its annealing stages, one
+    rounding of the plan each."""
+    counts = {"kernel": 0, "stages": 0}
+    kernel = tvrates.transport._kernel
+    round_plan = tvrates.transport._round_to_feasible
+
+    def counted_kernel(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    def counted_round(*args):
+        counts["stages"] += 1
+        return round_plan(*args)
+
+    monkeypatch.setattr(tvrates.transport, "_kernel", counted_kernel)
+    monkeypatch.setattr(tvrates.transport, "_round_to_feasible", counted_round)
     return counts
 
 
@@ -624,6 +645,60 @@ class TestOtEntropic:
         a = uniform_atoms(rng, 4, 1)
         with pytest.raises(PreconditionError):
             ot_entropic(a, a, 2, reg_schedule=(0.1, 0.2))
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"reg_schedule": ()}, "must not be empty"),
+            ({"reg_schedule": [0.1, math.nan]}, "finite, positive"),
+            ({"reg_schedule": [math.inf, 0.1]}, "finite, positive"),
+            ({"rtol": math.nan}, "rtol"),
+            ({"rtol": math.inf}, "rtol"),
+            ({"rtol": -1.0}, "rtol"),
+        ],
+    )
+    def test_bad_schedule_or_rtol_rejected(self, sweep_counter, kwargs, match):
+        rng = np.random.default_rng(3)
+        a, b = uniform_atoms(rng, 4, 1), uniform_atoms(rng, 5, 1, shift=1.0)
+        with pytest.raises(PreconditionError, match=match):
+            ot_entropic(a, b, 2, **kwargs)
+        # rejected before any solver work
+        assert sweep_counter["scaling"] == 0 and sweep_counter["log_half"] == 0
+
+    def test_one_kernel_per_stage(self, kernel_builds):
+        # one build at each stage start and one for each stage-end plan; a
+        # build per ten-sweep block would be 165 over these 15 stages
+        a, b = map(uniform_cloud, benchmark_problems_seed0()["2d"])
+        ot_entropic(a, b, 2)
+        assert kernel_builds["stages"] > 0
+        assert kernel_builds["kernel"] <= 2 * kernel_builds["stages"]
+
+    def test_range_exit_folds_and_rebuilds(self, sweep_counter, kernel_builds):
+        # after the drop to 0.03 the carried scalings leave SCALING_RANGE:
+        # they are folded into the potentials and the kernel is rebuilt,
+        # without a guard trip, and the iterates stay the log-domain ones
+        a, b = map(uniform_cloud, benchmark_problems_seed0()["near"])
+        schedule = (0.3, 0.03)
+        certified, _, ref_gap, _ = sinkhorn_log_domain(a, b, 2, reg_schedule=schedule)
+        assert not certified
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as info:
+                ot_entropic(a, b, 2, reg_schedule=schedule)
+        assert sweep_counter["log_half"] == 0
+        assert kernel_builds["kernel"] > 2 * kernel_builds["stages"]
+        gap = float(str(info.value).split("duality gap of ")[1].split()[0])
+        assert abs(gap - ref_gap) <= 1e-9 * ref_gap
+
+    def test_kernel_has_no_subnormal_entries(self):
+        # exponents down to -1000: those below the log of the smallest normal
+        # double give 0, the rest their exponential
+        Cn = np.linspace(0.0, 1.0, 64 * 64).reshape(64, 64)
+        K = tvrates.transport._kernel(np.zeros(64), np.zeros(64), Cn, 1e-3)
+        normal = -Cn / 1e-3 >= math.log(np.finfo(float).tiny)
+        assert np.all(K[~normal] == 0.0)
+        np.testing.assert_allclose(K[normal], np.exp(-Cn[normal] / 1e-3), rtol=1e-12)
+        assert K[normal].min() >= np.finfo(float).tiny
 
 
 class TestFmUpper:
