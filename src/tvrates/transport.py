@@ -11,7 +11,9 @@ whose reported value is always the cost of a rounded feasible plan, hence an
 upper bound on the exact cost.  Its sweeps run as scalings of one kernel
 per annealing stage, built from log potentials that absorb the scalings only
 at the stage end or when they leave ``SCALING_RANGE``; a block whose kernel
-under- or overflows reruns in the log domain.
+under- or overflows reruns in the log domain.  The slow tail of a stage is
+over-relaxed at a weight set from its observed contraction, and each
+stage's marginal exit is paced by the previous stage's duality gap.
 """
 
 from __future__ import annotations
@@ -282,7 +284,8 @@ def _cost_matrix(a: AtomSet, b: AtomSet, q: float) -> np.ndarray:
         raise PreconditionError("atom sets have different dimensions")
     diff = a.locations[:, None, :] - b.locations[None, :, :]
     with np.errstate(over="ignore"):
-        C = np.linalg.norm(diff, axis=-1) ** q
+        # np.linalg.norm(diff, axis=-1) without its dispatch: the same bits
+        C = np.sqrt(np.add.reduce(diff * diff, axis=-1)) ** q
     if not math.isfinite(C.max()):
         raise PreconditionError(
             f"cost |x - y|^q leaves the float range at cost exponent q = {q!r}"
@@ -294,7 +297,7 @@ def _dual_value(C: np.ndarray, u: np.ndarray, a: AtomSet, b: AtomSet) -> float:
     """Value ``a.u + b.v`` of the dual pair made of the row potentials ``u``
     and their c-transform ``v = min_i (C[i, :] - u[i])`` on the columns,
     feasible by construction."""
-    v = np.min(C - u[:, None], axis=0)
+    v = (C - u[:, None]).min(axis=0)
     return float(a.masses @ u + b.masses @ v)
 
 
@@ -323,8 +326,9 @@ def _ot_sorted_1d(a: AtomSet, b: AtomSet, q: float):
     rows = ia[np.searchsorted(ca[:-1], levels)]
     cols = ib[np.searchsorted(cb[:-1], levels)]
     cost = float(pieces @ np.abs(a.locations[rows, 0] - b.locations[cols, 0]) ** q)
+    # every level is a breakpoint of one side, so no cell repeats
     plan = np.zeros((len(a), len(b)))
-    np.add.at(plan, (rows, cols), pieces)
+    plan[rows, cols] = pieces
     return cost, plan, 0.0
 
 
@@ -378,16 +382,26 @@ def _ot_assignment(a: AtomSet, b: AtomSet, q: float):
     plan = np.zeros_like(C)
     plan[rows, cols] = a.masses
     cost = float(np.sum(plan * C))
+    dist = _reassignment_distances(C, cols)
+    return cost, plan, max(cost - _dual_value(C, -dist, a, b), 0.0)
+
+
+def _reassignment_distances(C: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Minus the row potentials of :func:`_ot_assignment`: the distances
+    in the reassignment graph of the matching ``cols`` after at most n
+    Bellman-Ford rounds, fewer once a round changes nothing."""
     matched = C[:, cols]
     edges = matched - np.diag(matched)[None, :]
-    dist = np.zeros(len(a))
-    for _ in range(len(a)):
-        # edges[k, k] = 0, so the minimum over i never exceeds dist[k]
-        relaxed = np.min(dist[:, None] + edges, axis=0)
-        if np.array_equal(relaxed, dist):
+    n = len(cols)
+    dist, relaxed, paths = np.zeros(n), np.empty(n), np.empty_like(edges)
+    for _ in range(n):
+        np.add(dist[:, None], edges, out=paths)
+        paths.min(axis=0, out=relaxed)
+        # edges[k, k] = 0, so relaxed <= dist: no decrease means no change
+        if not (relaxed < dist).any():
             break
-        dist = relaxed
-    return cost, plan, max(cost - _dual_value(C, -dist, a, b), 0.0)
+        dist, relaxed = relaxed, dist
+    return dist
 
 
 def ot_exact(a: AtomSet, b: AtomSet, q: float = 2.0):
@@ -415,7 +429,7 @@ def ot_exact(a: AtomSet, b: AtomSet, q: float = 2.0):
     w = a.masses[0]
     if a.d == 1:
         solve = _ot_sorted_1d
-    elif n == m and np.all(a.masses == w) and np.all(b.masses == w):
+    elif n == m and (a.masses == w).all() and (b.masses == w).all():
         solve = _ot_assignment
     else:
         solve = _ot_lp
@@ -428,12 +442,24 @@ def ot_exact(a: AtomSet, b: AtomSet, q: float = 2.0):
 # near-identical pairs reach an essentially exact plan.
 DEFAULT_REG_SCHEDULE = tuple(0.3 * 0.5**k for k in range(44))
 
-# An annealing stage ends once the L1 error of its plan's row marginal (the
-# columns are exact after every sweep) is at most MARGINAL_TOL, checked every
-# MARGINAL_CHECK_EVERY sweeps.  The exit only saves sweeps: whether the solver
-# returns is decided by the duality-gap certificate alone.
+# An annealing stage ends once the L1 error of its plan's row marginal is at
+# most its marginal target, checked every MARGINAL_CHECK_EVERY sweeps.  The
+# first stage's target is MARGINAL_TOL; after a stage whose certificate
+# fails with duality gap G at cost c, the next stage's target is
+# GAP_EXIT_RATIO * G / c, clipped to [MARGINAL_TOL, MARGINAL_TOL_MAX].  The
+# exit only saves sweeps: whether the solver returns is decided by the
+# duality-gap certificate alone.
 MARGINAL_TOL = 1e-3
+MARGINAL_TOL_MAX = 1e-2
+GAP_EXIT_RATIO = 0.01
 MARGINAL_CHECK_EVERY = 10
+
+# Over-relaxation of the sweeps: after PLAIN_BLOCKS plain blocks of a stage,
+# the per-sweep contraction kappa of the last two blocks' row errors sets
+# omega = 2 / (1 + sqrt(1 - kappa)), at most OMEGA_MAX, when 0.5 < kappa < 1;
+# otherwise the sweeps stay plain (omega = 1).
+PLAIN_BLOCKS = 3
+OMEGA_MAX = 1.9
 
 # Range of the scalings carried across the blocks of one annealing stage;
 # a block that leaves it folds them into the log potentials and rebuilds
@@ -465,36 +491,64 @@ def _kernel(f, g, Cn, eps):
         return np.exp(X, out=X)
 
 
-def _scaling_block(kernel, v, ma, mb, n):
-    """``n`` Sinkhorn sweeps ``u = ma / (K v)``, ``v = mb / (K^T u)`` from
-    the column scaling ``v``, where ``kernel`` is ``K`` and a C-contiguous
-    copy of ``K^T``.  Returns new arrays ``(u, v, rows)``, ``rows`` being
-    the row sums of the plan ``u[:, None] * K * v[None, :]``; zero or
-    non-finite scalings of an under- or overflowed kernel come back as
-    they are."""
+def _relax_omega(errs):
+    """The relaxation weight after a stage's plain blocks with row errors
+    ``errs``, by the rule stated at ``OMEGA_MAX`` (the rate-based weight of
+    Lehmann, von Renesse, Sambale & Uschmajew, Optim. Lett. 2022)."""
+    if len(errs) < PLAIN_BLOCKS:
+        return 1.0
+    kappa = (errs[-1] / errs[-2]) ** (1.0 / MARGINAL_CHECK_EVERY)
+    if not 0.5 < kappa < 1.0:
+        return 1.0
+    return min(OMEGA_MAX, 2.0 / (1.0 + math.sqrt(1.0 - kappa)))
+
+
+def _scaling_block(kernel, u, v, ma, mb, n, omega, out):
+    """``n`` over-relaxed Sinkhorn sweeps ``u <- u (ma / (u K v))^omega``,
+    ``v <- v (mb / (v K^T u))^omega`` from the scalings ``u``, ``v`` (plain
+    sweeps ``u = ma / (K v)``, ``v = mb / (K^T u)`` at ``omega = 1``), where
+    ``kernel`` is ``K`` and a C-contiguous copy of ``K^T``.  The sweeps run
+    in the buffers ``out = (u', v', Kv, K^T u)``; returns ``(u', v', rows)``,
+    ``rows`` being the row sums of the plan ``u'[:, None] * K * v'[None, :]``
+    in the ``Kv`` buffer.  Zero or non-finite scalings of an under- or
+    overflowed kernel come back as they are, under the caller's
+    ``np.errstate``."""
     K, KT = kernel
-    Kv, u = np.empty(len(ma)), np.empty(len(ma))
-    KTu, out = np.empty(len(mb)), np.empty(len(mb))
-    with np.errstate(all="ignore"):
+    u_out, v_out, Kv, KTu = out
+    if omega == 1.0:
         for _ in range(n):
-            np.divide(ma, np.dot(K, v, out=Kv), out=u)
-            v = np.divide(mb, np.dot(KT, u, out=KTu), out=out)
-        return u, v, u * np.dot(K, v, out=Kv)
+            u = np.divide(ma, np.dot(K, v, out=Kv), out=u_out)
+            v = np.divide(mb, np.dot(KT, u, out=KTu), out=v_out)
+    else:
+        for _ in range(n):
+            np.multiply(u, np.dot(K, v, out=Kv), out=Kv)
+            np.power(np.divide(ma, Kv, out=Kv), omega, out=Kv)
+            u = np.multiply(u, Kv, out=u_out)
+            np.multiply(v, np.dot(KT, u, out=KTu), out=KTu)
+            np.power(np.divide(mb, KTu, out=KTu), omega, out=KTu)
+            v = np.multiply(v, KTu, out=v_out)
+    return u, v, np.multiply(u, np.dot(K, v, out=Kv), out=Kv)
 
 
-def _round_to_feasible(plan, ma, mb):
-    """Project a nearly feasible plan onto the transport polytope: scale rows
-    and columns down to their marginals, then add a rank-one correction."""
-    r = np.minimum(1.0, ma / np.maximum(plan.sum(axis=1), 1e-300))
-    plan = plan * r[:, None]
-    c = np.minimum(1.0, mb / np.maximum(plan.sum(axis=0), 1e-300))
-    plan = plan * c[None, :]
-    ea = ma - plan.sum(axis=1)
-    eb = mb - plan.sum(axis=0)
-    gap = ea.sum()
+def _rounded_cost(kernel, u, v, rows, ma, mb, C):
+    """Cost under ``C`` of the plan ``u[:, None] * K * v[None, :]``, whose
+    row sums are ``rows``, after its projection onto the transport polytope
+    (Altschuler, Weed & Rigollet, NeurIPS 2017): rows and then columns are
+    scaled down to their marginals, and a rank-one correction adds the
+    missing mass.  The scalings act on ``u`` and ``v`` and the correction
+    enters the cost as ``ea C eb / sum(ea)``, so no plan is formed."""
+    K, KT = kernel
+    ur = u * np.minimum(1.0, ma / np.maximum(rows, 1e-300))
+    cols = v * np.dot(KT, ur)
+    c = np.minimum(1.0, mb / np.maximum(cols, 1e-300))
+    vc = v * c
+    ea = ma - ur * np.dot(K, vc)
+    eb = mb - cols * c
+    cost = float(ur @ np.dot(K * C, vc))
+    gap = float(ea.sum())
     if gap > 1e-300:
-        plan = plan + np.outer(ea, eb) / gap
-    return plan
+        cost += float(ea @ np.dot(C, eb)) / gap
+    return cost
 
 
 def ot_entropic(
@@ -510,27 +564,41 @@ def ot_entropic(
     cost-matrix maximum, ending at the target epsilon.  The log potentials
     ``f``, ``g`` warm-start each stage from the last.  Each stage builds one
     kernel ``K = exp((f + g - C / max C) / eps)`` and sweeps in blocks of
-    ``MARGINAL_CHECK_EVERY`` scaling updates ``u = a / (K v)``,
-    ``v = b / (K^T u)``, each block starting from the last block's ``v``.
+    ``MARGINAL_CHECK_EVERY`` scaling updates, each block starting from the
+    last block's scalings ``u``, ``v``.  The first ``PLAIN_BLOCKS`` blocks
+    of a stage run plain sweeps ``u = a / (K v)``, ``v = b / (K^T u)``;
+    then the per-sweep contraction kappa of the last two blocks' row errors
+    sets the over-relaxed sweeps ``u <- u (a / (u K v))^omega``,
+    ``v <- v (b / (v K^T u))^omega`` with
+    ``omega = min(OMEGA_MAX, 2 / (1 + sqrt(1 - kappa)))`` when
+    0.5 < kappa < 1.  A block whose row error rises, or after which the
+    kernel is rebuilt, returns to plain sweeps and restarts the count.
     ``eps log u`` and ``eps log v`` are folded into ``f`` and ``g`` at three
     points only, which gives the same iterates as log-sum-exp sweeps:
     (a) at the end of the stage; (b) after a block whose scalings leave
-    ``SCALING_RANGE``, which then rebuilds the kernel and restarts from
-    ``u = v = 1``; (c) before a block whose scalings come back zero or
+    ``SCALING_RANGE``, if the stage goes on, which then rebuilds the kernel
+    and restarts from ``u = v = 1``; (c) before a block whose scalings come back zero or
     non-finite (the kernel underflowed after a large drop in eps), which is
     then rerun with log-sum-exp sweeps.  A stage ends after the block at
-    which the L1 error of the plan's row marginal is at most
-    ``MARGINAL_TOL``, or once ``MAX_STAGE_SWEEPS`` sweeps have run.  At the
-    end of every stage the plan ``exp((f + g - C / max C) / eps)`` is
-    rounded onto the feasibility polytope, so the reported value is the cost
-    of a feasible plan and therefore an upper bound on the exact cost; the
-    annealing stops as soon as the gap against the c-transform dual value
-    certifies relative accuracy ``rtol``, and raises
-    :class:`ConvergenceError` if no stage does.  The error estimate is that
-    duality gap (in distance units).  An empty schedule, a schedule entry
-    that is not a finite number > 0, a schedule that does not decrease and
-    an ``rtol`` that is not a finite number >= 0 raise
-    :class:`PreconditionError` before any sweep.
+    which the L1 error of the plan's row marginal meets the stage's target,
+    or once ``MAX_STAGE_SWEEPS`` sweeps have run.  The first target is
+    ``MARGINAL_TOL``; after a stage whose certificate fails with duality
+    gap G at cost c, the next target is ``GAP_EXIT_RATIO * G / c`` clipped
+    to ``[MARGINAL_TOL, MARGINAL_TOL_MAX]``, since a plan that far from
+    optimal gains little from tighter marginals.  At the end of every stage
+    the plan ``u[:, None] * K * v[None, :]`` is rounded onto the
+    feasibility polytope (in factored form, by :func:`_rounded_cost`), so
+    the reported value is the cost of a feasible plan and therefore an
+    upper bound on the exact cost; the annealing
+    stops as soon as the gap against the c-transform dual value certifies
+    relative accuracy ``rtol``, and raises :class:`ConvergenceError` if no
+    stage does.  Neither the relaxation nor the marginal targets can change
+    what is returned, only how many sweeps a stage takes: the value is
+    always a rounded feasible plan's cost, and only the certificate accepts
+    it.  The error estimate is that duality gap (in distance units).  An
+    empty schedule, a schedule entry that is not a finite number > 0, a
+    schedule that does not decrease and an ``rtol`` that is not a finite
+    number >= 0 raise :class:`PreconditionError` before any sweep.
     """
     _require_exponent(q, "cost exponent q", 1.0)
     _require_exponent(rtol, "relative accuracy rtol", 0.0)
@@ -550,54 +618,77 @@ def ot_entropic(
     if scale == 0.0:
         return DistanceResult(0.0, "entropic-ot", 0.0)
     Cn = C / scale
-    la = np.log(a.masses)
-    lb = np.log(b.masses)
-    f = np.zeros(len(a))
-    g = np.zeros(len(b))
+    n, m = len(a), len(b)
+    ma, mb = a.masses, b.masses
+    la, lb = np.log(ma), np.log(mb)
+    f, g = np.zeros(n), np.zeros(m)
+    u, v = np.ones(n), np.ones(m)
+    out = (np.empty(n), np.empty(m), np.empty(n), np.empty(m))
 
     atol = 1e-15 * scale
     lo, hi = SCALING_RANGE
-    for eps in schedule:
-        kernel = None  # None: f and g hold every scaling so far
-        for done in range(0, MAX_STAGE_SWEEPS, MARGINAL_CHECK_EVERY):
-            sweeps = min(MARGINAL_CHECK_EVERY, MAX_STAGE_SWEEPS - done)
-            if kernel is None:
-                K = _kernel(f, g, Cn, eps)
-                kernel = K, np.ascontiguousarray(K.T)
-                u, v = np.ones(len(a)), np.ones(len(b))
-            u_next, v_next, rows = _scaling_block(
-                kernel, v, a.masses, b.masses, sweeps
-            )
-            low = np.minimum(u_next.min(), v_next.min())
-            high = np.maximum(u_next.max(), v_next.max())
-            if not (0.0 < low and high < math.inf):
-                # (c) the kernel under- or overflowed (a large drop in eps):
-                # fold the scalings from before the block and redo it in the
-                # log domain; its final kernel is the next block's
-                f, g = f + eps * np.log(u), g + eps * np.log(v)
-                for _ in range(sweeps):
-                    f = eps * (la - _logsumexp_rows((g[None, :] - Cn) / eps))
-                    g = eps * (lb - _logsumexp_rows((f[None, :] - Cn.T) / eps))
-                K = _kernel(f, g, Cn, eps)
-                kernel = K, np.ascontiguousarray(K.T)
-                u, v = np.ones(len(a)), np.ones(len(b))
-                rows = K.sum(axis=1)
-            else:
-                u, v = u_next, v_next
-                if not (lo <= low and high <= hi):
-                    # (b) fold before the scalings lose precision
+    target = MARGINAL_TOL
+    with np.errstate(all="ignore"):
+        for eps in schedule:
+            kernel = None  # None: f and g hold every scaling so far
+            omega, errs, last, rebuild = 1.0, [], math.inf, False
+            for done in range(0, MAX_STAGE_SWEEPS, MARGINAL_CHECK_EVERY):
+                sweeps = min(MARGINAL_CHECK_EVERY, MAX_STAGE_SWEEPS - done)
+                if rebuild:
+                    # (b) the last block's scalings left SCALING_RANGE: fold
+                    # them before they lose precision
                     f, g = f + eps * np.log(u), g + eps * np.log(v)
                     kernel = None
-            if np.abs(rows - a.masses).sum() <= MARGINAL_TOL:
-                break
-        if kernel is not None:
+                if kernel is None:
+                    K = _kernel(f, g, Cn, eps)
+                    kernel = K, np.ascontiguousarray(K.T)
+                    u.fill(1.0)
+                    v.fill(1.0)
+                u_next, v_next, rows = _scaling_block(
+                    kernel, u, v, ma, mb, sweeps, omega, out
+                )
+                low = min(u_next.min(), v_next.min())
+                high = max(u_next.max(), v_next.max())
+                guard = not (0.0 < low and high < math.inf)
+                if guard:
+                    # (c) the kernel under- or overflowed (a large drop in
+                    # eps): fold the scalings from before the block and redo
+                    # it in the log domain; its final kernel is the next
+                    # block's
+                    f, g = f + eps * np.log(u), g + eps * np.log(v)
+                    for _ in range(sweeps):
+                        fs = eps * (la - _logsumexp_rows((g[None, :] - Cn) / eps))
+                        f = (1.0 - omega) * f + omega * fs
+                        gs = eps * (lb - _logsumexp_rows((f[None, :] - Cn.T) / eps))
+                        g = (1.0 - omega) * g + omega * gs
+                    K = _kernel(f, g, Cn, eps)
+                    kernel = K, np.ascontiguousarray(K.T)
+                    u.fill(1.0)
+                    v.fill(1.0)
+                    rows = K.sum(axis=1)
+                    rebuild = False
+                else:
+                    out = (u, v) + out[2:]
+                    u, v = u_next, v_next
+                    rebuild = not (lo <= low and high <= hi)
+                err = float(np.abs(rows - ma).sum())
+                if guard or rebuild or err > last:
+                    omega, errs = 1.0, []
+                elif omega == 1.0:
+                    errs.append(err)
+                    omega = _relax_omega(errs)
+                last = err
+                if err <= target:
+                    break
             # (a) the stage end
+            cost = _rounded_cost(kernel, u, v, rows, ma, mb, C)
             f, g = f + eps * np.log(u), g + eps * np.log(v)
-        plan = _round_to_feasible(_kernel(f, g, Cn, eps), a.masses, b.masses)
-        cost = float(np.sum(plan * C))
-        gap = cost - max(_dual_value(C, f * scale, a, b), 0.0)
-        if gap <= rtol * cost + atol:
-            return _gap_distance(cost, gap, q, "entropic-ot")
+            gap = cost - max(_dual_value(C, f * scale, a, b), 0.0)
+            if gap <= rtol * cost + atol:
+                return _gap_distance(cost, gap, q, "entropic-ot")
+            target = min(
+                MARGINAL_TOL_MAX, max(MARGINAL_TOL, GAP_EXIT_RATIO * gap / cost)
+            )
     raise ConvergenceError(
         f"entropic solver left a duality gap of {gap!r} "
         f"(target {rtol:.1e} relative) after the full schedule"

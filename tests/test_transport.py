@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.stats import norm
 
 import tvrates.transport
@@ -14,7 +16,9 @@ from reference import (
     brute_force_ot_uniform,
     marginal_constraints_kron,
     mixture_pdf,
+    north_west_corner_add_at,
     quad_weighted_tv,
+    reassignment_distances_loop,
     sinkhorn_log_domain,
 )
 from tvrates import (
@@ -98,9 +102,9 @@ def sweep_counter(monkeypatch):
     block = tvrates.transport._scaling_block
     lse = tvrates.transport._logsumexp_rows
 
-    def counted_block(K, v, ma, mb, n):
+    def counted_block(kernel, u, v, ma, mb, n, omega, out):
         counts["scaling"] += n
-        return block(K, v, ma, mb, n)
+        return block(kernel, u, v, ma, mb, n, omega, out)
 
     def counted_lse(M):
         counts["log_half"] += 1
@@ -117,7 +121,7 @@ def kernel_builds(monkeypatch):
     rounding of the plan each."""
     counts = {"kernel": 0, "stages": 0}
     kernel = tvrates.transport._kernel
-    round_plan = tvrates.transport._round_to_feasible
+    round_plan = tvrates.transport._rounded_cost
 
     def counted_kernel(*args):
         counts["kernel"] += 1
@@ -128,7 +132,7 @@ def kernel_builds(monkeypatch):
         return round_plan(*args)
 
     monkeypatch.setattr(tvrates.transport, "_kernel", counted_kernel)
-    monkeypatch.setattr(tvrates.transport, "_round_to_feasible", counted_round)
+    monkeypatch.setattr(tvrates.transport, "_rounded_cost", counted_round)
     return counts
 
 
@@ -412,6 +416,24 @@ class TestOtExact:
         np.testing.assert_allclose(plan.matrix.sum(axis=1), ma, rtol=0, atol=1e-12)
         np.testing.assert_allclose(plan.matrix.sum(axis=0), mb, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, m, seed", [(7, 12, 0), (30, 5, 1), (16, 16, 2), (1, 9, 3)]
+    )
+    def test_sorted_1d_plan_matches_add_at_on_ties(self, n, m, seed):
+        # locations on a 5-point lattice tie within and across the sets;
+        # assigning the north-west-corner pieces gives np.add.at's bits
+        rng = np.random.default_rng(seed)
+
+        def atoms(k):
+            x = rng.integers(0, 5, k) / 4.0
+            return AtomSet(x[:, None], rng.dirichlet(np.ones(k)))
+
+        a, b = atoms(n), atoms(m)
+        cost, plan, gap = tvrates.transport._ot_sorted_1d(a, b, 2.0)
+        ref_cost, ref_plan = north_west_corner_add_at(a, b, 2.0)
+        assert cost == ref_cost and gap == 0.0
+        np.testing.assert_array_equal(plan, ref_plan)
+
     @pytest.mark.parametrize("seed", [*range(8), "embedded-translate"])
     def test_lp_err_is_a_duality_gap(self, seed):
         # uniform clouds of equal size, so these take the assignment path
@@ -505,6 +527,25 @@ class TestOtExact:
         assert excess > 1e-2
         assert res.err >= excess - 1e-12
 
+    @pytest.mark.parametrize("matching", ["optimal", "identity"])
+    def test_assignment_potentials_match_the_round_loop(self, matching):
+        # the benchmark's 16x16 problems: np.linalg.norm's cost matrix and
+        # the Bellman-Ford distances of the array-per-round loop, bit for
+        # bit; the identity matching runs all n rounds on negative cycles
+        for xa, xb in benchmark_problems_seed0()["lp16x16"]:
+            a, b = uniform_cloud(xa), uniform_cloud(xb)
+            C = tvrates.transport._cost_matrix(a, b, 2.0)
+            norm = np.linalg.norm(xa[:, None] - xb, axis=-1)
+            np.testing.assert_array_equal(C, norm**2.0)
+            if matching == "optimal":
+                cols = linear_sum_assignment(C)[1]
+            else:
+                cols = np.arange(16)
+            np.testing.assert_array_equal(
+                tvrates.transport._reassignment_distances(C, cols),
+                reassignment_distances_loop(C, cols),
+            )
+
     def test_dispatch_sends_uniform_equal_sizes_to_assignment(self, linprog_calls):
         problems = benchmark_problems_seed0()
         for xa, xb in [*problems["lp16x16"], problems["2d"]]:
@@ -544,12 +585,16 @@ class TestOtEntropic:
         d1 = AtomSet(np.array([[1.0]]), np.array([1.0]))
         np.testing.assert_allclose(ot_entropic(d0, d1, 2).value, 1.0, atol=1e-6)
 
-    def test_coincident_atoms_cost_exactly_zero(self):
-        # every atom of both sets at one point: the cost matrix is all zero
-        a = AtomSet(np.full((3, 1), 0.25), np.full(3, 1.0 / 3.0))
-        b = AtomSet(np.array([[0.25]]), np.array([1.0]))
-        res = ot_entropic(a, b, 2)
-        assert res.value == 0.0 and res.err == 0.0
+    def test_coincident_atoms_cost_exactly_zero(self, sweep_counter, kernel_builds):
+        # every atom of both sets at one point: the cost matrix is all zero,
+        # and the solver returns before any kernel or sweep
+        for d in (1, 2):
+            a = AtomSet(np.full((3, d), 0.25), np.full(3, 1.0 / 3.0))
+            b = AtomSet(np.full((1, d), 0.25), np.array([1.0]))
+            res = ot_entropic(a, b, 2)
+            assert res.value == 0.0 and res.err == 0.0
+        assert sweep_counter["scaling"] == sweep_counter["log_half"] == 0
+        assert kernel_builds["kernel"] == kernel_builds["stages"] == 0
 
     def test_identical_sets_near_zero(self):
         rng = np.random.default_rng(5)
@@ -591,6 +636,41 @@ class TestOtEntropic:
         assert sweep_counter["log_half"] == 0
         assert 0 < sweep_counter["scaling"] <= 1000
 
+    @pytest.mark.parametrize(
+        "problem, budget", [("near", 200), ("far", 240), ("2d", 800)]
+    )
+    def test_benchmark_pairs_sweep_budget(self, sweep_counter, problem, budget):
+        # over-relaxed stage tails and gap-paced stage exits take 180, 230
+        # and 740 sweeps; plain sweeps with one fixed exit took 420, 240, 1500
+        a, b = map(uniform_cloud, benchmark_problems_seed0()[problem])
+        ot_entropic(a, b, 2)
+        assert sweep_counter["scaling"] <= budget
+
+    def test_relaxed_block_that_raises_the_error_falls_back(self, monkeypatch):
+        # Dirichlet pair 35 relaxes at the cap OMEGA_MAX; a relaxed block
+        # whose row error rises above the one before it on the same kernel
+        # is followed by a plain block
+        blocks = []
+        block = tvrates.transport._scaling_block
+
+        def logged(kernel, u, v, ma, mb, n, omega, out):
+            u, v, rows = block(kernel, u, v, ma, mb, n, omega, out)
+            blocks.append((kernel[0], omega, np.abs(rows - ma).sum()))
+            return u, v, rows
+
+        monkeypatch.setattr(tvrates.transport, "_scaling_block", logged)
+        a, b, q = next(itertools.islice(dirichlet_pairs(), 35, None))
+        ot_entropic(a, b, q)
+        assert max(omega for _, omega, _ in blocks) == tvrates.transport.OMEGA_MAX
+        fallbacks = 0
+        for (k0, _, e0), (k1, w1, e1), (k2, w2, _) in zip(
+            blocks, blocks[1:], blocks[2:]
+        ):
+            if k0 is k1 is k2 and w1 > 1.0 and e1 > e0:
+                assert w2 == 1.0
+                fallbacks += 1
+        assert fallbacks > 0
+
     @pytest.mark.parametrize("problem", ["near", "far", "2d"])
     def test_matches_log_domain_reference(self, sweep_counter, problem):
         a, b = map(uniform_cloud, benchmark_problems_seed0()[problem])
@@ -619,8 +699,10 @@ class TestOtEntropic:
         assert abs(gap - ref_gap) <= 1e-9 * ref_gap
 
     def test_uneven_masses_never_undercut_the_exact_cost(self):
-        # ConvergenceError is allowed, but 7 of the 120 pairs raise today
-        # (the aim is 0) and no change may add one
+        # ConvergenceError is allowed (the aim is 0 raising pairs); 6 of the
+        # 120 raise today, but two of them end within 16 % of rtol, where
+        # round-off-level changes have moved these gaps by up to 13 %, so
+        # the bound stays at 7
         raised = 0
         for a, b, q in dirichlet_pairs():
             exact = ot_exact(a, b, q)[0].value
@@ -666,12 +748,13 @@ class TestOtEntropic:
         assert sweep_counter["scaling"] == 0 and sweep_counter["log_half"] == 0
 
     def test_one_kernel_per_stage(self, kernel_builds):
-        # one build at each stage start and one for each stage-end plan; a
-        # build per ten-sweep block would be 165 over these 15 stages
+        # one build at each stage start, whose scalings also give the
+        # stage-end rounded cost; a build per ten-sweep block would be 74
+        # over these 15 stages
         a, b = map(uniform_cloud, benchmark_problems_seed0()["2d"])
         ot_entropic(a, b, 2)
         assert kernel_builds["stages"] > 0
-        assert kernel_builds["kernel"] <= 2 * kernel_builds["stages"]
+        assert kernel_builds["kernel"] == kernel_builds["stages"]
 
     def test_range_exit_folds_and_rebuilds(self, sweep_counter, kernel_builds):
         # after the drop to 0.03 the carried scalings leave SCALING_RANGE:
@@ -686,7 +769,7 @@ class TestOtEntropic:
             with pytest.raises(ConvergenceError) as info:
                 ot_entropic(a, b, 2, reg_schedule=schedule)
         assert sweep_counter["log_half"] == 0
-        assert kernel_builds["kernel"] > 2 * kernel_builds["stages"]
+        assert kernel_builds["kernel"] > kernel_builds["stages"]
         gap = float(str(info.value).split("duality gap of ")[1].split()[0])
         assert abs(gap - ref_gap) <= 1e-9 * ref_gap
 
