@@ -2,11 +2,12 @@
 
 The exact route returns the optimal plan: by sorting in one dimension (the
 monotone coupling, so the 512-atom quantile clouds below take milliseconds),
-as an assignment when both sides have n atoms of equal mass (the 64-atom 2-D
-clouds below, with a duality-gap error from potentials of the matching), and
-by the transportation LP otherwise.  The entropic route reports the cost
-of a rounded feasible plan (an upper bound) together with a duality-gap error
-estimate, so its accuracy is certified per run.
+and in higher dimensions only as an assignment, when both sides have n atoms
+of equal mass (the 64-atom 2-D clouds below, with a duality-gap error from
+potentials of the matching); any other pair in d > 1 is a PreconditionError,
+and the annealed Sinkhorn route below serves it.  The entropic route reports
+the cost of a rounded feasible plan (an upper bound) together with a
+duality-gap error estimate, so its accuracy is certified per run.
 
 Run: python3 demos/02_discrete_transport.py
 """

@@ -33,12 +33,11 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import GaussianMixture, SpaceGrid, common_grid, discretize
-from .errors import PreconditionError
+from .errors import PreconditionError, ResolutionError
 from .spectral import (
     ExpEnvelopeTable,
     PolyEnvelopeTable,
     char_fn_grid,
-    density_derivative,
     exp_envelope,
     poly_envelope,
 )
@@ -68,7 +67,8 @@ __all__ = [
     "exponential_rate_certificate",
 ]
 
-# Gaps below this are treated as zero (identical laws up to round-off).
+# Gaps at or below this are below the quadrature's resolution: identical
+# laws get the zero certificate, distinct ones a ResolutionError.
 ZERO_GAP = 1e-14
 
 # The dimension d of the paper's constants for every certified pair: the
@@ -485,6 +485,19 @@ def _trivial_rho_bound(a, b, p: float) -> float:
     return 2.0 + a.abs_moment(p) + b.abs_moment(p)
 
 
+def _identical_inputs(pair: PairEvaluation) -> bool:
+    """Whether the pair gets the zero certificate: its laws are equal (so
+    its gap is exactly 0).  A gap of distinct laws at or below ``ZERO_GAP``
+    raises :class:`ResolutionError`, since it certifies nothing."""
+    if pair.gap > ZERO_GAP:
+        return False
+    if pair.a == pair.b:
+        return True
+    raise ResolutionError(
+        f"W_q gap {pair.gap!r} below the quadrature's resolution for distinct laws"
+    )
+
+
 def _zero_certificate(params, regime, l) -> BoundCertificate:
     ledger = ConstantLedger()
     ledger.extra["branch"] = "identical-inputs"
@@ -508,7 +521,7 @@ def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
     p, d = params.p_even, DIM
     l = choose_l(params.epsilon, p, d)
     A = pair.gap
-    if A <= ZERO_GAP:
+    if _identical_inputs(pair):
         return _zero_certificate(params, "lemma1-poly", l)
     envelopes = pair.poly_envelopes(l + d + 1)
 
@@ -554,10 +567,29 @@ def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
 # pointwise regime
 # ---------------------------------------------------------------------------
 
+def _mixture_derivative(law: GaussianMixture, x: np.ndarray, alpha: int) -> np.ndarray:
+    """The order-``alpha`` derivative of the density of ``law`` at ``x``, in
+    closed form: sum_i w_i (-1)^alpha s_i^(-alpha-1) He_alpha(z_i) phi(z_i)
+    with z_i = (x - m_i) / s_i, by Rodrigues' formula (DLMF ch. 18).  The
+    three-term recurrence He_{n+1}(z) = z He_n(z) - n He_{n-1}(z) runs on
+    He_n(z) phi(z), which stays in the float range where phi is small."""
+    s = np.sqrt(law.covs[:, 0, 0])
+    z = (x[:, None] - law.means[:, 0]) / s
+    prev, cur = np.zeros_like(z), np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    for n in range(alpha):
+        prev, cur = cur, z * cur - n * prev
+    return cur @ (law.weights * (-1.0) ** alpha * s ** (-alpha - 1.0))
+
+
 def pointwise_certificate(pair: PairEvaluation, alpha: int = 0) -> BoundCertificate:
     """Sup-norm certificate: ||(f_a^{(alpha)} - f_b^{(alpha)})(1 + |x|^p)||_inf
     <= K A^{(l - d - alpha)/(l + 1)} with K assembled from the pair's
-    moments and the frequency-side envelope at orders 0 and p_even."""
+    moments and the frequency-side envelope at orders 0 and p_even.
+
+    The left side is the maximum over the pair's grid nodes: of the grid
+    densities for alpha = 0, and of the closed-form derivatives of
+    :func:`_mixture_derivative` for alpha >= 1.  A left side that leaves the
+    float range raises :class:`ResolutionError`."""
     a, b = pair.laws
     params = pair.params
     p, d = params.p_even, DIM
@@ -569,8 +601,24 @@ def pointwise_certificate(pair: PairEvaluation, alpha: int = 0) -> BoundCertific
     k_a = int(alpha)
     l = max(choose_l(params.epsilon, p, d), d + k_a + 1)
     A = pair.gap
-    if A <= ZERO_GAP:
+    if _identical_inputs(pair):
         return _zero_certificate(params, "pointwise", l)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k_a == 0:
+            diff = np.abs(a.density(0).values - b.density(0).values)
+        else:
+            nodes = pair.grid.nodes()
+            diff = np.abs(
+                _mixture_derivative(pair.a, nodes, k_a)
+                - _mixture_derivative(pair.b, nodes, k_a)
+            )
+        weight = 1.0 + pair.grid.radii() ** params.p
+        lhs = float(np.max(diff * weight))
+    if not math.isfinite(lhs):
+        raise ResolutionError(
+            f"the order-{k_a} pointwise left side leaves the float range; "
+            "lower alpha or the weight power"
+        )
     envelopes = pair.poly_envelopes(l + d + 1)
 
     ledger = ConstantLedger()
@@ -605,14 +653,6 @@ def pointwise_certificate(pair: PairEvaluation, alpha: int = 0) -> BoundCertific
         rhs = k_total * A
         ledger.extra["branch"] = "constant"
     ledger.validate()
-
-    fa, fb = a.density(0), b.density(0)
-    if k_a == 0:
-        diff = np.abs(fa.values - fb.values)
-    else:
-        diff = np.abs(density_derivative(fa, k_a) - density_derivative(fb, k_a))
-    weight = 1.0 + pair.grid.radii() ** params.p
-    lhs = float(np.max(diff * weight))
     return BoundCertificate(params, "pointwise", l, M, A, lhs, rhs, ledger)
 
 
@@ -647,7 +687,7 @@ def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundC
     if r <= 0:
         raise PreconditionError("exponential moment rate must be > 0")
     A = pair.gap
-    if A <= ZERO_GAP:
+    if _identical_inputs(pair):
         return _zero_certificate(params, "lemma2-exp", d + 1)
     exp_envelopes = pair.exp_envelopes
     c_sharp = a.exp_abs_moment(r) + b.exp_abs_moment(r)

@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import (
     GridDensity,
@@ -399,6 +398,8 @@ def exp_envelope(obj: CharGrid, K: int) -> ExpEnvelopeTable:
     fitted-tail remainder beyond it.  A non-negative fitted slope raises
     :class:`DecayError`: the exponential-envelope hypothesis is not certified.
     """
+    from scipy import integrate  # not loaded on import
+
     if not isinstance(obj, CharGrid):
         raise PreconditionError("exponential envelopes require a CharGrid")
     _, grid, radii, stacks = _stack_of(obj, K)

@@ -5,8 +5,9 @@ Density-based distances (rho_p, tv) are computed by grid quadrature with a
 Richardson-style refinement difference as the error estimate.  Wasserstein
 distances come in three flavors: the one-dimensional quantile representation
 (Gauss-Hermite quadrature after the normal substitution), an exact discrete
-solver (sorting in one dimension, an assignment between equal-size sets of
-equal masses, an LP otherwise), and an annealed Sinkhorn solver
+solver (sorting in one dimension; in higher dimensions only an assignment
+between two sets of n atoms of equal mass, every other pair is a
+:class:`PreconditionError`), and an annealed Sinkhorn solver
 whose reported value is always the cost of a rounded feasible plan, hence an
 upper bound on the exact cost.  Its sweeps run as scalings of one kernel
 per annealing stage, built from log potentials that absorb the scalings only
@@ -23,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import ndtr
 
 from .distributions import (
@@ -116,7 +115,14 @@ def _require_exponent(x: float, name: str, low: float, strict: bool = False):
 def _weighted_l1(va: np.ndarray, vb: np.ndarray, grid: SpaceGrid, p: float) -> float:
     diff = np.abs(va - vb)
     if p > 0:
-        diff = diff * (1.0 + grid.radii() ** p)
+        with np.errstate(over="ignore"):
+            weight = grid.radii() ** p
+        if not math.isfinite(weight.max()):
+            raise NumericalError(
+                f"the weight |x|^p at p = {p!r} leaves the float range on the "
+                f"grid box [{grid.lo:.6g}, {grid.hi:.6g}]"
+            )
+        diff = diff * (1.0 + weight)
     return float(diff.sum() * grid.spacing)
 
 
@@ -208,11 +214,27 @@ def normal_levels(n_nodes: int) -> np.ndarray:
     return _normal_rule(n_nodes)[0]
 
 
+# Smallest normal double.
+_TINY = float(np.finfo(float).tiny)
+
+
 def _quantile_wq(xa, xb, q: float, n_nodes: int) -> float:
-    # int_0^1 |Qa - Qb|^q du with u = Phi(t): Gauss-Hermite after t = sqrt(2) s
+    """int_0^1 |Qa - Qb|^q du with u = Phi(t), by Gauss-Hermite after
+    t = sqrt(2) s, to the power 1/q.  When a nonzero term |Qa - Qb|^q or the
+    sum leaves the normal float range (large q), m = max |Qa - Qb| is
+    factored out: W = m (sum w (|Qa - Qb| / m)^q / sqrt(pi))^(1/q)."""
     w = _normal_rule(n_nodes)[1]
-    g = np.abs(xa - xb) ** q
-    return float(np.sum(w * g) / math.sqrt(math.pi)) ** (1.0 / q)
+    diff = np.abs(xa - xb)
+    with np.errstate(over="ignore"):
+        g = diff**q
+    total = float(np.sum(w * g) / math.sqrt(math.pi))
+    terms = g[diff > 0]
+    if terms.size == 0 or (
+        _TINY <= terms.min() and terms.max() < math.inf and _TINY <= total < math.inf
+    ):
+        return total ** (1.0 / q)
+    m = float(diff.max())
+    return m * float(np.sum(w * (diff / m) ** q) / math.sqrt(math.pi)) ** (1.0 / q)
 
 
 # Order of the Gauss-Hermite rule that W_q quadrature checks against the
@@ -332,39 +354,6 @@ def _ot_sorted_1d(a: AtomSet, b: AtomSet, q: float):
     return cost, plan, 0.0
 
 
-def _marginal_constraints(n: int, m: int) -> scipy.sparse.csc_matrix:
-    """Row-sum and column-sum constraints of an n x m plan flattened row
-    by row: column ``i*m + j`` has ones in rows ``i`` and ``n + j``.  The
-    int32 indices hold every size within ``OT_SIZE_LIMIT``."""
-    i, j = np.divmod(np.arange(n * m, dtype=np.int32), m)
-    indices = np.column_stack([i, n + j]).ravel()
-    indptr = np.arange(0, 2 * n * m + 1, 2, dtype=np.int32)
-    return scipy.sparse.csc_matrix(
-        (np.ones(2 * n * m), indices, indptr), shape=(n + m, n * m)
-    )
-
-
-def _ot_lp(a: AtomSet, b: AtomSet, q: float):
-    """Transportation LP (HiGHS) with its duality gap, both in cost units.
-
-    The dual pair is HiGHS's multipliers of the row-sum constraints and
-    their c-transform on the columns, feasible by construction, so the gap
-    bounds the plan's excess cost over the optimum.
-    """
-    n, m = len(a), len(b)
-    C = _cost_matrix(a, b, q)
-    A_eq = _marginal_constraints(n, m)
-    b_eq = np.concatenate([a.masses, b.masses])
-    method = "highs" if n * m <= 40_000 else "highs-ipm"
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method=method)
-    if res.status != 0:
-        raise NumericalError(f"LP solver failed: {res.message}")
-    plan = np.maximum(res.x.reshape(n, m), 0.0)
-    cost = float(np.sum(plan * C))
-    u = res.eqlin.marginals[:n]
-    return cost, plan, max(cost - _dual_value(C, u, a, b), 0.0)
-
-
 def _ot_assignment(a: AtomSet, b: AtomSet, q: float):
     """Transport between n atoms of mass w on each side as an assignment,
     with its duality gap, both in cost units.
@@ -374,9 +363,11 @@ def _ot_assignment(a: AtomSet, b: AtomSet, q: float):
     (``linear_sum_assignment``) is an optimal plan.  The row potentials are
     minus the shortest-path distances of its reassignment graph, whose edge
     i -> k costs C[i, sigma(k)] - C[k, sigma(k)], from at most n rounds of
-    Bellman-Ford; the columns take their c-transform, as in :func:`_ot_lp`,
-    so the dual is feasible wherever the rounds stop.
+    Bellman-Ford; the columns take their c-transform, so the dual is
+    feasible wherever the rounds stop.
     """
+    from scipy.optimize import linear_sum_assignment  # not loaded on import
+
     C = _cost_matrix(a, b, q)
     rows, cols = linear_sum_assignment(C)
     plan = np.zeros_like(C)
@@ -409,12 +400,11 @@ def ot_exact(a: AtomSet, b: AtomSet, q: float = 2.0):
 
     In dimension one the plan is the north-west-corner rule on the stably
     sorted supports (the monotone coupling), exact for any masses and sizes
-    in O((n + m) log(n + m)); ``err`` is 0.  In higher dimensions, two sets
-    of n atoms whose masses are all equal are matched as an assignment
-    problem (``linear_sum_assignment``), and every other pair goes to the
-    transportation LP (HiGHS): small instances use the simplex, large ones
-    the interior-point method with crossover.  Both report as ``err`` the
-    duality gap against a feasible dual, in distance units.  Returns
+    in O((n + m) log(n + m)); ``err`` is 0.  In higher dimensions it takes
+    only two sets of n atoms whose masses are all equal, matched as an
+    assignment problem (``linear_sum_assignment``) with ``err`` the duality
+    gap against a feasible dual, in distance units; any other pair raises
+    :class:`PreconditionError` before any solve.  Returns
     ``(DistanceResult, TransportPlan)`` with the distance
     ``W_q = cost^{1/q}`` and the plan in the callers' atom order.
     """
@@ -432,7 +422,11 @@ def ot_exact(a: AtomSet, b: AtomSet, q: float = 2.0):
     elif n == m and (a.masses == w).all() and (b.masses == w).all():
         solve = _ot_assignment
     else:
-        solve = _ot_lp
+        raise PreconditionError(
+            "exact OT in d > 1 needs two sets of n atoms of equal mass "
+            f"(an assignment); got n = {n}, m = {m}"
+            + ("" if n != m else " with unequal masses")
+        )
     cost, plan, gap = solve(a, b, q)
     return _gap_distance(cost, gap, q, "exact-ot"), TransportPlan(a, b, plan)
 
@@ -467,7 +461,7 @@ OMEGA_MAX = 1.9
 SCALING_RANGE = (1e-8, 1e8)
 
 # Log of the smallest normal double: the floor of a kernel entry's exponent.
-_LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_TINY = math.log(_TINY)
 
 # Cap on the sweeps of one annealing stage.
 MAX_STAGE_SWEEPS = 800
@@ -690,8 +684,8 @@ def ot_entropic(
                 MARGINAL_TOL_MAX, max(MARGINAL_TOL, GAP_EXIT_RATIO * gap / cost)
             )
     raise ConvergenceError(
-        f"entropic solver left a duality gap of {gap!r} "
-        f"(target {rtol:.1e} relative) after the full schedule"
+        f"entropic solver left a duality gap of {gap!r} (relative "
+        f"{gap / cost:.1e}, target {rtol:.1e} relative) after the full schedule"
     )
 
 
@@ -705,7 +699,9 @@ def fm_upper(a, b) -> DistanceResult:
 
     The test class has sup-norm at most 1, which caps the distance at 2;
     the Lipschitz bound gives W_1.  Mixtures use the exact CDF
-    representation of W_1; atom sets use the exact discrete solver.
+    representation of W_1; atom sets use the exact discrete solver, so in
+    d > 1 they must be two sets of n atoms of equal mass (see
+    :func:`ot_exact`).
     """
     if isinstance(a, AtomSet) and isinstance(b, AtomSet):
         res, _ = ot_exact(a, b, q=1.0)

@@ -3,12 +3,14 @@ expected values.
 
 Everything here deliberately avoids the package's own code paths: moments by
 adaptive quadrature, distances by dense quadrature over scipy densities,
-discrete transport by exhaustive enumeration or by assignment.  The last
-section keeps the earlier forms of kernels the package rewrote for speed:
-the plain loops, the Kronecker-built LP constraints, the array-per-round
-Bellman-Ford and the ``np.add.at`` north-west corner must agree with the
-fast code bit for bit, the log-domain Sinkhorn to round-off with the same
-sweep count.
+discrete transport by exhaustive enumeration, by assignment or by the
+transportation LP (the exact oracle for pairs the package's exact solver
+does not take: unequal sizes or masses in d > 1).  The last section keeps
+the earlier forms of kernels the package rewrote for speed: the plain
+loops, the array-per-round Bellman-Ford and the ``np.add.at`` north-west
+corner must agree with the fast code bit for bit, the log-domain Sinkhorn
+to round-off with the same sweep count; the Kronecker-built LP constraints
+serve :func:`ot_lp`.
 """
 
 import itertools
@@ -16,8 +18,9 @@ import math
 
 import numpy as np
 import scipy.sparse
+from numpy.polynomial.hermite_e import hermeval
 from scipy import integrate
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.stats import norm
 
 
@@ -33,6 +36,20 @@ def mixture_pdf(weights, means, sds):
         )
 
     return pdf
+
+
+def mixture_derivative_hermeval(mix, x, alpha):
+    """Order-``alpha`` derivative of a 1-D mixture density at ``x``, each
+    component's Hermite polynomial He_alpha summed by ``hermeval``:
+    sum_i w_i (-1)^alpha s_i^(-alpha-1) He_alpha(z_i) phi(z_i)."""
+    coef = np.zeros(alpha + 1)
+    coef[alpha] = 1.0
+    total = np.zeros_like(x)
+    for w, m, v in zip(mix.weights, mix.means[:, 0], mix.covs[:, 0, 0]):
+        s = math.sqrt(v)
+        z = (x - m) / s
+        total += w * (-1) ** alpha * s ** (-alpha - 1) * hermeval(z, coef) * norm.pdf(z)
+    return total
 
 
 def quad_abs_moment(pdf, p, lo=-80.0, hi=80.0):
@@ -70,6 +87,31 @@ def assignment_cost(xa, xb, q):
     cost = np.linalg.norm(xa[:, None, :] - xb[None, :, :], axis=-1) ** q
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
+
+
+def ot_lp(a, b, q):
+    """Transportation LP (HiGHS) between two atom sets for cost |x - y|^q,
+    with its duality gap.  Returns ``(cost, plan, gap)``, cost and gap in
+    cost units.
+
+    The dual pair is HiGHS's multipliers of the row-sum constraints and
+    their c-transform on the columns, feasible by construction, so the gap
+    bounds the plan's excess cost over the optimum.  Small instances use the
+    simplex, large ones the interior-point method with crossover.
+    """
+    n, m = len(a), len(b)
+    C = np.linalg.norm(a.locations[:, None, :] - b.locations[None, :, :], axis=-1) ** q
+    A_eq = marginal_constraints_kron(n, m)
+    b_eq = np.concatenate([a.masses, b.masses])
+    method = "highs" if n * m <= 40_000 else "highs-ipm"
+    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method=method)
+    if res.status != 0:
+        raise RuntimeError(f"LP solver failed: {res.message}")
+    plan = np.maximum(res.x.reshape(n, m), 0.0)
+    cost = float(np.sum(plan * C))
+    u = res.eqlin.marginals[:n]
+    v = (C - u[:, None]).min(axis=0)
+    return cost, plan, max(cost - float(a.masses @ u + b.masses @ v), 0.0)
 
 
 def mc_pair_moment(fn, n=10**6, seed=12345):
@@ -286,7 +328,8 @@ def north_west_corner_add_at(a, b, q):
 
 def marginal_constraints_kron(n, m):
     """The transportation LP's equality constraints built from Kronecker
-    products: rows i < n sum plan row i, rows n + j sum plan column j."""
+    products, as :func:`ot_lp` uses them: rows i < n sum plan row i, rows
+    n + j sum plan column j."""
     rows = scipy.sparse.kron(scipy.sparse.eye(n), np.ones((1, m)))
     cols = scipy.sparse.kron(np.ones((1, n)), scipy.sparse.eye(m))
     return scipy.sparse.vstack([rows, cols]).tocsc()

@@ -89,7 +89,7 @@ def test_criterion_03_exact_ot_vs_brute_force():
     report(
         3,
         worst <= 1e-9 and elapsed < 10.0,
-        f"100 4-atom pairs: worst |LP - enumeration| {worst:.2e} (tol 1e-9), "
+        f"100 4-atom pairs: worst |ot_exact - enumeration| {worst:.2e} (tol 1e-9), "
         f"runtime {elapsed:.1f}s (< 10s)",
     )
 

@@ -1,16 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import mc_pair_moment
+from reference import mc_pair_moment, mixture_derivative_hermeval
 from tvrates import (
     BoundParams,
     PairEvaluation,
     PolyEnvelopeTable,
     PreconditionError,
+    ResolutionError,
     TvratesError,
     choose_l,
     exponential_rate_certificate,
@@ -337,6 +339,33 @@ class TestPointwiseCertificate:
         with pytest.raises(PreconditionError, match="alpha must be a derivative order"):
             pointwise_certificate(pair, alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [1, 5, 8, 30])
+    def test_derivative_lhs_matches_hermite_closed_form(
+        self, std_normal, default_params, alpha
+    ):
+        # the grid's spectral derivative read 166 for alpha = 6 (sup 3.09)
+        # and 1.9e69 for alpha = 30, above that pair's rhs of 6.6e56
+        b = gaussian(0.1, 1.0)
+        pair = PairEvaluation(std_normal, b, default_params)
+        cert = pointwise_certificate(pair, alpha=alpha)
+        x = pair.grid.nodes()
+        diff = mixture_derivative_hermeval(std_normal, x, alpha) - (
+            mixture_derivative_hermeval(b, x, alpha)
+        )
+        want = np.max(np.abs(diff) * (1.0 + np.abs(x) ** 2))
+        assert abs(cert.lhs - want) <= 1e-8 * want
+        assert cert.satisfied
+
+    def test_derivative_out_of_float_range_is_typed(self, std_normal, default_params):
+        # s^(-alpha-1) = 1e322 is past the float range, and so is its product
+        # with He_160(0) phi(0) ~ 2e141 at the origin
+        narrow = GaussianMixture([1.0], [[0.0]], [[[1e-4]]])
+        pair = PairEvaluation(std_normal, narrow, default_params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolutionError, match="float range"):
+                pointwise_certificate(pair, alpha=160)
+
     def test_numpy_integer_multiindex_accepted(self, std_normal, default_params):
         pair = PairEvaluation(std_normal, gaussian(0.05, 1.0), default_params)
         got = pointwise_certificate(pair, alpha=np.int64(1))
@@ -407,6 +436,29 @@ class TestExponentialCertificate:
                     "c2_weighted", "c2_flat", "c3_weighted", "c3_flat",
                     "far_weighted", "far_flat", "c4_total", "M1_weighted", "M2"):
             assert key in cert.ledger.extra
+
+
+class TestZeroGap:
+    BUILDERS = [polynomial_rate_certificate, exponential_rate_certificate,
+                pointwise_certificate]
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_distinct_laws_never_get_the_zero_certificate(
+        self, std_normal, default_params, builder
+    ):
+        # the measured gap of this pair is ~2e-15, at or below ZERO_GAP, while
+        # rho_p is 2.5e-15: the shortcut used to certify it as identical
+        pair = PairEvaluation(std_normal, gaussian(1e-15, 1.0), default_params)
+        with pytest.raises(ResolutionError, match="below the quadrature's resolution"):
+            builder(pair)
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_identical_laws_get_the_zero_certificate(
+        self, std_normal, default_params, builder
+    ):
+        cert = builder(PairEvaluation(std_normal, gaussian(0.0, 1.0), default_params))
+        assert cert.ledger.extra["branch"] == "identical-inputs"
+        assert cert.A == cert.lhs == cert.rhs == 0.0 and cert.satisfied
 
 
 class TestParams:

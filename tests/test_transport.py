@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -14,9 +15,9 @@ import tvrates.transport
 from reference import (
     assignment_cost,
     brute_force_ot_uniform,
-    marginal_constraints_kron,
     mixture_pdf,
     north_west_corner_add_at,
+    ot_lp,
     quad_weighted_tv,
     reassignment_distances_loop,
     sinkhorn_log_domain,
@@ -26,6 +27,7 @@ from tvrates import (
     ConvergenceError,
     DistanceResult,
     GaussianMixture,
+    NumericalError,
     PairEvaluation,
     PreconditionError,
     SpaceGrid,
@@ -67,20 +69,6 @@ def benchmark_problems_seed0():
 def benchmark_cloud_seed0():
     """The 64-atom 1-D cloud of the transport benchmark at seed 0."""
     return benchmark_problems_seed0()["near"][0]
-
-
-@pytest.fixture
-def linprog_calls(monkeypatch):
-    """Counts the HiGHS solves of ``ot_exact``."""
-    calls = []
-    linprog = tvrates.transport.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(tvrates.transport, "linprog", counted)
-    return calls
 
 
 def duality_gap_case(seed):
@@ -166,7 +154,7 @@ class TestDistanceResult:
 class TestExponentChecks:
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("solver", ["ot_exact-1d", "ot_exact-2d", "ot_entropic"])
-    def test_cost_exponent_must_be_finite(self, sweep_counter, linprog_calls, solver, x):
+    def test_cost_exponent_must_be_finite(self, sweep_counter, solver, x):
         rng = np.random.default_rng(3)
         d = 1 if solver == "ot_exact-1d" else 2
         a, b = uniform_atoms(rng, 4, d), uniform_atoms(rng, 5, d, shift=1.0)
@@ -174,7 +162,7 @@ class TestExponentChecks:
         with pytest.raises(PreconditionError, match="cost exponent q"):
             fn(a, b, x)
         # rejected before any solver work
-        assert sweep_counter["scaling"] == 0 and not linprog_calls
+        assert sweep_counter["scaling"] == 0
 
     @pytest.mark.parametrize("solver", [ot_exact, ot_entropic])
     def test_cost_overflow_names_the_exponent(self, solver):
@@ -226,6 +214,13 @@ class TestRhoAndTv:
         got = tv_mass(std_normal, gaussian(0.0, 4.0))
         np.testing.assert_allclose(got.value, oracle, atol=1e-4)
 
+    def test_weight_past_float_range_is_typed_without_warning(self, std_normal):
+        # |x|^320 overflows on the grid box of this pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"weight \|x\|\^p at p = 320"):
+                rho_p(std_normal, gaussian(0.1, 1.0), 320)
+
     def test_symmetry(self, std_normal, bimodal):
         ab = rho_p(std_normal, bimodal, 2).value
         ba = rho_p(bimodal, std_normal, 2).value
@@ -266,6 +261,18 @@ class TestWasserstein1d:
 
     def test_identical_q3(self, bimodal):
         assert wasserstein_1d(bimodal, bimodal, 3).value == 0.0
+
+    @pytest.mark.parametrize("q", [2.0, 300.0, 330.0, 1000.0])
+    def test_translate_at_large_q(self, std_normal, q):
+        # |Qa - Qb|^q = 0.1^q underflows from q ~ 308 on; the sum used to
+        # read 0.0 with err 0 at q >= 330
+        got = wasserstein_1d(std_normal, gaussian(0.1, 1.0), q)
+        assert abs(got.value - 0.1) <= 1e-12
+
+    def test_far_translate_at_large_q(self, std_normal):
+        # 10^330 overflows: this used to raise "distance inf"
+        got = wasserstein_1d(std_normal, gaussian(10.0, 1.0), 330.0)
+        assert abs(got.value - 10.0) <= 1e-12 and got.err <= 1e-12
 
     @pytest.mark.parametrize("q", [1.0, 0.5])
     def test_low_q_rejected(self, std_normal, q):
@@ -403,16 +410,11 @@ class TestOtExact:
             return x, rng.dirichlet(np.ones(k))
 
         (xa, ma), (xb, mb) = atoms(n), atoms(m)
-        res, plan = ot_exact(AtomSet(xa[:, None], ma), AtomSet(xb[:, None], mb), q)
-        # a zero second coordinate keeps the costs and forces the LP path
-        lp, _ = ot_exact(
-            AtomSet(np.column_stack([xa, np.zeros(n)]), ma),
-            AtomSet(np.column_stack([xb, np.zeros(m)]), mb),
-            q,
-        )
-        # HiGHS itself can stop ~1e-9 above the optimum; its err certifies how far
-        lp_gap = lp.value**q - (lp.value - lp.err) ** q
-        assert lp.value**q - lp_gap - 1e-9 <= res.value**q <= lp.value**q + 1e-9
+        a, b = AtomSet(xa[:, None], ma), AtomSet(xb[:, None], mb)
+        res, plan = ot_exact(a, b, q)
+        # HiGHS itself can stop ~1e-9 above the optimum; its gap certifies how far
+        lp_cost, _, lp_gap = ot_lp(a, b, q)
+        assert lp_cost - lp_gap - 1e-9 <= res.value**q <= lp_cost + 1e-9
         np.testing.assert_allclose(plan.matrix.sum(axis=1), ma, rtol=0, atol=1e-12)
         np.testing.assert_allclose(plan.matrix.sum(axis=0), mb, rtol=0, atol=1e-12)
 
@@ -445,30 +447,30 @@ class TestOtExact:
 
     @pytest.mark.parametrize("seed", [*range(8), "embedded-translate"])
     def test_highs_err_is_a_duality_gap(self, seed):
-        # the same clouds straight through HiGHS
+        # the same clouds through the HiGHS oracle
         xa, xb = duality_gap_case(seed)
-        cost, _, gap = tvrates.transport._ot_lp(uniform_cloud(xa), uniform_cloud(xb), 2)
+        cost, _, gap = ot_lp(uniform_cloud(xa), uniform_cloud(xb), 2)
         res = tvrates.transport._gap_distance(cost, gap, 2, "exact-ot")
         excess = res.value - assignment_cost(xa, xb, 2) ** 0.5
         assert res.err >= 0.0
         assert res.err >= excess - 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_lp_err_bounds_the_excess_on_uneven_masses(self, linprog_calls, seed):
-        # Dirichlet masses on a line in 2-D go to HiGHS; the sorted 1-D
-        # solver on the same atoms is the exact reference
+    def test_lp_err_bounds_the_excess_on_uneven_masses(self, seed):
+        # Dirichlet masses on a line in 2-D through the HiGHS oracle; the
+        # sorted 1-D solver on the same atoms is the exact reference
         rng = np.random.default_rng(300 + seed)
         n, m = rng.integers(2, 40, size=2)
         q = (1.0, 1.5, 2.0, 3.0)[seed % 4]
         xa, xb = rng.normal(size=n), rng.normal(size=m) * 1.5 + 0.3
         ma, mb = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
         exact, _ = ot_exact(AtomSet(xa[:, None], ma), AtomSet(xb[:, None], mb), q)
-        res, _ = ot_exact(
+        cost, _, gap = ot_lp(
             AtomSet(np.column_stack([xa, np.zeros(n)]), ma),
             AtomSet(np.column_stack([xb, np.zeros(m)]), mb),
             q,
         )
-        assert len(linprog_calls) == 1
+        res = tvrates.transport._gap_distance(cost, gap, q, "exact-ot")
         assert res.err >= 0.0
         assert res.err >= res.value - exact.value - 1e-12
 
@@ -501,7 +503,7 @@ class TestOtExact:
         # the potentials certify the optimal matching to round-off
         assert res.value**q - (res.value - res.err) ** q <= 1e-12
         # HiGHS certifies an interval for the optimum
-        lp_cost, _, lp_gap = tvrates.transport._ot_lp(a, b, q)
+        lp_cost, _, lp_gap = ot_lp(a, b, q)
         assert lp_cost - lp_gap - 1e-9 <= cost <= lp_cost + 1e-9
         assert res.err >= res.value - lp_cost ** (1 / q) - 1e-12
         if n <= 6:
@@ -517,7 +519,7 @@ class TestOtExact:
         # graph; the capped Bellman-Ford rounds and the c-transform must still
         # give a feasible dual, so err covers the whole excess
         monkeypatch.setattr(
-            tvrates.transport,
+            scipy.optimize,
             "linear_sum_assignment",
             lambda C: (np.arange(len(C)), np.arange(len(C))),
         )
@@ -546,37 +548,39 @@ class TestOtExact:
                 reassignment_distances_loop(C, cols),
             )
 
-    def test_dispatch_sends_uniform_equal_sizes_to_assignment(self, linprog_calls):
+    def test_dispatch_sends_uniform_equal_sizes_to_assignment(self, monkeypatch):
+        # in d > 1 only equal-size, equal-mass pairs are solved; the others
+        # are refused before any solve
+        calls = []
+        solve = tvrates.transport._ot_assignment
+        monkeypatch.setattr(
+            tvrates.transport, "_ot_assignment",
+            lambda *args: calls.append(1) or solve(*args),
+        )
         problems = benchmark_problems_seed0()
         for xa, xb in [*problems["lp16x16"], problems["2d"]]:
             ot_exact(uniform_cloud(xa), uniform_cloud(xb), 2)
-        assert len(linprog_calls) == 0
+        assert len(calls) == 33
         rng = np.random.default_rng(9)
-        ot_exact(uniform_atoms(rng, 16, 2), uniform_atoms(rng, 12, 2), 2)
-        assert len(linprog_calls) == 1
+        with pytest.raises(PreconditionError, match="got n = 16, m = 12"):
+            ot_exact(uniform_atoms(rng, 16, 2), uniform_atoms(rng, 12, 2), 2)
         x = rng.normal(size=(16, 2))
         uneven = AtomSet(x, rng.dirichlet(np.ones(16)))
-        ot_exact(uneven, uniform_cloud(x + 0.5), 2)
-        assert len(linprog_calls) == 2
-
-    @pytest.mark.parametrize("n,m", [(16, 16), (5, 9), (64, 64)])
-    def test_constraint_matrix_matches_kron_build(self, n, m):
-        got = tvrates.transport._marginal_constraints(n, m)
-        ref = marginal_constraints_kron(n, m)
-        assert got.format == ref.format == "csc"
-        assert got.shape == ref.shape
-        for name in ("indices", "indptr", "data"):
-            g, r = getattr(got, name), getattr(ref, name)
-            assert g.dtype == r.dtype
-            np.testing.assert_array_equal(g, r)
+        with pytest.raises(PreconditionError, match="unequal masses"):
+            ot_exact(uneven, uniform_cloud(x + 0.5), 2)
+        assert len(calls) == 33
 
     def test_plan_marginals(self):
         rng = np.random.default_rng(11)
-        a = uniform_atoms(rng, 8, 2)
-        b = AtomSet(rng.normal(size=(5, 2)), np.array([0.1, 0.2, 0.3, 0.25, 0.15]))
-        _, plan = ot_exact(a, b, 2)
-        np.testing.assert_allclose(plan.matrix.sum(axis=1), a.masses, atol=1e-9)
-        np.testing.assert_allclose(plan.matrix.sum(axis=0), b.masses, atol=1e-9)
+        uneven_1d = (
+            uniform_atoms(rng, 8, 1),
+            AtomSet(rng.normal(size=(5, 1)), np.array([0.1, 0.2, 0.3, 0.25, 0.15])),
+        )
+        equal_2d = (uniform_atoms(rng, 8, 2), uniform_atoms(rng, 8, 2, shift=0.5))
+        for a, b in (uneven_1d, equal_2d):
+            _, plan = ot_exact(a, b, 2)
+            np.testing.assert_allclose(plan.matrix.sum(axis=1), a.masses, atol=1e-9)
+            np.testing.assert_allclose(plan.matrix.sum(axis=0), b.masses, atol=1e-9)
 
 
 class TestOtEntropic:
@@ -703,9 +707,13 @@ class TestOtEntropic:
         # 120 raise today, but two of them end within 16 % of rtol, where
         # round-off-level changes have moved these gaps by up to 13 %, so
         # the bound stays at 7
+        # the exact cost: the sorted solver in 1-D, the HiGHS oracle in d > 1
         raised = 0
         for a, b, q in dirichlet_pairs():
-            exact = ot_exact(a, b, q)[0].value
+            if a.d == 1:
+                exact = ot_exact(a, b, q)[0].value
+            else:
+                exact = ot_lp(a, b, q)[0] ** (1.0 / q)
             try:
                 ent = ot_entropic(a, b, q)
             except ConvergenceError:
@@ -772,6 +780,16 @@ class TestOtEntropic:
         assert kernel_builds["kernel"] > kernel_builds["stages"]
         gap = float(str(info.value).split("duality gap of ")[1].split()[0])
         assert abs(gap - ref_gap) <= 1e-9 * ref_gap
+
+    def test_convergence_error_states_the_gap_relative_too(self):
+        # the absolute gap, then the gap relative to the cost beside the
+        # relative target
+        a, b = map(uniform_cloud, benchmark_problems_seed0()["near"])
+        schedule = (0.3, 0.03)
+        _, cost, gap, _ = sinkhorn_log_domain(a, b, 2, reg_schedule=schedule)
+        with pytest.raises(ConvergenceError) as info:
+            ot_entropic(a, b, 2, reg_schedule=schedule)
+        assert f"(relative {gap / cost:.1e}, target 5.0e-03 relative)" in str(info.value)
 
     def test_kernel_has_no_subnormal_entries(self):
         # exponents down to -1000: those below the log of the smallest normal
