@@ -8,7 +8,7 @@ envelopes of densities and characteristic functions, and assembles fully
 explicit empirical certificates of the bounds
 
     rho_p <= C * W_q^(1 - epsilon)          (polynomial-decay regime)
-    rho_p <= C * W_q * |ln W_q|^(2d + 1)    (exponential-decay regime)
+    rho_p <= C * W_q * |ln W_q|^3           (exponential-decay regime)
 
 on analytic test families, together with a sweep harness that validates the
 certified rates against measured ones.

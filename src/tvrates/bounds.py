@@ -7,17 +7,20 @@ Two regimes are implemented, plus a pointwise variant:
   functions (frequency-side envelope table b_{k,l}), the weighted total
   variation rho_p is bounded by ``(2 Cbar_{l,p} + Cbar_{l,0}) A^{theta_{l,p}}``
   where ``A`` is the measured W_q gap and every constant in the chain
-  (gamma_l, C-ring, h_p, Chat, Cbar, theta) is evaluated and recorded.
+  (gamma_l, C-ring, Chat, Cbar, theta) is evaluated and recorded.
 
 * ``lemma2-exp``: under exponential decay (integrals of |phi^{(k)}| against
   e^{r_k |u|}) and an exponential moment bound, the rate improves to
-  ``C * A |ln A|^{2d+1}``; the certificate assembles C by explicitly tracking
+  ``C * A |ln A|^3``; the certificate assembles C by explicitly tracking
   the frequency truncation at ``M = 2|ln A|/r``, the Cauchy-Schwarz split of
-  the tail, the incomplete-gamma tail bound, and the space truncation at
+  the tail, the exponential tail bound, and the space truncation at
   ``M = s |ln A|/r``.  Rows outside the small-gap regime fall back to a
   trivially sound constant bound.
 
 * ``pointwise``: sup-norm version for a fixed derivative order.
+
+The laws are one-dimensional, so the paper's dimension-d constants are
+written at d = 1: the unit sphere has measure 2 and h_p is 1.
 
 All certificates are *empirical*: envelope constants are grid maxima, so a
 certificate is strong evidence, not a proof, and carries that provenance tag.
@@ -56,7 +59,6 @@ __all__ = [
     "PairEvaluation",
     "gamma_k",
     "c_ring",
-    "h_p_const",
     "theta_exponent",
     "choose_l",
     "choose_M",
@@ -71,9 +73,9 @@ __all__ = [
 # laws get the zero certificate, distinct ones a ResolutionError.
 ZERO_GAP = 1e-14
 
-# The dimension d of the paper's constants for every certified pair: the
-# exact W_q gap exists for one-dimensional laws only.
-DIM = 1
+# Volume of the unit ball [-1, 1], in the d-ball form pi^{d/2} / Gamma(d/2 + 1)
+# at d = 1, which rounds to 1.9999999999999998 (the ledger keeps those bits).
+_UNIT_BALL = math.pi ** 0.5 / math.gamma(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +85,8 @@ DIM = 1
 @dataclass(frozen=True)
 class BoundParams:
     """Certificate parameters: finite weight power p >= 1, finite transport
-    exponent q > 1 and rate slack epsilon in (0, 1); the laws, and so the
-    dimension ``DIM``, are one-dimensional.
+    exponent q > 1 and rate slack epsilon in (0, 1); the laws are
+    one-dimensional.
 
     The Fourier argument needs an even weight power, so ``p_even`` rounds p
     up to the next even integer >= 2; the original p is retained and the
@@ -102,7 +104,7 @@ class BoundParams:
             raise PreconditionError("epsilon must lie in (0, 1)")
         # the truncation order of the certificates must stay in the float
         # range
-        choose_l(self.epsilon, self.p, DIM)
+        choose_l(self.epsilon, self.p, 1)
 
     @property
     def p_even(self) -> int:
@@ -120,12 +122,14 @@ class BoundParams:
 # elementary constants
 # ---------------------------------------------------------------------------
 
-def gamma_k(k: int, d: int) -> float:
-    """Radial tail constant: int_{|u| >= M} |u|^{-k} du = gamma_k / M^{k-d}
-    with gamma_k = 2 pi^{d/2} / (Gamma(d/2) (k - d)); requires k > d."""
-    if k <= d:
-        raise PreconditionError("tail integral diverges unless k > d")
-    return 2.0 * math.pi ** (d / 2.0) / (math.gamma(d / 2.0) * (k - d))
+def gamma_k(k: int) -> float:
+    """Tail constant: int_{|u| >= M} |u|^{-k} du = gamma_k / M^{k-1} for k > 1,
+    in the d-ball form 2 pi^{1/2} / (Gamma(1/2) (k - 1)), which differs from
+    2 / (k - 1) in the last bit at some k (k = 10, for one)."""
+    if k <= 1:
+        raise PreconditionError("tail integral diverges unless k > 1")
+    root_pi = math.pi ** 0.5  # equals math.gamma(0.5) as a float
+    return 2.0 * root_pi / (root_pi * (k - 1))
 
 
 def c_ring(k: int, q: float, moment_a, moment_b) -> float:
@@ -163,14 +167,6 @@ def c_ring(k: int, q: float, moment_a, moment_b) -> float:
             + moment_b((k - 1) * q_dual) ** (1.0 / q_dual)
         )
     return first + k * 2.0 ** (k - 1) * cross_root
-
-
-def h_p_const(p: int, d: int) -> float:
-    """Power-mean constant: |x|^p <= h_p sum_j |x_j|^p with h_p = d^{p/2-1}.
-    Even p only; p = 0 is allowed for the unweighted branch (h_0 = 1/d)."""
-    if p < 0 or p % 2 != 0:
-        raise PreconditionError("weight power must be an even integer >= 0")
-    return float(d) ** (p / 2.0 - 1.0)
 
 
 def theta_exponent(l: int, p: float, d: int) -> float:
@@ -215,28 +211,18 @@ def choose_M(A: float, l: int) -> float:
     return A ** (-1.0 / (l + 1.0))
 
 
-def _unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-
-def c_hat(l: int, p: int, c_ring_p: float, b_table: PolyEnvelopeTable, d: int) -> float:
-    """Pointwise product constant Chat_{l,p} = (2 h_p d / (2 pi)^d)
-    (C°_p pi^{d/2} / Gamma(d/2 + 1) + b_{p,l} gamma_l)."""
+def c_hat(l: int, p: int, c_ring_p: float, b_table: PolyEnvelopeTable) -> float:
+    """Pointwise product constant Chat_{l,p} = (2 / (2 pi))
+    (C°_p |B_1| + b_{p,l} gamma_l), with |B_1| the unit-ball volume."""
     b_pl = b_table.get(p, l)
-    return (
-        2.0
-        * h_p_const(p, d)
-        * d
-        / (2.0 * math.pi) ** d
-        * (c_ring_p * _unit_ball_volume(d) + b_pl * gamma_k(l, d))
-    )
+    return 2.0 / (2.0 * math.pi) * (c_ring_p * _UNIT_BALL + b_pl * gamma_k(l))
 
 
-def c_bar(l: int, p: int, c_hat_val: float, a_2p: float, a_2l: float, d: int) -> float:
-    """Integrated constant Cbar_{l,p} = Chat_{l,p} pi^{d/2}/Gamma(d/2+1)
-    + 2 sqrt(a_{0,2p} a_{0,2l}), with a_{0,m} the moment bound max of the
-    pair's m-th absolute moments."""
-    return c_hat_val * _unit_ball_volume(d) + 2.0 * math.sqrt(a_2p * a_2l)
+def c_bar(c_hat_val: float, a_2p: float, a_2l: float) -> float:
+    """Integrated constant Cbar_{l,p} = Chat_{l,p} |B_1| + 2 sqrt(a_{0,2p}
+    a_{0,2l}), with a_{0,m} the moment bound max of the pair's m-th absolute
+    moments."""
+    return c_hat_val * _UNIT_BALL + 2.0 * math.sqrt(a_2p * a_2l)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +254,7 @@ class ConstantLedger:
         ):
             for key, v in table.items():
                 if not (math.isfinite(v) and v > 0):
-                    raise PreconditionError(f"{name}[{key}] = {v!r} is not usable")
+                    raise PreconditionError(f"{name}[{key}] = {float(v)!r} is not usable")
         for key, v in self.theta.items():
             if not 0 < v < 1:
                 raise PreconditionError(f"theta[{key}] = {v!r} outside (0, 1)")
@@ -518,34 +504,32 @@ def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
     """
     a, b = pair.laws
     params = pair.params
-    p, d = params.p_even, DIM
-    l = choose_l(params.epsilon, p, d)
+    p = params.p_even
+    l = choose_l(params.epsilon, p, 1)
     A = pair.gap
     if _identical_inputs(pair):
         return _zero_certificate(params, "lemma1-poly", l)
-    envelopes = pair.poly_envelopes(l + d + 1)
+    envelopes = pair.poly_envelopes(l + 2)
 
     ledger = ConstantLedger()
     mom_a, mom_b = a.abs_moment, b.abs_moment
-    ledger.gamma[l] = gamma_k(l, d)
+    ledger.gamma[l] = gamma_k(l)
     ledger.c_ring[0] = 1.0
     ledger.c_ring[p] = c_ring(p, params.q, mom_a, mom_b)
-    ledger.h_p = h_p_const(p, d)
+    ledger.h_p = 1.0
     for m in (2 * p, 2 * l):
-        ledger.moment_bounds[m] = max(mom_a(m), mom_b(m))
+        ledger.moment_bounds[m] = float(max(mom_a(m), mom_b(m)))
     a_2p, a_2l = ledger.moment_bounds[2 * p], ledger.moment_bounds[2 * l]
-    ledger.c_hat[(l, p)] = c_hat(l, p, ledger.c_ring[p], envelopes, d)
-    ledger.c_hat[(l, 0)] = c_hat(l, 0, 1.0, envelopes, d)
-    ledger.c_bar[(l, p)] = c_bar(l, p, ledger.c_hat[(l, p)], a_2p, a_2l, d)
-    ledger.c_bar[(l, 0)] = c_bar(l, 0, ledger.c_hat[(l, 0)], 1.0, a_2l, d)
-    ledger.theta[(l, p)] = theta_exponent(l, p, d)
-    ledger.theta[(l, 0)] = theta_exponent(l, 0, d)
+    ledger.c_hat[(l, p)] = c_hat(l, p, ledger.c_ring[p], envelopes)
+    ledger.c_hat[(l, 0)] = c_hat(l, 0, 1.0, envelopes)
+    ledger.c_bar[(l, p)] = c_bar(ledger.c_hat[(l, p)], a_2p, a_2l)
+    ledger.c_bar[(l, 0)] = c_bar(ledger.c_hat[(l, 0)], 1.0, a_2l)
+    ledger.theta[(l, p)] = theta_exponent(l, p, 1)
+    ledger.theta[(l, 0)] = theta_exponent(l, 0, 1)
 
     M = choose_M(A, l)
     if A <= 1.0:
-        ledger.extra["space_truncation_M"] = A ** (
-            -(l - d) / ((l + 1.0) * (l + p + d))
-        )
+        ledger.extra["space_truncation_M"] = A ** (-(l - 1) / ((l + 1.0) * (l + p + 1)))
         rhs = (2.0 * ledger.c_bar[(l, p)] + ledger.c_bar[(l, 0)]) * A ** ledger.theta[
             (l, p)
         ]
@@ -583,7 +567,7 @@ def _mixture_derivative(law: GaussianMixture, x: np.ndarray, alpha: int) -> np.n
 
 def pointwise_certificate(pair: PairEvaluation, alpha: int = 0) -> BoundCertificate:
     """Sup-norm certificate: ||(f_a^{(alpha)} - f_b^{(alpha)})(1 + |x|^p)||_inf
-    <= K A^{(l - d - alpha)/(l + 1)} with K assembled from the pair's
+    <= K A^{(l - 1 - alpha)/(l + 1)} with K assembled from the pair's
     moments and the frequency-side envelope at orders 0 and p_even.
 
     The left side is the maximum over the pair's grid nodes: of the grid
@@ -592,14 +576,14 @@ def pointwise_certificate(pair: PairEvaluation, alpha: int = 0) -> BoundCertific
     float range raises :class:`ResolutionError`."""
     a, b = pair.laws
     params = pair.params
-    p, d = params.p_even, DIM
+    p = params.p_even
     if not (isinstance(alpha, numbers.Integral) and not isinstance(alpha, bool)
             and alpha >= 0):
         raise PreconditionError(
             f"alpha must be a derivative order: an integer >= 0, got {alpha!r}"
         )
     k_a = int(alpha)
-    l = max(choose_l(params.epsilon, p, d), d + k_a + 1)
+    l = max(choose_l(params.epsilon, p, 1), k_a + 2)
     A = pair.gap
     if _identical_inputs(pair):
         return _zero_certificate(params, "pointwise", l)
@@ -619,31 +603,29 @@ def pointwise_certificate(pair: PairEvaluation, alpha: int = 0) -> BoundCertific
             f"the order-{k_a} pointwise left side leaves the float range; "
             "lower alpha or the weight power"
         )
-    envelopes = pair.poly_envelopes(l + d + 1)
+    envelopes = pair.poly_envelopes(l + 2)
 
     ledger = ConstantLedger()
     ledger.c_ring[0] = 1.0
     ledger.c_ring[p] = c_ring(p, params.q, a.abs_moment, b.abs_moment)
-    ledger.h_p = h_p_const(p, d)
-    ledger.gamma[l - k_a] = gamma_k(l - k_a, d)
-    ledger.theta[(l, p)] = theta_exponent(l, p, d)
-    vball = _unit_ball_volume(d)
-    inv_two_pi_d = (2.0 * math.pi) ** (-d)
+    ledger.h_p = 1.0
+    gamma = ledger.gamma[l - k_a] = gamma_k(l - k_a)
+    ledger.theta[(l, p)] = theta_exponent(l, p, 1)
+    # x ** -1 is kept from the d-dimensional form: 1.0 / x can differ in the
+    # last bit, and the ledger keeps its bits
+    inv_two_pi = (2.0 * math.pi) ** -1
     # weighted part: |(f_a - f_b)^{(alpha)}| |x|^p
-    k_weighted = inv_two_pi_d * (
-        2.0 * d * ledger.c_ring[p] * vball
-        + 2.0 * d * envelopes.get(p, l) * ledger.gamma[l - k_a]
+    k_weighted = inv_two_pi * (
+        2.0 * ledger.c_ring[p] * _UNIT_BALL + 2.0 * envelopes.get(p, l) * gamma
     )
     # flat part: |(f_a - f_b)^{(alpha)}| alone, via plain inversion
-    k_flat = inv_two_pi_d * (
-        2.0 * vball + 2.0 * envelopes.get(0, l) * ledger.gamma[l - k_a]
-    )
+    k_flat = inv_two_pi * (2.0 * _UNIT_BALL + 2.0 * envelopes.get(0, l) * gamma)
     flat_factor = 1.0 if params.p_is_even_integer else 2.0
-    k_total = ledger.h_p * k_weighted + flat_factor * k_flat
+    k_total = k_weighted + flat_factor * k_flat
     ledger.extra["k_weighted"] = k_weighted
     ledger.extra["k_flat"] = k_flat
     ledger.extra["k_total"] = k_total
-    exponent = (l - d - k_a) / (l + 1.0)
+    exponent = (l - 1 - k_a) / (l + 1.0)
     ledger.extra["exponent"] = exponent
     M = choose_M(A, l)
     if A <= 1.0:
@@ -660,35 +642,25 @@ def pointwise_certificate(pair: PairEvaluation, alpha: int = 0) -> BoundCertific
 # exponential-decay regime
 # ---------------------------------------------------------------------------
 
-def _radial_tail_coef(rate: float, d: int, m_floor: float) -> float:
-    """kappa with int_M^inf e^{-rate t} t^{d-1} dt <= kappa e^{-rate M} M^{d-1}
-    for all M >= m_floor (>= 1); exact expansion of the incomplete gamma."""
-    return sum(
-        (math.factorial(d - 1) / math.factorial(d - 1 - j))
-        * rate ** (-(j + 1))
-        * m_floor ** (-j)
-        for j in range(d)
-    )
-
-
 def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundCertificate:
-    """Certificate for rho_p <= C'''' A |ln A|^{2d+1} in the small-gap regime.
+    """Certificate for rho_p <= C'''' A |ln A|^3 in the small-gap regime.
 
     ``r`` is the exponential-moment rate; ``c_sharp`` = E e^{r|X_a|} +
     E e^{r|X_b|} is evaluated in closed form.
     The regime requires |ln A| > Lambda = max(r_p, r_0, r/s, p_even/s) so
     that both truncation radii exceed their floors; otherwise the certificate
     falls back to ``rhs = C max(A, 1)`` with the trivial moment constant C.
-    Every chain constant lands in the ledger under ``extra``.
+    The certificate records the order l = 2, and every chain constant lands
+    in the ledger under ``extra``.
     """
     a, b = pair.laws
     params = pair.params
-    p, d = params.p_even, DIM
+    p = params.p_even
     if r <= 0:
         raise PreconditionError("exponential moment rate must be > 0")
     A = pair.gap
     if _identical_inputs(pair):
-        return _zero_certificate(params, "lemma2-exp", d + 1)
+        return _zero_certificate(params, "lemma2-exp", 2)
     exp_envelopes = pair.exp_envelopes
     c_sharp = a.exp_abs_moment(r) + b.exp_abs_moment(r)
 
@@ -696,13 +668,13 @@ def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundC
     r_0, c_0 = exp_envelopes.get(0)
     s_p = exp_envelopes.sups[p]
     s_0 = exp_envelopes.sups[0]
-    s_fac = 1.0 if p <= 2 * d + 1 else 2.0
+    s_fac = 1.0 if p <= 3 else 2.0
     lam = max(r_p, r_0, r / s_fac, p / s_fac)
 
     ledger = ConstantLedger()
     ledger.c_ring[0] = 1.0
     ledger.c_ring[p] = c_ring(p, params.q, a.abs_moment, b.abs_moment)
-    ledger.h_p = h_p_const(p, d)
+    ledger.h_p = 1.0
     ledger.extra.update(
         {
             "r": r, "c_sharp": c_sharp, "r_p": r_p, "c_p": c_p, "r_0": r_0,
@@ -719,46 +691,38 @@ def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundC
         ledger.extra["branch"] = "constant"
         ledger.validate()
         rhs = triv * max(A, 1.0)
-        return BoundCertificate(params, "lemma2-exp", d + 1, 1.0, A, lhs, rhs, ledger)
+        return BoundCertificate(params, "lemma2-exp", 2, 1.0, A, lhs, rhs, ledger)
 
     log_gap = abs(math.log(A))
-    vball = _unit_ball_volume(d)
-    sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    inv_two_pi_d = (2.0 * math.pi) ** (-d)
+    inv_two_pi = (2.0 * math.pi) ** -1
 
     # pointwise step at frequency radius M1 = 2 |ln A| / rate (>= 2 in-regime):
-    # |f_a - f_b| sum_j |x_j|^p <= C2_p A |ln A|^{d+1}, and the p = 0 variant.
-    def pointwise_coef(rate, integral, sup, near_scale, l2_scale):
-        near = inv_two_pi_d * near_scale * vball * (2.0 / rate) ** (d + 1)
-        kappa = _radial_tail_coef(rate, d, 2.0)
-        l2 = l2_scale * sup * integral
-        tail = (
-            inv_two_pi_d
-            * math.sqrt(l2 * sphere * kappa)
-            * (2.0 / rate) ** ((d - 1) / 2.0)
-            * lam ** (-(d + 3) / 2.0)
-        )
+    # |f_a - f_b| |x|^p <= C2_p A |ln A|^2, and the p = 0 variant.  The tail
+    # past M1 splits by Cauchy-Schwarz over its two half-lines (measure 2),
+    # with int_M^inf e^{-rate t} dt = kappa e^{-rate M} for kappa = rate^-1.
+    def pointwise_coef(rate, integral, sup, near_scale):
+        near = inv_two_pi * near_scale * _UNIT_BALL * (2.0 / rate) ** 2
+        kappa = rate ** -1
+        tail = inv_two_pi * math.sqrt(sup * integral * 2.0 * kappa) * lam ** -2.0
         return near + tail, kappa
 
-    c2_p, kappa_p = pointwise_coef(
-        r_p, c_p, s_p, 2.0 * d * ledger.c_ring[p], float(d * d)
-    )
-    c2_0, kappa_0 = pointwise_coef(r_0, c_0, s_0, 2.0, 1.0)
+    c2_p, kappa_p = pointwise_coef(r_p, c_p, s_p, 2.0 * ledger.c_ring[p])
+    c2_0, kappa_0 = pointwise_coef(r_0, c_0, s_0, 2.0)
     ledger.extra.update({"kappa_p": kappa_p, "kappa_0": kappa_0,
                          "c2_weighted": c2_p, "c2_flat": c2_0})
 
     # space step at radius M2 = s |ln A| / r: ball volume times the pointwise
     # bound, plus the exponential-moment tail.
-    c3_weighted = ledger.h_p * c2_p * vball * (s_fac / r) ** d
+    c3_weighted = c2_p * _UNIT_BALL * (s_fac / r)
     if s_fac == 1.0:
-        far_weighted = c_sharp * r ** (-p) * lam ** (p - 2 * d - 1)
+        far_weighted = c_sharp * r ** (-p) * lam ** (p - 3)
     else:
-        t_hat = max(lam, p - 2.0 * d - 1.0)
-        boost = math.exp(-t_hat) * t_hat ** (p - 2 * d - 1)
+        t_hat = max(lam, p - 3.0)
+        boost = math.exp(-t_hat) * t_hat ** (p - 3)
         ledger.extra["far_boost"] = boost
         far_weighted = c_sharp * (s_fac / r) ** p * boost
-    c3_flat = c2_0 * vball * r ** (-d)
-    far_flat = c_sharp * lam ** (-(2 * d + 1))
+    c3_flat = c2_0 * _UNIT_BALL * r ** -1
+    far_flat = c_sharp * lam ** -3
     c4 = c3_weighted + far_weighted + c3_flat + far_flat
     if not params.p_is_even_integer:
         supplement = 2.0 * (c3_flat + far_flat)
@@ -774,7 +738,7 @@ def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundC
     )
     ledger.validate()
 
-    rhs = c4 * A * log_gap ** (2 * d + 1)
+    rhs = c4 * A * log_gap ** 3
     return BoundCertificate(
-        params, "lemma2-exp", d + 1, 2.0 * log_gap / r_p, A, lhs, rhs, ledger
+        params, "lemma2-exp", 2, 2.0 * log_gap / r_p, A, lhs, rhs, ledger
     )

@@ -222,13 +222,17 @@ class GaussianMixture:
     def covs(self) -> np.ndarray:
         return self._v[:, None, None]
 
+    def _sorted_components(self) -> np.ndarray:
+        """The (mean, variance, weight) rows in lexicographic order."""
+        rows = np.stack([self._m, self._v, self._w], axis=1)
+        return rows[np.lexsort((self._w, self._v, self._m))]
+
     def __eq__(self, other):
+        """Equal component lists in any order (duplicates are not merged)."""
         return (
             isinstance(other, GaussianMixture)
             and self._w.shape == other._w.shape
-            and np.array_equal(self._w, other._w)
-            and np.array_equal(self._m, other._m)
-            and np.array_equal(self._v, other._v)
+            and np.array_equal(self._sorted_components(), other._sorted_components())
         )
 
     def __repr__(self):

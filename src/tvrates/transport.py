@@ -34,6 +34,7 @@ from .distributions import (
     common_grid,
     discretize,
     mixture_quantiles,
+    sigma_box,
 )
 from .errors import ConvergenceError, NumericalError, PreconditionError
 
@@ -282,12 +283,8 @@ def wasserstein_1d(a, b, q: float) -> DistanceResult:
 
 def _w1_cdf_1d(a: GaussianMixture, b: GaussianMixture) -> DistanceResult:
     """W_1 = int |F_a - F_b| dx for one-dimensional mixtures, by grid sums."""
-    lo, hi = [], []
-    for obj in (a, b):
-        s = np.sqrt(obj.covs[:, 0, 0])
-        lo.append(float(np.min(obj.means[:, 0] - 12 * s)))
-        hi.append(float(np.max(obj.means[:, 0] + 12 * s)))
-    left, right = min(lo), max(hi)
+    (lo_a, hi_a), (lo_b, hi_b) = sigma_box(a, 12.0), sigma_box(b, 12.0)
+    left, right = min(lo_a, lo_b), max(hi_a, hi_b)
 
     def value(m):
         xs = np.linspace(left, right, m)

@@ -24,12 +24,12 @@ from tvrates import (
 )
 from tvrates import rho_p as rho_p_distance
 from tvrates.bounds import (
+    _UNIT_BALL,
     c_bar,
     c_hat,
     c_ring,
     choose_M,
     gamma_k,
-    h_p_const,
     theta_exponent,
 )
 from tvrates.bounds import LawEvaluation
@@ -47,18 +47,27 @@ def assert_law_quantiles_match_order_calls(law):
 class TestGamma:
     def test_worked_values(self):
         # 2 sqrt(pi) / (Gamma(1/2) * 1) = 2;  2 sqrt(pi) / (sqrt(pi) * 2) = 1
-        np.testing.assert_allclose(gamma_k(2, 1), 2.0)
-        np.testing.assert_allclose(gamma_k(3, 1), 1.0)
-        np.testing.assert_allclose(gamma_k(4, 2), math.pi)
+        np.testing.assert_allclose(gamma_k(2), 2.0)
+        np.testing.assert_allclose(gamma_k(3), 1.0)
+        np.testing.assert_allclose(gamma_k(5), 0.5)
 
     def test_divergent_orders_rejected(self):
-        for k, d in ((1, 1), (2, 2), (0, 1)):
+        for k in (1, 0, -3):
             with pytest.raises(PreconditionError):
-                gamma_k(k, d)
+                gamma_k(k)
 
     def test_decreasing_in_k(self):
-        vals = [gamma_k(k, 2) for k in range(3, 12)]
+        vals = [gamma_k(k) for k in range(2, 12)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_bit_keeping_forms(self):
+        # the ledger keeps the bits of the d-ball forms at d = 1: gamma_k is
+        # not 2 / (k - 1) in the last bit at k = 10, and the unit-ball volume
+        # is not 2
+        for k in range(2, 2001):
+            assert gamma_k(k) == 2.0 * math.pi ** 0.5 / (math.gamma(0.5) * (k - 1))
+        assert gamma_k(10) != 2.0 / 9
+        assert _UNIT_BALL == math.pi ** 0.5 / math.gamma(1.5) != 2.0
 
     def test_matches_tail_integral_oracle(self):
         # 1-D: int_{|u|>=M} |u|^{-k} du = 2 M^{1-k}/(k-1)
@@ -67,7 +76,7 @@ class TestGamma:
         for k, m_cut in ((3, 1.5), (5, 2.0)):
             oracle, _ = integrate.quad(lambda u: 2 * u ** (-k), m_cut, np.inf)
             np.testing.assert_allclose(
-                gamma_k(k, 1) / m_cut ** (k - 1), oracle, rtol=1e-10
+                gamma_k(k) / m_cut ** (k - 1), oracle, rtol=1e-10
             )
 
 
@@ -94,29 +103,6 @@ class TestCRing:
         got = c_ring(2, 3.0, m, m)  # q' = 1.5
         bound = m(3.0) ** (2 / 3) + 2 * 2 * (m(1.5) ** (2 / 3) + m(1.5) ** (2 / 3))
         np.testing.assert_allclose(got, bound, rtol=1e-12)
-
-
-class TestHp:
-    def test_p2_is_one_for_any_dimension(self):
-        for d in (1, 2, 5):
-            assert h_p_const(2, d) == 1.0
-
-    def test_p4_d2(self):
-        assert h_p_const(4, 2) == 2.0
-
-    def test_p6_d3_tight_on_sphere(self):
-        assert h_p_const(6, 3) == 9.0
-        # brute numeric max of |x|^6 / sum x_j^6 over the unit sphere
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((200000, 3))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        ratio = 1.0 / np.sum(x**6, axis=1)
-        assert ratio.max() <= 9.0 + 1e-9
-        assert ratio.max() >= 9.0 * 0.999
-
-    def test_odd_rejected(self):
-        with pytest.raises(PreconditionError):
-            h_p_const(3, 1)
 
 
 class TestThetaAndChoices:
@@ -180,31 +166,29 @@ def _const_table(value, max_k=2, max_l=8):
 
 class TestChatCbar:
     def test_worked_example(self):
-        # l=3, p=2, C-ring=10, b=5, d=1: h_2 = 1, prefactor 2/(2 pi),
-        # first term 10 * sqrt(pi)/Gamma(3/2) = 20, gamma_3 = 1 -> 25/pi
+        # l=3, p=2, C-ring=10, b=5: prefactor 2/(2 pi), first term
+        # 10 * sqrt(pi)/Gamma(3/2) = 20, gamma_3 = 1 -> 25/pi
         tab = _const_table(5.0)
-        np.testing.assert_allclose(c_hat(3, 2, 10.0, tab, 1), 25.0 / math.pi)
+        np.testing.assert_allclose(c_hat(3, 2, 10.0, tab), 25.0 / math.pi)
 
     def test_degenerate_ledger(self):
         tab = PolyEnvelopeTable("frequency", 2, 4, np.zeros((3, 5)))
-        assert c_hat(3, 2, 0.0, tab, 1) == 0.0
+        assert c_hat(3, 2, 0.0, tab) == 0.0
 
     def test_second_worked_example(self):
-        # l=4, p=2, C-ring=1, b=1, d=1: gamma_4 = 2/3 -> (1/pi)(2 + 2/3)
+        # l=4, p=2, C-ring=1, b=1: gamma_4 = 2/3 -> (1/pi)(2 + 2/3)
         tab = _const_table(1.0)
-        np.testing.assert_allclose(
-            c_hat(4, 2, 1.0, tab, 1), (1.0 / math.pi) * (8.0 / 3.0)
-        )
+        np.testing.assert_allclose(c_hat(4, 2, 1.0, tab), (1.0 / math.pi) * (8.0 / 3.0))
 
     def test_c_bar_assembly(self):
         # Cbar = Chat * vball + 2 sqrt(a_2p a_2l)
-        got = c_bar(3, 2, 5.0, 4.0, 9.0, 1)
+        got = c_bar(5.0, 4.0, 9.0)
         np.testing.assert_allclose(got, 5.0 * 2.0 + 2.0 * 6.0)
 
     def test_missing_coverage_rejected(self):
         tab = _const_table(1.0, max_k=2, max_l=3)
         with pytest.raises(PreconditionError):
-            c_hat(5, 2, 1.0, tab, 1)
+            c_hat(5, 2, 1.0, tab)
 
 
 class TestPolynomialCertificate:
@@ -273,12 +257,22 @@ class TestPolynomialCertificate:
             poly_envelope(char_fn_grid(fb), 2, 80)
         )
         l = choose_l(default_params.epsilon, 2, 1)
-        chat = c_hat(l, 2, c_ring(2, 2.0, std_normal.abs_moment, b.abs_moment),
-                     pair, 1)
+        chat = c_hat(l, 2, c_ring(2, 2.0, std_normal.abs_moment, b.abs_moment), pair)
         gap = tv.wasserstein_1d(std_normal, b, 2).value
         x = grid.nodes()
         lhs = np.abs((std_normal.pdf(x) - b.pdf(x)) * x**2).max()
         assert lhs <= chat * gap ** (1.0 - 2.0 / (l + 1.0))
+
+    def test_moment_overflow_is_typed_without_a_warning(self, std_normal):
+        # at p = 6, eps = 0.1 the moment bounds a_12 a_298 overflow a double
+        params = BoundParams(p=6.0, q=2.0, epsilon=0.1)
+        pair = PairEvaluation(std_normal, gaussian(0.1, 1.0), params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                PreconditionError, match=r"^c_bar\[\(149, 6\)\] = inf is not usable$"
+            ):
+                polynomial_rate_certificate(pair)
 
     def test_multivariate_pairs_rejected(self):
         # the exact gap exists in dimension one only, so no 2-D law is built
@@ -459,6 +453,15 @@ class TestZeroGap:
         cert = builder(PairEvaluation(std_normal, gaussian(0.0, 1.0), default_params))
         assert cert.ledger.extra["branch"] == "identical-inputs"
         assert cert.A == cert.lhs == cert.rhs == 0.0 and cert.satisfied
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_permuted_components_get_the_zero_certificate(self, default_params, builder):
+        a = GaussianMixture([0.3, 0.7], [-1.0, 2.0], [1.0, 0.5])
+        b = GaussianMixture([0.7, 0.3], [2.0, -1.0], [0.5, 1.0])
+        assert a == b and b == a
+        assert a != GaussianMixture([0.31, 0.69], [-1.0, 2.0], [1.0, 0.5])
+        cert = builder(PairEvaluation(a, b, default_params))
+        assert cert.ledger.extra["branch"] == "identical-inputs"
 
 
 class TestParams:
