@@ -35,7 +35,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import GaussianMixture, SpaceGrid, common_grid, discretize
+from .distributions import (
+    GaussianMixture,
+    SpaceGrid,
+    _even_moments,
+    common_grid,
+    discretize,
+)
 from .errors import PreconditionError, ResolutionError
 from .spectral import (
     ExpEnvelopeTable,
@@ -45,9 +51,11 @@ from .spectral import (
     poly_envelope,
 )
 from .transport import (
+    QUANTILE_ORDERS,
+    _quantile_wq,
     _require_exponent,
     _rule_quantiles,
-    quantile_distance,
+    normal_levels,
     refine_weighted_l1,
 )
 
@@ -72,6 +80,10 @@ __all__ = [
 # Gaps at or below this are below the quadrature's resolution: identical
 # laws get the zero certificate, distinct ones a ResolutionError.
 ZERO_GAP = 1e-14
+
+# Order of the Gauss-Hermite rule whose W_q value is the gap: the doubled
+# order, which gives the value of tvrates.transport.quantile_distance.
+GAP_NODES = QUANTILE_ORDERS[-1]
 
 # Volume of the unit ball [-1, 1], in the d-ball form pi^{d/2} / Gamma(d/2 + 1)
 # at d = 1, which rounds to 1.9999999999999998 (the ledger keeps those bits).
@@ -325,21 +337,24 @@ class BoundCertificate:
 class LawEvaluation:
     """The quantities certificates read off one law on one space grid.
 
-    The quantiles at the Gauss-Hermite levels of both rule orders, the law
-    discretized on ``grid`` refined ``level`` times (the grid keeps the
-    refined grids and their meshes, so every law on it shares them), its
-    characteristic grid, its decay-envelope tables per derivative order and
-    its absolute and exponential moments are each computed on first use and
-    then kept, so every pair that holds this evaluation shares them.
-    :meth:`solve_quantiles` fills the quantiles of many evaluations from
-    one solver call, as a sweep does for all of its laws.  Concurrent first
-    uses recompute the same deterministic value.
+    The quantiles at the levels of a Gauss-Hermite rule, one rule order at
+    a time, the law discretized on ``grid`` refined ``level`` times (the
+    grid keeps the refined grids and their meshes, so every law on it
+    shares them), its characteristic grid, its decay-envelope tables at
+    derivative orders 0 and K (the only orders the certificates read) and
+    its absolute and exponential moments are each computed on first use
+    and then kept, so every pair that holds this evaluation shares them.
+    :meth:`solve_quantiles` fills one rule order's quantiles of many
+    evaluations from one solver call, and :meth:`solve_moments` their even
+    moments from one moment recursion per order, as a sweep does for all
+    of its laws.  Concurrent first uses recompute the same deterministic
+    value.
     """
 
     def __init__(self, law: GaussianMixture, grid: SpaceGrid):
         self.law, self.grid = law, grid
         self._kept = {}
-        self._quantiles = None
+        self._quantiles = {}
 
     def _keep(self, key, compute):
         if key not in self._kept:
@@ -348,18 +363,39 @@ class LawEvaluation:
 
     def quantiles(self, n_nodes: int) -> np.ndarray:
         """The law's quantiles at the levels of the order-``n_nodes`` rule
-        of :func:`tvrates.transport.quantile_distance`."""
-        LawEvaluation.solve_quantiles([self])
+        (:func:`tvrates.transport.normal_levels`), solved on first use; an
+        order that is not an integer >= 1 raises PreconditionError."""
+        LawEvaluation.solve_quantiles([self], n_nodes)
         return self._quantiles[n_nodes]
 
     @staticmethod
-    def solve_quantiles(evaluations) -> None:
-        """Fill the quantiles of every evaluation that lacks them with one
+    def solve_quantiles(evaluations, n_nodes: int = GAP_NODES) -> None:
+        """Fill the order-``n_nodes`` quantiles (by default those of the
+        gap's rule) of every evaluation that lacks them with one
         :func:`tvrates.transport._rule_quantiles` call; an evaluation met
         twice is solved once."""
-        todo = list({id(ev): ev for ev in evaluations if ev._quantiles is None}.values())
-        for ev, quantiles in zip(todo, _rule_quantiles([ev.law for ev in todo])):
-            ev._quantiles = quantiles
+        normal_levels(n_nodes)  # rejects an order that is not an integer >= 1
+        todo = list({
+            id(ev): ev for ev in evaluations if n_nodes not in ev._quantiles
+        }.values())
+        solved = _rule_quantiles([ev.law for ev in todo], (n_nodes,))
+        for ev, quantiles in zip(todo, solved):
+            ev._quantiles.update(quantiles)
+
+    @staticmethod
+    def solve_moments(evaluations, orders) -> None:
+        """Fill E|X|^m, for each even integer order m of ``orders``, of
+        every evaluation that lacks it, from one moment recursion per order
+        over the distinct components of all their laws; each value equals
+        the law's own ``abs_moment(m)`` bit for bit.  A moment past the
+        float range is left unfilled, so reading it raises as
+        ``abs_moment`` does."""
+        evaluations = list({id(ev): ev for ev in evaluations}.values())
+        for m in orders:
+            todo = [ev for ev in evaluations if ("abs_moment", m) not in ev._kept]
+            for ev, value in zip(todo, _even_moments([ev.law for ev in todo], m)):
+                if value is not None:
+                    ev._kept["abs_moment", m] = value
 
     def density(self, level: int):
         return self._keep(
@@ -372,12 +408,18 @@ class LawEvaluation:
         return char_fn_grid(self.density(0))
 
     def poly_envelope(self, K: int, L: int) -> PolyEnvelopeTable:
+        """The frequency-side table at derivative orders 0 and K, l <= L."""
         return self._keep(
-            ("poly_envelope", K, L), lambda: poly_envelope(self.char_grid, K, L)
+            ("poly_envelope", K, L),
+            lambda: poly_envelope(self.char_grid, K, L, orders=(0, K)),
         )
 
     def exp_envelope(self, K: int) -> ExpEnvelopeTable:
-        return self._keep(("exp_envelope", K), lambda: exp_envelope(self.char_grid, K))
+        """The exponential-decay table at derivative orders 0 and K."""
+        return self._keep(
+            ("exp_envelope", K),
+            lambda: exp_envelope(self.char_grid, K, orders=(0, K)),
+        )
 
     def abs_moment(self, m: float) -> float:
         return self._keep(("abs_moment", m), lambda: self.law.abs_moment(m))
@@ -391,8 +433,9 @@ class PairEvaluation:
 
     A pair holds one :class:`LawEvaluation` per law (``laws``) and derives
     from them, on first use and then kept, the W_q gap (from the two laws'
-    quantiles), rho_p and tv (one refinement ladder over the two laws'
-    kept densities) and the pair's combined decay-envelope tables, so
+    quantiles at the order ``GAP_NODES`` rule alone), rho_p and tv (one
+    refinement ladder over the two laws' kept densities) and the pair's
+    combined decay-envelope tables at derivative orders 0 and p_even, so
     certificates built from one evaluation share them and a certificate
     computes only what it reads.  Both laws live on the pair's common
     sigma-box grid; :meth:`of_laws` builds a pair from evaluations on
@@ -421,12 +464,14 @@ class PairEvaluation:
 
     @cached_property
     def gap(self) -> float:
-        """The measured gap A = W_q(a, b); exactly 0 for identical laws."""
+        """The measured gap A = W_q(a, b), the value of
+        :func:`tvrates.transport.quantile_distance` read off the order
+        ``GAP_NODES`` rule alone; exactly 0 for identical laws."""
         if self.a == self.b:
             return 0.0
-        la, lb = self.laws
         LawEvaluation.solve_quantiles(self.laws)
-        return quantile_distance(la._quantiles, lb._quantiles, self.params.q).value
+        qa, qb = (ev.quantiles(GAP_NODES) for ev in self.laws)
+        return _quantile_wq(qa, qb, self.params.q, GAP_NODES)
 
     @cached_property
     def distances(self) -> tuple:
@@ -449,7 +494,8 @@ class PairEvaluation:
         return self.distances[1].value
 
     def poly_envelopes(self, L: int) -> PolyEnvelopeTable:
-        """Frequency-side table valid for both laws, k <= p_even, l <= L."""
+        """Frequency-side table valid for both laws, k in (0, p_even),
+        l <= L."""
         if L not in self._poly_envelopes:
             la, lb = self.laws
             K = self.params.p_even
@@ -460,7 +506,7 @@ class PairEvaluation:
 
     @cached_property
     def exp_envelopes(self) -> ExpEnvelopeTable:
-        """Exponential-decay table valid for both laws, k <= p_even."""
+        """Exponential-decay table valid for both laws, k in (0, p_even)."""
         la, lb = self.laws
         K = self.params.p_even
         return la.exp_envelope(K).combine(lb.exp_envelope(K))

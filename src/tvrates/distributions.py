@@ -240,11 +240,20 @@ class GaussianMixture:
 
     # -- density / cf / cdf ---------------------------------------------------
 
+    def _columns(self, x: np.ndarray):
+        """Weights, means, standard deviations and log normalizers as
+        (K, 1, ..., 1) columns against the points ``x``: the density and
+        the CDF hold one row of terms per component, so every elementwise
+        operation runs along the points (see :func:`_sum_components`)."""
+        shape = (len(self._w),) + (1,) * x.ndim
+        return (a.reshape(shape) for a in (self._w, self._m, self._s, self._log_norm))
+
     def pdf(self, x) -> np.ndarray:
         """Mixture density at the points ``x`` (a scalar or any array)."""
         x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self._m) * (1.0 / self._s)
-        out = np.sum(self._w * np.exp(-0.5 * (z * z) + self._log_norm), axis=-1)
+        w, m, s, log_norm = self._columns(x)
+        z = (x - m) * (1.0 / s)
+        out = _sum_components(w * np.exp(-0.5 * (z * z) + log_norm))
         return float(out) if x.ndim == 0 else out
 
     def char_fn(self, u) -> np.ndarray:
@@ -258,8 +267,8 @@ class GaussianMixture:
     def cdf(self, x) -> np.ndarray:
         """Mixture CDF."""
         x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self._m) / self._s
-        return np.sum(self._w * special.ndtr(z), axis=-1)
+        w, m, s, _ = self._columns(x)
+        return _sum_components(w * special.ndtr((x - m) / s))
 
     def quantile(self, u):
         """Inverse CDF by bracketed bisection; |F(result) - u| <= 1e-12.
@@ -289,12 +298,16 @@ class GaussianMixture:
             return 1.0
         if float(p).is_integer() and int(p) % 2 == 0:
             p = int(p)
-            terms = (_norm_sq_moment(m, v, p // 2) for m, v in zip(self._m, self._v))
+
+            def terms():
+                return _norm_sq_moment(self._m, self._v, p // 2)
         else:
-            terms = (
-                _gauss_abs_moment_1d(m, math.sqrt(v), p) for m, v in zip(self._m, self._v)
-            )
-        return self._finite_mean(terms, f"moment of order {p} (E|X|^{p})")
+            def terms():
+                return (
+                    _gauss_abs_moment_1d(m, math.sqrt(v), p)
+                    for m, v in zip(self._m, self._v)
+                )
+        return self._finite_mean(terms, _moment_name(p))
 
     def exp_abs_moment(self, r: float) -> float:
         """E exp(r |X|) for finite r >= 0, in closed form."""
@@ -313,17 +326,17 @@ class GaussianMixture:
                     + math.exp(-r * m + half) * special.ndtr(-m / s + r * s)
                 )
 
-        return self._finite_mean(terms(), f"exponential moment E exp({r}|X|)")
+        return self._finite_mean(terms, f"exponential moment E exp({r}|X|)")
 
     def _finite_mean(self, terms, what: str) -> float:
-        """The weighted sum of per-component ``terms``, or PreconditionError
-        naming ``what`` once it leaves the float range: numpy overflow
-        warnings are suppressed, and an OverflowError (from a factorial,
-        a power or ``math.exp``) counts as an infinite term."""
+        """The weighted sum of the per-component terms ``terms()`` returns,
+        or PreconditionError naming ``what`` once it leaves the float range:
+        numpy overflow warnings are suppressed, and an OverflowError (from a
+        factorial, a power or ``math.exp``) counts as an infinite term."""
         total = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                for w, term in zip(self._w, terms):
+                for w, term in zip(self._w, terms()):
                     total += w * term
             except OverflowError:
                 total = math.inf
@@ -399,6 +412,19 @@ class GaussianMixture:
         return cls(fields["w"], fields["mean"], fields["cov"])
 
 
+def _sum_components(terms) -> np.ndarray:
+    """The sum of the component-major ``terms`` over its first axis, one
+    row added to the next from the left.  For up to 7 components that is
+    the order of ``np.sum`` over a last (component) axis, bit for bit, down
+    to the sign of a zero sum, without the inner-loop call numpy makes for
+    every point of such a short axis; from 8 components on, numpy sums
+    pairwise and the two can differ at round-off."""
+    out = terms[0] + 0.0
+    for term in terms[1:]:
+        out += term
+    return out
+
+
 def _require_mixtures(*objs):
     """PreconditionError unless every object is a :class:`GaussianMixture`."""
     for obj in objs:
@@ -447,8 +473,11 @@ def mixture_quantiles(items) -> list:
     The items are grouped by component count, so every level's CDF sums
     the same number of terms in the same order, and each group is solved
     in one bisection (:func:`_bisect`) in which every item keeps its own
-    bracket, tolerance and stopping test.  So an item's result does not
-    depend on the other items: it equals ``law.quantile(u)`` bit for bit.
+    bracket, tolerance and stopping test.  The bisection holds one row per
+    component over all levels of the group and adds the rows left to
+    right, as :meth:`GaussianMixture.cdf` does.  So an item's result does
+    not depend on the other items: it equals ``law.quantile(u)`` bit for
+    bit.
     A level outside (0, 1), nan included, raises PreconditionError.
     """
     items = [(law, np.asarray(u, dtype=float)) for law, u in items]
@@ -498,8 +527,8 @@ def _bisect(items) -> list:
     sizes = np.array([levels.size for levels, _ in distinct])
     edges = np.concatenate([[0], np.cumsum(sizes)])
     levels = np.concatenate([lv for lv, _ in distinct])
-    # each level's row carries its law's parameters
-    means, s, weights = (np.repeat(np.stack(p), sizes, axis=0) for p in zip(*rows))
+    # each level's column carries its law's parameters, component-major
+    means, s, weights = (np.repeat(np.stack(p).T, sizes, axis=1) for p in zip(*rows))
     a, b = np.repeat(los, sizes), np.repeat(his, sizes)
     # the loop evaluates law.cdf(mid) inline, into buffers made once
     mid, width, cdf = np.empty_like(a), np.empty_like(a), np.empty_like(a)
@@ -512,9 +541,13 @@ def _bisect(items) -> list:
     open_items = np.ones(filled.size, bool)
     for _ in range(200 if filled.size else 0):
         np.multiply(np.add(a, b, out=mid), 0.5, out=mid)
-        np.divide(np.subtract(mid[:, None], means, out=z), s, out=z)
+        np.divide(np.subtract(mid, means, out=z), s, out=z)
         np.multiply(weights, special.ndtr(z, out=z), out=z)
-        np.less(np.sum(z, axis=-1, out=cdf), levels, out=below)
+        # the components' terms added left to right, as law.cdf adds them
+        np.copyto(cdf, z[0])
+        for term in z[1:]:
+            cdf += term
+        np.less(cdf, levels, out=below)
         np.copyto(a, mid, where=below)
         np.copyto(b, mid, where=np.logical_not(below, out=above))
         np.subtract(b, a, out=width)
@@ -546,26 +579,72 @@ def _gauss_abs_moment_1d(m: float, s: float, p: float) -> float:
     )
 
 
-def _norm_sq_moment(m: float, v: float, k: int) -> float:
-    """E X^{2k} for X ~ N(m, v) via the cumulants of X^2:
-    kappa_j = 2^{j-1} (j-1)! [v^j + j m^2 v^{j-1}].
+def _moment_name(p) -> str:
+    """How a PreconditionError names the moment E|X|^p."""
+    return f"moment of order {p} (E|X|^{p})"
+
+
+def _norm_sq_moment(m, v, k: int) -> np.ndarray:
+    """E X^{2k} for X ~ N(m, v), elementwise over the means ``m`` and
+    variances ``v`` (two scalars or two arrays of one shape), via the
+    cumulants of X^2: kappa_j = 2^{j-1} (j-1)! [v^j + j m^2 v^{j-1}].
 
     The powers v^j are successive products and each quadratic term is
-    ``(m v^{j-1}) m``; each m_n is a left-to-right sum."""
+    ``(m v^{j-1}) m``; each m_n is a left-to-right sum.  Row j of the
+    work arrays holds order j for every element, so each element gets the
+    bits of its own scalar recursion.  A factorial or binomial past the
+    float range raises OverflowError."""
+    m, v = np.asarray(m, dtype=float), np.asarray(v, dtype=float)
+    shape = m.shape
     if k == 0:
-        return 1.0
-    powers = np.empty(k + 1)
+        return np.ones(shape)
+    m, v = m.reshape(1, -1), v.reshape(1, -1)
+    powers = np.empty((k + 1, v.size))
     powers[0] = 1.0
-    np.multiply.accumulate(np.full(k, v), out=powers[1:])
+    np.multiply.accumulate(np.broadcast_to(v, (k, v.size)), axis=0, out=powers[1:])
     quad = m * powers[:-1] * m
-    kappa = np.empty(k + 1)
-    kappa[1:] = _cumulant_scales(k) * (powers[1:] + np.arange(1, k + 1) * quad)
-    out = np.empty(k + 1)
+    kappa = np.empty_like(powers)
+    kappa[1:] = _cumulant_scales(k)[:, None] * (
+        powers[1:] + np.arange(1, k + 1)[:, None] * quad
+    )
+    out = np.empty_like(powers)
     out[0] = 1.0
     for n in range(1, k + 1):
         # m_n = sum_i C(n-1, i) kappa_{n-i} m_i, summed left to right
-        out[n] = np.add.accumulate(_binomial_row(n - 1) * kappa[n:0:-1] * out[:n])[-1]
-    return float(out[k])
+        terms = _binomial_row(n - 1)[:, None] * kappa[n:0:-1] * out[:n]
+        out[n] = np.add.accumulate(terms, axis=0)[-1]
+    return out[k].reshape(shape)
+
+
+def _even_moments(laws, p) -> list:
+    """E|X|^p of each mixture of ``laws`` for an even integer order p >= 0,
+    from one moment recursion over the laws' distinct (mean, variance)
+    components.  Entry i equals ``laws[i].abs_moment(p)`` bit for bit, or
+    is None where that moment is not a finite float (``abs_moment``
+    raises for it)."""
+    if not (float(p).is_integer() and p >= 0 and int(p) % 2 == 0):
+        raise PreconditionError(f"batched moment orders are even integers >= 0, got {p!r}")
+    p = int(p)
+    if p == 0:
+        return [1.0] * len(laws)
+    index = {}
+    for law in laws:
+        for m, v in zip(law._m, law._v):
+            index.setdefault((float(m), float(v)), len(index))
+    m, v = np.array(list(index), dtype=float).reshape(-1, 2).T
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _norm_sq_moment(m, v, p // 2)
+    except OverflowError:
+        return [None] * len(laws)
+    out = []
+    for law in laws:
+        terms = values[[index[float(m), float(v)] for m, v in zip(law._m, law._v)]]
+        try:
+            out.append(law._finite_mean(lambda: terms, _moment_name(p)))
+        except PreconditionError:
+            out.append(None)
+    return out
 
 
 @functools.cache
@@ -684,6 +763,8 @@ class AtomSet:
         m = np.asarray(self.masses, dtype=float)
         if loc.ndim != 2 or m.ndim != 1 or loc.shape[0] != m.shape[0]:
             raise PreconditionError("locations (n, d) and masses (n,) required")
+        if loc.shape[1] == 0:
+            raise PreconditionError("atom locations need d >= 1 coordinates")
         if not np.all(np.isfinite(loc)):
             raise PreconditionError("atom locations must be finite")
         if np.any(m <= 0) or np.any(m > 1):

@@ -22,6 +22,7 @@ from .bounds import (
     BoundParams,
     LawEvaluation,
     PairEvaluation,
+    choose_l,
     exponential_rate_certificate,
     pointwise_certificate,
     polynomial_rate_certificate,
@@ -310,9 +311,11 @@ def run_sweep(sc: Scenario) -> SweepReport:
     shift with h and add spurious jitter to the certified constants.  The
     grid keeps its meshes, radii and phase vectors, so every law of the
     sweep shares them.  Every row's pair is built up front (a pair that
-    raises is a failed row), and one
-    :meth:`LawEvaluation.solve_quantiles` call then solves the quantiles
-    of all of the sweep's laws.  The sweep keeps one
+    raises is a failed row); one :meth:`LawEvaluation.solve_quantiles`
+    call then solves the quantiles of the gap's rule for all of the
+    sweep's laws, and one :meth:`LawEvaluation.solve_moments` call their
+    even moments of the orders the polynomial certificate reads, each
+    distinct mixture component once.  The sweep keeps one
     :class:`LawEvaluation` per distinct reference law (found by ``==``),
     so a reference law that stays fixed over the scale grid has its
     quantiles, densities, envelopes and moments computed once; each row's
@@ -342,8 +345,14 @@ def run_sweep(sc: Scenario) -> SweepReport:
             return exc
 
     pairs = [build(h) for h in sc.h_grid]
-    LawEvaluation.solve_quantiles(
-        [ev for pair in pairs if isinstance(pair, PairEvaluation) for ev in pair.laws]
+    evaluations = [
+        ev for pair in pairs if isinstance(pair, PairEvaluation) for ev in pair.laws
+    ]
+    LawEvaluation.solve_quantiles(evaluations)
+    # the even moments the polynomial certificate reads
+    p = sc.params.p_even
+    LawEvaluation.solve_moments(
+        evaluations, (2 * p, 2 * choose_l(sc.params.epsilon, p, 1))
     )
     rows, errors = [], []
     for i, h in enumerate(sc.h_grid):

@@ -75,8 +75,9 @@ class CharGrid:
     space_grid: SpaceGrid
     values: np.ndarray
     is_characteristic: bool = True
-    # derivative stacks by order K, built on first use by both envelope
-    # estimators (see _stack_of); derived data, so not part of the value
+    # derivative stacks by guard order K and derivative orders, built on
+    # first use by both envelope estimators (see _stack_of); derived data,
+    # so not part of the value
     _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -182,22 +183,27 @@ def weighted_diff_reconstruct(a, b, p: int):
 @dataclass(frozen=True)
 class PolyEnvelopeTable:
     """Constants c_{k,l} >= sup over the grid of |g^{(k)}(x)| (1+|x|)^l for
-    all k <= max_k, l <= max_l.
+    the derivative orders k of ``orders`` and all l <= max_l.
 
     ``side`` is "density" (space-domain input) or "frequency"
-    (characteristic-function input).  Entries are empirical grid maxima.
+    (characteristic-function input).  ``orders`` lists the orders the
+    table holds, ascending and at most ``max_k``, one table row each; it
+    defaults to every k <= max_k.  Entries are empirical grid maxima.
     """
 
     side: str
     max_k: int
     max_l: int
-    table: np.ndarray  # shape (max_k + 1, max_l + 1)
+    table: np.ndarray  # shape (len(orders), max_l + 1)
+    orders: tuple = None
 
     def __post_init__(self):
         if self.side not in ("density", "frequency"):
             raise PreconditionError("side must be 'density' or 'frequency'")
+        orders = _held_orders(self.max_k, self.orders)
+        object.__setattr__(self, "orders", orders)
         t = np.asarray(self.table, dtype=float)
-        if t.shape != (self.max_k + 1, self.max_l + 1):
+        if t.shape != (len(orders), self.max_l + 1):
             raise PreconditionError("table shape does not match coverage")
         if not np.all(np.isfinite(t)) or np.any(t < 0):
             raise PreconditionError("envelope constants must be finite and >= 0")
@@ -210,28 +216,50 @@ class PolyEnvelopeTable:
             raise PreconditionError(
                 f"envelope table covers k <= {self.max_k}, l <= {self.max_l}"
             )
-        return float(self.table[k, l])
+        if k not in self.orders:
+            raise PreconditionError(f"polynomial envelope missing order {k}")
+        return float(self.table[self.orders.index(k), l])
 
     def combine_max(self, other: "PolyEnvelopeTable") -> "PolyEnvelopeTable":
-        """Entrywise maximum: a per-distribution bound valid for a pair."""
+        """Entrywise maximum over the orders both tables hold: a
+        per-distribution bound valid for a pair."""
         if self.side != other.side:
             raise PreconditionError("cannot combine tables from different sides")
-        k = min(self.max_k, other.max_k)
+        ks = [k for k in self.orders if k in other.orders]
         l = min(self.max_l, other.max_l)
         return PolyEnvelopeTable(
-            self.side, k, l,
-            np.maximum(self.table[: k + 1, : l + 1], other.table[: k + 1, : l + 1]),
+            self.side, min(self.max_k, other.max_k), l,
+            np.maximum(
+                self.table[[self.orders.index(k) for k in ks], : l + 1],
+                other.table[[other.orders.index(k) for k in ks], : l + 1],
+            ),
+            tuple(ks),
         )
 
     def to_json(self) -> dict:
         return {
             "side": self.side,
             "entries": [
-                {"k": k, "l": l, "c": float(self.table[k, l])}
-                for k in range(self.max_k + 1)
+                {"k": k, "l": l, "c": float(row[l])}
+                for k, row in zip(self.orders, self.table)
                 for l in range(self.max_l + 1)
             ],
         }
+
+
+def _held_orders(K: int, orders) -> tuple:
+    """``orders`` as an ascending tuple of distinct derivative orders in
+    0..K, every such order when None; PreconditionError otherwise."""
+    if orders is None:
+        return tuple(range(K + 1))
+    held = tuple(sorted(set(orders)))
+    if not held or not all(
+        isinstance(k, (int, np.integer)) and 0 <= k <= K for k in held
+    ):
+        raise PreconditionError(
+            f"envelope orders must be integers in 0..{K}, got {orders!r}"
+        )
+    return tuple(int(k) for k in held)
 
 
 @dataclass(frozen=True)
@@ -270,8 +298,10 @@ class ExpEnvelopeTable:
 # envelope estimation
 # ---------------------------------------------------------------------------
 
-def _derivative_stack(obj, K: int):
-    """Per-order spectral derivative magnitudes of the object.
+def _derivative_stack(obj, K: int, orders=None):
+    """Per-order spectral derivative magnitudes of the object, for the
+    derivative orders ``orders`` (every k <= K when None) under the order-K
+    stability guard.
 
     Returns (side, grid, coord_radii, stacks) where stacks[k] is the
     |order-k derivative| array and coord_radii is |x| (density side) or
@@ -280,6 +310,7 @@ def _derivative_stack(obj, K: int):
     built one at a time; the first whose magnitudes leave the float range
     raises :class:`ResolutionError`.
     """
+    orders = _held_orders(K, orders)
     if isinstance(obj, GridDensity):
         side = "density"
         grid = obj.grid
@@ -309,7 +340,7 @@ def _derivative_stack(obj, K: int):
     # the stability check passes when both of its maxima overflow
     with np.errstate(over="ignore", invalid="ignore"):
         _check_diff_stability(weight_mag, dual_radii, K)
-        for k in range(K + 1):
+        for k in orders:
             mag = deriv(k)
             if not np.isfinite(mag).all():
                 raise ResolutionError(
@@ -321,15 +352,15 @@ def _derivative_stack(obj, K: int):
     return side, grid, radii, stacks
 
 
-def _stack_of(obj, K: int):
-    """The order-K derivative stack of ``obj``; a :class:`CharGrid` builds
-    each order once and keeps it, so its polynomial and exponential
-    envelopes read one stack."""
+def _stack_of(obj, K: int, orders: tuple):
+    """The derivative stack of ``obj`` at ``orders`` under the order-K
+    guard; a :class:`CharGrid` builds each such stack once and keeps it, so
+    its polynomial and exponential envelopes read one stack."""
     if not isinstance(obj, CharGrid):
-        return _derivative_stack(obj, K)
-    if K not in obj._stacks:
-        obj._stacks[K] = _derivative_stack(obj, K)
-    return obj._stacks[K]
+        return _derivative_stack(obj, K, orders)
+    if (K, orders) not in obj._stacks:
+        obj._stacks[K, orders] = _derivative_stack(obj, K, orders)
+    return obj._stacks[K, orders]
 
 
 def _check_diff_stability(weight_mag, dual_radii, K: int):
@@ -366,31 +397,34 @@ def _resolved_log_maxima(mag, log_weight, L: int) -> np.ndarray:
     ])
 
 
-def poly_envelope(obj, K: int, L: int) -> PolyEnvelopeTable:
+def poly_envelope(obj, K: int, L: int, *, orders=None) -> PolyEnvelopeTable:
     """Empirical polynomial decay table of a grid object.
 
     Entry (k, l) is the grid maximum of |g^{(k)}(x)| (1+|x|)^l, restricted
-    to the resolved band.  Density-side
+    to the resolved band, for every l <= L and every derivative order k of
+    ``orders`` (each k <= K unless given; the order-K stability guard
+    applies either way).  Density-side
     input produces the space-domain table; characteristic input produces the
     frequency-domain table.
     """
     if K < 0 or L < 0:
         raise PreconditionError("coverage bounds must be >= 0")
-    side, grid, radii, stacks = _stack_of(obj, K)
+    orders = _held_orders(K, orders)
+    side, grid, radii, stacks = _stack_of(obj, K, orders)
     log_weight = np.log1p(radii)
-    table = np.zeros((K + 1, L + 1))
-    for k in range(K + 1):
+    table = np.zeros((len(orders), L + 1))
+    for row, k in zip(table, orders):
         # exp is monotone, so the exp of the largest log is the largest entry
         logs = _resolved_log_maxima(stacks[k], log_weight, L)
         if logs.max() > LOG_FLOAT_MAX:
             raise ResolutionError("envelope entries overflowed; lower the weight power")
-        table[k] = [math.exp(v) for v in logs]
-    return PolyEnvelopeTable(side, K, L, table)
+        row[:] = [math.exp(v) for v in logs]
+    return PolyEnvelopeTable(side, K, L, table, orders)
 
 
-def exp_envelope(obj: CharGrid, K: int) -> ExpEnvelopeTable:
-    """Fit exponential decay constants (r_k, c_k) for derivative orders
-    k <= K of a characteristic grid.
+def exp_envelope(obj: CharGrid, K: int, *, orders=None) -> ExpEnvelopeTable:
+    """Fit exponential decay constants (r_k, c_k) for the derivative orders
+    k of ``orders`` (each k <= K unless given) of a characteristic grid.
 
     The tail rate is fitted by least squares on the log magnitude over the
     outer quarter of the resolved band and then halved as a safety margin;
@@ -402,10 +436,11 @@ def exp_envelope(obj: CharGrid, K: int) -> ExpEnvelopeTable:
 
     if not isinstance(obj, CharGrid):
         raise PreconditionError("exponential envelopes require a CharGrid")
-    _, grid, radii, stacks = _stack_of(obj, K)
+    orders = _held_orders(K, orders)
+    _, grid, radii, stacks = _stack_of(obj, K, orders)
     dvol = grid.freq_spacing
     rates, integrals, sups = {}, {}, {}
-    for k in range(K + 1):
+    for k in orders:
         g = stacks[k]
         top = g.max()
         resolved = g >= top * RESOLVED_FLOOR

@@ -211,8 +211,15 @@ def _normal_rule(n_nodes: int):
 
 def normal_levels(n_nodes: int) -> np.ndarray:
     """The quantile levels at which the order-``n_nodes`` rule of
-    :func:`quantile_distance` reads both laws' quantile functions."""
-    return _normal_rule(n_nodes)[0]
+    :func:`quantile_distance` reads both laws' quantile functions; an order
+    that is not an integer >= 1 raises PreconditionError."""
+    if isinstance(n_nodes, bool) or not (
+        isinstance(n_nodes, (int, np.integer)) and n_nodes >= 1
+    ):
+        raise PreconditionError(
+            f"a Gauss-Hermite rule order is an integer >= 1, got {n_nodes!r}"
+        )
+    return _normal_rule(int(n_nodes))[0]
 
 
 # Smallest normal double.
@@ -246,15 +253,16 @@ QUANTILE_NODES = 128
 QUANTILE_ORDERS = (QUANTILE_NODES, 2 * QUANTILE_NODES)
 
 
-def _rule_quantiles(laws) -> list:
+def _rule_quantiles(laws, orders=QUANTILE_ORDERS) -> list:
     """For each mixture of ``laws``, its quantiles at
-    ``normal_levels(n)`` for both orders ``n`` of ``QUANTILE_ORDERS``, as a
-    dict keyed by ``n``; every law's levels are solved in one
+    ``normal_levels(n)`` for every rule order ``n`` of ``orders`` (both
+    orders of ``QUANTILE_ORDERS`` unless given), as a dict keyed by ``n``;
+    every law's levels are solved in one
     :func:`tvrates.distributions.mixture_quantiles` call, in which each
-    law's two orders are two items with their own stopping tests."""
-    levels = [normal_levels(n) for n in QUANTILE_ORDERS]
+    law's orders are items with their own stopping tests."""
+    levels = [normal_levels(n) for n in orders]
     values = iter(mixture_quantiles([(law, u) for law in laws for u in levels]))
-    return [{n: next(values) for n in QUANTILE_ORDERS} for _ in laws]
+    return [{n: next(values) for n in orders} for _ in laws]
 
 
 def quantile_distance(qa: dict, qb: dict, q: float) -> DistanceResult:
@@ -301,10 +309,17 @@ def _w1_cdf_1d(a: GaussianMixture, b: GaussianMixture) -> DistanceResult:
 def _cost_matrix(a: AtomSet, b: AtomSet, q: float) -> np.ndarray:
     if a.d != b.d:
         raise PreconditionError("atom sets have different dimensions")
-    diff = a.locations[:, None, :] - b.locations[None, :, :]
     with np.errstate(over="ignore"):
-        # np.linalg.norm(diff, axis=-1) without its dispatch: the same bits
-        C = np.sqrt(np.add.reduce(diff * diff, axis=-1)) ** q
+        # np.linalg.norm over the coordinates, its squares added one
+        # coordinate after the other: its bits up to d = 7 (from d = 8 on
+        # numpy adds pairwise, which can differ at round-off), without its
+        # inner-loop call per atom pair over the short coordinate axis
+        sq = None
+        for xa, xb in zip(a.locations.T, b.locations.T):
+            diff = np.subtract.outer(xa, xb)
+            diff *= diff
+            sq = diff if sq is None else np.add(sq, diff, out=sq)
+        C = np.sqrt(sq, out=sq) ** q
     if not math.isfinite(C.max()):
         raise PreconditionError(
             f"cost |x - y|^q leaves the float range at cost exponent q = {q!r}"
@@ -613,8 +628,11 @@ def ot_entropic(
     ma, mb = a.masses, b.masses
     la, lb = np.log(ma), np.log(mb)
     f, g = np.zeros(n), np.zeros(m)
-    u, v = np.ones(n), np.ones(m)
-    out = (np.empty(n), np.empty(m), np.empty(n), np.empty(m))
+    # the scalings u, v are the two halves of one buffer, and so are the
+    # next block's, so one min and one max check both
+    uv, uv_next = np.ones(n + m), np.empty(n + m)
+    u, v = uv[:n], uv[n:]
+    out = (uv_next[:n], uv_next[n:], np.empty(n), np.empty(m))
 
     atol = 1e-15 * scale
     lo, hi = SCALING_RANGE
@@ -633,13 +651,9 @@ def ot_entropic(
                 if kernel is None:
                     K = _kernel(f, g, Cn, eps)
                     kernel = K, np.ascontiguousarray(K.T)
-                    u.fill(1.0)
-                    v.fill(1.0)
-                u_next, v_next, rows = _scaling_block(
-                    kernel, u, v, ma, mb, sweeps, omega, out
-                )
-                low = min(u_next.min(), v_next.min())
-                high = max(u_next.max(), v_next.max())
+                    uv.fill(1.0)
+                _, _, rows = _scaling_block(kernel, u, v, ma, mb, sweeps, omega, out)
+                low, high = uv_next.min(), uv_next.max()
                 guard = not (0.0 < low and high < math.inf)
                 if guard:
                     # (c) the kernel under- or overflowed (a large drop in
@@ -654,13 +668,14 @@ def ot_entropic(
                         g = (1.0 - omega) * g + omega * gs
                     K = _kernel(f, g, Cn, eps)
                     kernel = K, np.ascontiguousarray(K.T)
-                    u.fill(1.0)
-                    v.fill(1.0)
+                    uv.fill(1.0)
                     rows = K.sum(axis=1)
                     rebuild = False
                 else:
-                    out = (u, v) + out[2:]
-                    u, v = u_next, v_next
+                    # the block's scalings become the current ones
+                    uv, uv_next = uv_next, uv
+                    u, v = uv[:n], uv[n:]
+                    out = (uv_next[:n], uv_next[n:]) + out[2:]
                     rebuild = not (lo <= low and high <= hi)
                 err = float(np.abs(rows - ma).sum())
                 if guard or rebuild or err > last:

@@ -7,7 +7,8 @@ discrete transport by exhaustive enumeration, by assignment or by the
 transportation LP (the exact oracle for pairs the package's exact solver
 does not take: unequal sizes or masses in d > 1).  The last section keeps
 the earlier forms of kernels the package rewrote for speed: the plain
-loops, the array-per-round Bellman-Ford and the ``np.add.at`` north-west
+loops, the last-axis component sums, the one-component moment recursion,
+the array-per-round Bellman-Ford and the ``np.add.at`` north-west
 corner must agree with the fast code bit for bit, the log-domain Sinkhorn
 to round-off with the same sweep count; the Kronecker-built LP constraints
 serve :func:`ot_lp`.
@@ -21,6 +22,7 @@ import scipy.sparse
 from numpy.polynomial.hermite_e import hermeval
 from scipy import integrate
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.special import ndtr
 from scipy.stats import norm
 
 
@@ -169,6 +171,28 @@ def norm_sq_moment_loop(mu, cov, k):
     return float(m[k])
 
 
+def norm_sq_moment_scalar(m, v, k):
+    """E X^{2k} for X ~ N(m, v) by the cumulant recursion on one component,
+    the form ``_norm_sq_moment`` had before it ran over arrays of
+    components: successive powers v^j, quadratic terms ``(m v^{j-1}) m``
+    and each m_n an ``np.add.accumulate`` left-to-right sum."""
+    if k == 0:
+        return 1.0
+    powers = np.empty(k + 1)
+    powers[0] = 1.0
+    np.multiply.accumulate(np.full(k, v), out=powers[1:])
+    quad = m * powers[:-1] * m
+    scales = np.array([2.0 ** (j - 1) * math.factorial(j - 1) for j in range(1, k + 1)])
+    kappa = np.empty(k + 1)
+    kappa[1:] = scales * (powers[1:] + np.arange(1, k + 1) * quad)
+    out = np.empty(k + 1)
+    out[0] = 1.0
+    for n in range(1, k + 1):
+        binomials = np.array([float(math.comb(n - 1, i)) for i in range(n)])
+        out[n] = np.add.accumulate(binomials * kappa[n:0:-1] * out[:n])[-1]
+    return float(out[k])
+
+
 def poly_table_loop(stacks, radii, K, L, floor, log_max):
     """Polynomial envelope table from a derivative stack (one magnitude
     array per order), one masked maximum of log|g| + l log(1 + radius) per
@@ -187,22 +211,42 @@ def poly_table_loop(stacks, radii, K, L, floor, log_max):
     return table
 
 
-def quantile_bisection(law, u):
-    """Inverse CDF of a 1-D mixture by bisection on ``law.cdf`` with
-    ``np.where`` updates, from the same bracket and stopping test."""
+def mixture_pdf_last_axis(law, x):
+    """Density of a 1-D mixture with its components summed by ``np.sum``
+    over a last (component) axis: the form ``GaussianMixture.pdf`` had
+    before it added component-major rows left to right."""
+    x = np.asarray(x, dtype=float)
+    s = np.sqrt(law.covs[:, 0, 0])
+    log_norm = -0.5 * math.log(2.0 * math.pi) - np.log(s)
+    z = (x[..., None] - law.means[:, 0]) * (1.0 / s)
+    return np.sum(law.weights * np.exp(-0.5 * (z * z) + log_norm), axis=-1)
+
+
+def mixture_cdf_last_axis(law, x):
+    """CDF of a 1-D mixture summed as in :func:`mixture_pdf_last_axis`."""
+    x = np.asarray(x, dtype=float)
+    z = (x[..., None] - law.means[:, 0]) / np.sqrt(law.covs[:, 0, 0])
+    return np.sum(law.weights * ndtr(z), axis=-1)
+
+
+def quantile_bisection(law, u, cdf=None):
+    """Inverse CDF of a 1-D mixture by bisection on ``cdf`` (``law.cdf``
+    unless given) with ``np.where`` updates, from the same bracket and
+    stopping test."""
+    cdf = law.cdf if cdf is None else cdf
     levels = u * float(law.weights.sum())
     s = np.sqrt(law.covs[:, 0, 0])
     lo = float(np.min(law.means[:, 0] - 10.0 * s))
     hi = float(np.max(law.means[:, 0] + 10.0 * s))
-    while law.cdf(lo) >= levels.min():
+    while cdf(lo) >= levels.min():
         lo -= hi - lo
-    while (top := law.cdf(hi)) <= levels.max() and top < float(law.weights.sum()):
+    while (top := cdf(hi)) <= levels.max() and top < float(law.weights.sum()):
         hi += hi - lo
     a = np.full(u.shape, lo)
     b = np.full(u.shape, hi)
     for _ in range(200):
         mid = 0.5 * (a + b)
-        below = law.cdf(mid) < levels
+        below = cdf(mid) < levels
         a = np.where(below, mid, a)
         b = np.where(below, b, mid)
         if np.max(b - a) < 1e-14 * max(1.0, abs(lo), abs(hi)):

@@ -35,7 +35,7 @@ from tvrates.bounds import (
 from tvrates.bounds import LawEvaluation
 from tvrates.distributions import GaussianMixture, common_grid
 from tvrates.harness import default_scenarios, perturb_pair
-from tvrates.transport import normal_levels
+from tvrates.transport import _rule_quantiles, normal_levels, quantile_distance
 
 
 def assert_law_quantiles_match_order_calls(law):
@@ -595,6 +595,57 @@ class TestPairEvaluation:
             [[-7.62066600415622], [-24.780299676523697], [10.346772766341019]],
             [[[5.062545801172223]], [[24.00404293712036]], [[3.4933291820422534]]],
         ))
+
+    @pytest.mark.parametrize("n", [0, -3, 1.5, 256.0, True, "256", None])
+    def test_rule_order_outside_the_integers_is_typed(self, std_normal, n):
+        ev = LawEvaluation(std_normal, common_grid(std_normal, std_normal))
+        with pytest.raises(PreconditionError, match="rule order"):
+            ev.quantiles(n)
+        with pytest.raises(PreconditionError, match="rule order"):
+            LawEvaluation.solve_quantiles([ev], n)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, np.int64(256)])
+    def test_any_rule_order_solves_on_demand(self, bimodal, n):
+        ev = LawEvaluation(bimodal, common_grid(bimodal, bimodal))
+        np.testing.assert_array_equal(ev.quantiles(n), bimodal.quantile(normal_levels(n)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 3),
+        q=st.floats(1.05, 6.0),
+    )
+    def test_gap_equals_quantile_distance_value(self, data, n, q):
+        # the gap reads the 256-node rule alone; quantile_distance solves
+        # both rule orders in one batch and takes its value from that rule
+        laws = []
+        for _ in range(2):
+            weights = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+            means = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n))
+            variances = data.draw(st.lists(st.floats(0.05, 25.0), min_size=n, max_size=n))
+            laws.append(GaussianMixture(
+                weights / weights.sum(), [[m] for m in means], [[[v]] for v in variances]
+            ))
+        a, b = laws
+        pair = PairEvaluation(a, b, BoundParams(2.0, q, 0.1))
+        assert pair.gap == quantile_distance(*_rule_quantiles((a, b)), q).value
+
+    def test_solve_moments_matches_abs_moment_and_keeps_overflow_typed(
+        self, std_normal, bimodal
+    ):
+        grid = common_grid(std_normal, bimodal)
+        evs = [LawEvaluation(law, grid) for law in (std_normal, bimodal, bimodal)]
+        # E|X|^346 of N(0, 1) leaves the float range
+        LawEvaluation.solve_moments(evs + evs[:1], (4, 150, 346))
+        for ev in evs:
+            for m in (4, 150):
+                assert ev._kept["abs_moment", m] == ev.law.abs_moment(m)
+                assert ev.abs_moment(m) == ev.law.abs_moment(m)
+            assert ("abs_moment", 346) not in ev._kept
+            with pytest.raises(PreconditionError, match="order 346"):
+                ev.abs_moment(346)
+        with pytest.raises(PreconditionError, match="even integers"):
+            LawEvaluation.solve_moments(evs, (3,))
 
     def test_default_sweep_law_quantiles_match_one_order_calls(self):
         # each sweep evaluates its reference law once and each row's law

@@ -14,8 +14,11 @@ from scipy import special
 from scipy.stats import norm
 
 from reference import (
+    mixture_cdf_last_axis,
     mixture_pdf,
+    mixture_pdf_last_axis,
     norm_sq_moment_loop,
+    norm_sq_moment_scalar,
     quad_abs_moment,
     quantile_bisection,
 )
@@ -30,7 +33,12 @@ from tvrates import (
     gaussian,
     wasserstein_1d,
 )
-from tvrates.distributions import _norm_sq_moment, mixture_quantiles, tail_mass_bound
+from tvrates.distributions import (
+    _even_moments,
+    _norm_sq_moment,
+    mixture_quantiles,
+    tail_mass_bound,
+)
 from tvrates.transport import normal_levels
 
 # mixtures on which a bisection stopped on the joint widest bracket of both
@@ -91,6 +99,32 @@ class TestDensity:
         np.testing.assert_allclose(bimodal.pdf(xs), oracle(xs), rtol=1e-12)
 
 
+class TestComponentSums:
+    """The density, the CDF and the bisection add the components' rows left
+    to right; up to 7 components that is numpy's own last-axis order."""
+
+    points = st.lists(st.floats(-120.0, 120.0), min_size=1, max_size=40)
+
+    @settings(max_examples=80, deadline=None)
+    @given(law=mixtures_1d(max_k=7), x=points, scalar=st.floats(-120.0, 120.0))
+    def test_pdf_and_cdf_match_last_axis_sum_bit_for_bit(self, law, x, scalar):
+        for shape in ((len(x),), (1, len(x)), ()):
+            pts = np.reshape(x, shape) if shape else scalar
+            for got, want in ((law.pdf(pts), mixture_pdf_last_axis(law, pts)),
+                              (law.cdf(pts), mixture_cdf_last_axis(law, pts))):
+                # down to the sign of a zero
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                assert np.shape(got) == np.shape(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(law=mixtures_1d(max_k=7), n_nodes=st.sampled_from([128, 256]))
+    def test_bisection_matches_last_axis_cdf_bisection(self, law, n_nodes):
+        u = normal_levels(n_nodes)
+        want = quantile_bisection(law, u, cdf=lambda x: mixture_cdf_last_axis(law, x))
+        np.testing.assert_array_equal(law.quantile(u), want)
+        np.testing.assert_array_equal(mixture_quantiles([(law, u)])[0], want)
+
+
 class TestMoments:
     def test_gaussian_second_and_fourth(self, std_normal):
         np.testing.assert_allclose(std_normal.abs_moment(2), 1.0)
@@ -120,6 +154,59 @@ class TestMoments:
             want = norm_sq_moment_loop(np.array([m]), np.array([[v]]), k)
             got = _norm_sq_moment(m, v, k)
         np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=st.lists(
+            st.tuples(st.floats(-50.0, 50.0), st.floats(0.05, 400.0)),
+            min_size=1, max_size=6,
+        ),
+        k=st.integers(0, 200),
+    )
+    def test_vectorized_recursion_matches_scalar_per_component(self, params, k):
+        # large variances and orders leave the float range (inf), and past
+        # k ~ 170 the cumulant factorials do (OverflowError): both forms
+        # must agree there too
+        m, v = (np.array(c) for c in zip(*params))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = [norm_sq_moment_scalar(a, b, k) for a, b in params]
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    _norm_sq_moment(m, v, k)
+                return
+            got = _norm_sq_moment(m, v, k)
+        assert got.shape == m.shape
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        laws=st.lists(mixtures_1d(), min_size=1, max_size=4),
+        p=st.sampled_from([0, 2, 4, 150, 310, 400]),
+    )
+    def test_batched_even_moments_match_abs_moment(self, laws, p):
+        # a law met twice, and a blend that shares components with others
+        first, last = laws[0], laws[-1]
+        blend = GaussianMixture(
+            np.concatenate([first.weights, last.weights]) / 2.0,
+            np.concatenate([first.means, last.means]),
+            np.concatenate([first.covs, last.covs]),
+        )
+        laws = laws + [first, blend]
+        got = _even_moments(laws, p)
+        assert len(got) == len(laws)
+        for law, x in zip(laws, got):
+            try:
+                want = law.abs_moment(p)
+            except PreconditionError:
+                assert x is None
+            else:
+                assert x == want
+
+    @pytest.mark.parametrize("p", [1, 3.0, 2.5, -2, math.nan])
+    def test_batched_moments_take_even_orders_only(self, std_normal, p):
+        with pytest.raises(PreconditionError, match="even integers"):
+            _even_moments([std_normal], p)
 
     @pytest.mark.parametrize("p", [310, 346, 390])
     def test_overflowing_even_moment_is_typed_error(self, std_normal, p):
@@ -505,6 +592,9 @@ class TestValidationAndJson:
             AtomSet(np.array([[0.0]]), np.array([0.5]))
         with pytest.raises(PreconditionError):
             AtomSet(np.array([[np.inf]]), np.array([1.0]))
+        # a location needs a coordinate: no cost matrix exists in d = 0
+        with pytest.raises(PreconditionError, match="d >= 1"):
+            AtomSet(np.empty((2, 0)), np.array([0.5, 0.5]))
 
     def test_immutability(self, std_normal):
         with pytest.raises(ValueError):

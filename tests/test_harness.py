@@ -203,18 +203,15 @@ class TestRunSweep:
             ref = law_key(sc.base)
             laws = {ref} | {law_key(perturb_pair(sc, h)[1]) for h in sc.h_grid}
             assert len(laws) == n + 1
-            # one bisection per component count solves both rule orders of all
-            # N + 1 laws, each law once
+            # one bisection per component count solves the gap's rule order
+            # (256 nodes, the only one the gap reads) of all N + 1 laws, each
+            # law once
             batches = [items for name, _, items in per_sweep[0] if name == "bisect"]
             counts = {law.n_components for h in sc.h_grid for law in perturb_pair(sc, h)}
             assert len(batches) == len(counts) == (1 if kind == "translate" else 2)
-            solved = [law for items in batches for law, _ in items[::2]]
+            solved = [law for items in batches for law, _ in items]
             assert sorted(solved) == sorted(laws)
-            for items in batches:
-                assert all(
-                    first[0] == second[0] and (first[1], second[1]) == (128, 256)
-                    for first, second in zip(items[::2], items[1::2])
-                )
+            assert all(n_levels == 256 for items in batches for _, n_levels in items)
             discretized = [
                 (law, d) for name, law, d in per_sweep[0] if name == "discretize"
             ]
@@ -414,3 +411,30 @@ def test_benchmark_certify_oracle_accepts_first_op_of_each_regime(monkeypatch, t
     for regime in workloads.REGIMES:
         op = next(op for op in ops if op.inputs["regime"] == regime)
         op.check(op.run())
+
+
+class TestBenchmarkTracer:
+    def test_every_traced_name_still_resolves(self):
+        # the benchmark's tracer binds each LAYERS name by attribute; a
+        # renamed or removed binding would otherwise surface only when a
+        # traced benchmark run crashes
+        import importlib.util
+        import os
+
+        path = os.path.join(
+            os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py"
+        )
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        targets = tracer._targets()
+        want = [
+            f"{layer}.{name.rsplit('.', 1)[-1]}"
+            for layer, names in tracer.LAYERS.items()
+            for name in names
+        ]
+        assert [name for name, _, _ in targets] == want
+        for name, original, sites in targets:
+            assert callable(original) and sites, name
+            for label, owner, attr in sites:
+                assert getattr(owner, attr) is original, label

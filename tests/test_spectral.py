@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvrates import (
     CharGrid,
     DecayError,
     ExpEnvelopeTable,
     GaussianMixture,
+    PolyEnvelopeTable,
     PreconditionError,
     ResolutionError,
     SpaceGrid,
@@ -259,6 +262,71 @@ class TestPolyEnvelope:
                 _, _, radii, stacks = _derivative_stack(cg, K)
                 want = poly_table_loop(stacks, radii, K, L, RESOLVED_FLOOR, LOG_FLOAT_MAX)
                 np.testing.assert_array_equal(poly_envelope(cg, K, L).table, want)
+
+
+class TestEnvelopeOrders:
+    """Tables at chosen derivative orders, as the certificates read them."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        params=st.lists(
+            st.tuples(st.floats(0.05, 1.0), st.floats(-3.0, 3.0), st.floats(0.3, 4.0)),
+            min_size=1, max_size=3,
+        ),
+        K=st.sampled_from([2, 4]),
+        side=st.sampled_from(["density", "frequency"]),
+    )
+    def test_tables_at_orders_equal_rows_of_full_tables(self, params, K, side):
+        w, m, v = (np.array(c) for c in zip(*params))
+        law = GaussianMixture(w / w.sum(), m, v)
+        dens = grid_of(law, 1024)
+        obj = dens if side == "density" else char_fn_grid(dens)
+        try:
+            full = poly_envelope(obj, K, 12)
+        except ResolutionError:
+            return
+        part = poly_envelope(obj, K, 12, orders=(K, 0))
+        assert part.orders == (0, K) and (part.max_k, part.max_l) == (K, 12)
+        np.testing.assert_array_equal(part.table, full.table[[0, K]])
+        for k in (0, K):
+            assert part.get(k, 7) == full.get(k, 7)
+        if side == "density":
+            return
+        exp_part = exp_envelope(obj, K, orders=(0, K))
+        assert set(exp_part.rates) == set(exp_part.integrals) == set(exp_part.sups) == {0, K}
+        try:
+            exp_full = exp_envelope(char_fn_grid(dens), K)
+        except (DecayError, ResolutionError):
+            # an unread order's tail fit may fail where orders 0 and K fit
+            return
+        for k in (0, K):
+            assert exp_part.get(k) == exp_full.get(k)
+            assert exp_part.sups[k] == exp_full.sups[k]
+
+    def test_missing_order_is_typed_and_pairs_keep_common_orders(
+        self, std_normal, bimodal
+    ):
+        cg_a, cg_b = (char_fn_grid(grid_of(law)) for law in (std_normal, bimodal))
+        ta = poly_envelope(cg_a, 4, 6, orders=(0, 4))
+        tb = poly_envelope(cg_b, 4, 6, orders=(0, 2, 4))
+        with pytest.raises(PreconditionError, match="missing order 2"):
+            ta.get(2, 3)
+        comb = ta.combine_max(tb)
+        assert comb.orders == (0, 4)
+        np.testing.assert_array_equal(comb.table, np.maximum(ta.table, tb.table[[0, 2]]))
+        assert [e["k"] for e in comb.to_json()["entries"]] == [0] * 7 + [4] * 7
+        with pytest.raises(PreconditionError, match="missing order 2"):
+            exp_envelope(cg_a, 4, orders=(0, 4)).get(2)
+
+    @pytest.mark.parametrize("orders", [(), (0, 5), (-1, 2), (1.5,), ("0",)])
+    def test_orders_outside_the_coverage_rejected(self, std_normal, orders):
+        cg = char_fn_grid(grid_of(std_normal, 1024))
+        with pytest.raises(PreconditionError, match="orders"):
+            poly_envelope(cg, 4, 6, orders=orders)
+        with pytest.raises(PreconditionError, match="orders"):
+            exp_envelope(cg, 4, orders=orders)
+        with pytest.raises(PreconditionError, match="orders"):
+            PolyEnvelopeTable("frequency", 4, 6, np.zeros((len(orders), 7)), orders)
 
 
 class TestExpEnvelope:

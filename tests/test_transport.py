@@ -344,6 +344,30 @@ class TestWasserstein1d:
         assert abs(quad.value - exact.value) <= 1e-3
 
 
+class TestCostMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 7),
+        n=st.integers(1, 12),
+        m=st.integers(1, 12),
+        q=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    )
+    def test_coordinate_sums_match_linalg_norm_bit_for_bit(self, data, d, n, m, q):
+        # the squares are added one coordinate after the other, numpy's own
+        # order up to d = 7
+        coords = st.floats(-1e3, 1e3) | st.floats(-1e-3, 1e-3)
+        xa, xb = (
+            np.array(data.draw(st.lists(coords, min_size=k * d, max_size=k * d))).reshape(k, d)
+            for k in (n, m)
+        )
+        a = AtomSet(xa, np.full(n, 1.0 / n))
+        b = AtomSet(xb, np.full(m, 1.0 / m))
+        want = np.linalg.norm(xa[:, None, :] - xb[None, :, :], axis=-1) ** q
+        got = tvrates.transport._cost_matrix(a, b, q)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestOtExact:
     def test_point_masses(self):
         d0 = AtomSet(np.array([[0.0]]), np.array([1.0]))
