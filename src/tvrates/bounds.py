@@ -55,7 +55,6 @@ from .transport import (
     _quantile_wq,
     _require_exponent,
     _rule_quantiles,
-    normal_levels,
     refine_weighted_l1,
 )
 
@@ -82,7 +81,7 @@ __all__ = [
 ZERO_GAP = 1e-14
 
 # Order of the Gauss-Hermite rule whose W_q value is the gap: the doubled
-# order, which gives the value of tvrates.transport.quantile_distance.
+# order, which gives the value of tvrates.transport.wasserstein_1d.
 GAP_NODES = QUANTILE_ORDERS[-1]
 
 # Volume of the unit ball [-1, 1], in the d-ball form pi^{d/2} / Gamma(d/2 + 1)
@@ -337,65 +336,26 @@ class BoundCertificate:
 class LawEvaluation:
     """The quantities certificates read off one law on one space grid.
 
-    The quantiles at the levels of a Gauss-Hermite rule, one rule order at
-    a time, the law discretized on ``grid`` refined ``level`` times (the
-    grid keeps the refined grids and their meshes, so every law on it
-    shares them), its characteristic grid, its decay-envelope tables at
-    derivative orders 0 and K (the only orders the certificates read) and
-    its absolute and exponential moments are each computed on first use
-    and then kept, so every pair that holds this evaluation shares them.
-    :meth:`solve_quantiles` fills one rule order's quantiles of many
-    evaluations from one solver call, and :meth:`solve_moments` their even
-    moments from one moment recursion per order, as a sweep does for all
-    of its laws.  Concurrent first uses recompute the same deterministic
-    value.
+    The quantiles at the levels of the gap's Gauss-Hermite rule (order
+    ``GAP_NODES``), the law discretized on ``grid`` refined ``level``
+    times (the grid keeps the refined grids and their meshes, so every law
+    on it shares them), its characteristic grid, its decay-envelope tables
+    at derivative orders 0 and K (the only orders the certificates read)
+    and its absolute and exponential moments are each computed on first
+    use and then kept, so every pair that holds this evaluation shares
+    them.  :meth:`PairEvaluation.solve` fills the quantiles and the even
+    moments of many evaluations in batches, as a sweep does for all of its
+    laws.  Concurrent first uses recompute the same deterministic value.
     """
 
     def __init__(self, law: GaussianMixture, grid: SpaceGrid):
         self.law, self.grid = law, grid
         self._kept = {}
-        self._quantiles = {}
 
     def _keep(self, key, compute):
         if key not in self._kept:
             self._kept[key] = compute()
         return self._kept[key]
-
-    def quantiles(self, n_nodes: int) -> np.ndarray:
-        """The law's quantiles at the levels of the order-``n_nodes`` rule
-        (:func:`tvrates.transport.normal_levels`), solved on first use; an
-        order that is not an integer >= 1 raises PreconditionError."""
-        LawEvaluation.solve_quantiles([self], n_nodes)
-        return self._quantiles[n_nodes]
-
-    @staticmethod
-    def solve_quantiles(evaluations, n_nodes: int = GAP_NODES) -> None:
-        """Fill the order-``n_nodes`` quantiles (by default those of the
-        gap's rule) of every evaluation that lacks them with one
-        :func:`tvrates.transport._rule_quantiles` call; an evaluation met
-        twice is solved once."""
-        normal_levels(n_nodes)  # rejects an order that is not an integer >= 1
-        todo = list({
-            id(ev): ev for ev in evaluations if n_nodes not in ev._quantiles
-        }.values())
-        solved = _rule_quantiles([ev.law for ev in todo], (n_nodes,))
-        for ev, quantiles in zip(todo, solved):
-            ev._quantiles.update(quantiles)
-
-    @staticmethod
-    def solve_moments(evaluations, orders) -> None:
-        """Fill E|X|^m, for each even integer order m of ``orders``, of
-        every evaluation that lacks it, from one moment recursion per order
-        over the distinct components of all their laws; each value equals
-        the law's own ``abs_moment(m)`` bit for bit.  A moment past the
-        float range is left unfilled, so reading it raises as
-        ``abs_moment`` does."""
-        evaluations = list({id(ev): ev for ev in evaluations}.values())
-        for m in orders:
-            todo = [ev for ev in evaluations if ("abs_moment", m) not in ev._kept]
-            for ev, value in zip(todo, _even_moments([ev.law for ev in todo], m)):
-                if value is not None:
-                    ev._kept["abs_moment", m] = value
 
     def density(self, level: int):
         return self._keep(
@@ -428,6 +388,17 @@ class LawEvaluation:
         return self._keep(("exp_abs_moment", r), lambda: self.law.exp_abs_moment(r))
 
 
+def _gap_quantiles(evaluations) -> list:
+    """The quantiles at the gap's rule of each law evaluation, solved in
+    one :func:`tvrates.transport._rule_quantiles` call for those that lack
+    them, each evaluation once, and then kept."""
+    todo = {id(ev): ev for ev in evaluations if "quantiles" not in ev._kept}
+    solved = _rule_quantiles([ev.law for ev in todo.values()], (GAP_NODES,))
+    for ev, quantiles in zip(todo.values(), solved):
+        ev._kept["quantiles"] = quantiles[GAP_NODES]
+    return [ev._kept["quantiles"] for ev in evaluations]
+
+
 class PairEvaluation:
     """The quantities every certificate reads off one pair of laws.
 
@@ -437,10 +408,11 @@ class PairEvaluation:
     refinement ladder over the two laws' kept densities) and the pair's
     combined decay-envelope tables at derivative orders 0 and p_even, so
     certificates built from one evaluation share them and a certificate
-    computes only what it reads.  Both laws live on the pair's common
-    sigma-box grid; :meth:`of_laws` builds a pair from evaluations on
-    another grid that other pairs share, as a sweep does for its reference
-    law.  Concurrent first uses recompute the same deterministic
+    computes only what it reads.  :meth:`solve` fills in batches what the
+    certificates of many pairs read first.  Both laws live on the pair's
+    common sigma-box grid; :meth:`of_laws` builds a pair from evaluations
+    on another grid that other pairs share, as a sweep does for its
+    reference law.  Concurrent first uses recompute the same deterministic
     value.
     """
 
@@ -462,15 +434,36 @@ class PairEvaluation:
         self.a, self.b, self.params, self.grid = la.law, lb.law, params, la.grid
         self._poly_envelopes = {}
 
+    @staticmethod
+    def solve(pairs) -> None:
+        """Fill what the certificates read of the laws of ``pairs``, each
+        law evaluation once: the gap's quantiles in one solver call, and
+        E|X|^m at each order m of :func:`_poly_moment_orders` from one
+        moment recursion per order over the distinct components of the laws
+        that lack it (none if no law does).  Each equals the law's own
+        ``abs_moment(m)`` bit for bit; one past the float range is left
+        unfilled, so reading it raises as ``abs_moment`` does."""
+        _gap_quantiles([ev for pair in pairs for ev in pair.laws])
+        todo = {}
+        for pair in pairs:
+            for m in _poly_moment_orders(pair.params):
+                for ev in pair.laws:
+                    if ("abs_moment", m) not in ev._kept:
+                        todo.setdefault(m, {})[id(ev)] = ev
+        for m, evs in todo.items():
+            evs = list(evs.values())
+            for ev, value in zip(evs, _even_moments([ev.law for ev in evs], m)):
+                if value is not None:
+                    ev._kept["abs_moment", m] = value
+
     @cached_property
     def gap(self) -> float:
         """The measured gap A = W_q(a, b), the value of
-        :func:`tvrates.transport.quantile_distance` read off the order
+        :func:`tvrates.transport.wasserstein_1d` read off the order
         ``GAP_NODES`` rule alone; exactly 0 for identical laws."""
         if self.a == self.b:
             return 0.0
-        LawEvaluation.solve_quantiles(self.laws)
-        qa, qb = (ev.quantiles(GAP_NODES) for ev in self.laws)
+        qa, qb = _gap_quantiles(self.laws)
         return _quantile_wq(qa, qb, self.params.q, GAP_NODES)
 
     @cached_property
@@ -540,6 +533,13 @@ def _zero_certificate(params, regime, l) -> BoundCertificate:
 # polynomial-decay regime
 # ---------------------------------------------------------------------------
 
+def _poly_moment_orders(params: BoundParams) -> tuple:
+    """The orders m = 2 p_even and m = 2 l of the moment bounds a_{0,m}
+    that the polynomial certificate reads."""
+    p = params.p_even
+    return 2 * p, 2 * choose_l(params.epsilon, p, 1)
+
+
 def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
     """Certificate for rho_p <= (2 Cbar_{l,p} + Cbar_{l,0}) A^{theta_{l,p}}.
 
@@ -563,9 +563,10 @@ def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
     ledger.c_ring[0] = 1.0
     ledger.c_ring[p] = c_ring(p, params.q, mom_a, mom_b)
     ledger.h_p = 1.0
-    for m in (2 * p, 2 * l):
+    orders = _poly_moment_orders(params)
+    for m in orders:
         ledger.moment_bounds[m] = float(max(mom_a(m), mom_b(m)))
-    a_2p, a_2l = ledger.moment_bounds[2 * p], ledger.moment_bounds[2 * l]
+    a_2p, a_2l = (ledger.moment_bounds[m] for m in orders)
     ledger.c_hat[(l, p)] = c_hat(l, p, ledger.c_ring[p], envelopes)
     ledger.c_hat[(l, 0)] = c_hat(l, 0, 1.0, envelopes)
     ledger.c_bar[(l, p)] = c_bar(ledger.c_hat[(l, p)], a_2p, a_2l)

@@ -298,15 +298,16 @@ class GaussianMixture:
             return 1.0
         if float(p).is_integer() and int(p) % 2 == 0:
             p = int(p)
+            value = _even_moments([self], p)[0]
+            if value is None:
+                raise PreconditionError(f"{_moment_name(p)} is not a finite float")
+            return value
 
-            def terms():
-                return _norm_sq_moment(self._m, self._v, p // 2)
-        else:
-            def terms():
-                return (
-                    _gauss_abs_moment_1d(m, math.sqrt(v), p)
-                    for m, v in zip(self._m, self._v)
-                )
+        def terms():
+            return (
+                _gauss_abs_moment_1d(m, math.sqrt(v), p)
+                for m, v in zip(self._m, self._v)
+            )
         return self._finite_mean(terms, _moment_name(p))
 
     def exp_abs_moment(self, r: float) -> float:
@@ -616,15 +617,12 @@ def _norm_sq_moment(m, v, k: int) -> np.ndarray:
     return out[k].reshape(shape)
 
 
-def _even_moments(laws, p) -> list:
+def _even_moments(laws, p: int) -> list:
     """E|X|^p of each mixture of ``laws`` for an even integer order p >= 0,
     from one moment recursion over the laws' distinct (mean, variance)
-    components.  Entry i equals ``laws[i].abs_moment(p)`` bit for bit, or
-    is None where that moment is not a finite float (``abs_moment``
-    raises for it)."""
-    if not (float(p).is_integer() and p >= 0 and int(p) % 2 == 0):
-        raise PreconditionError(f"batched moment orders are even integers >= 0, got {p!r}")
-    p = int(p)
+    components; :meth:`GaussianMixture.abs_moment` is the batch of one.
+    Entry i is the moment of ``laws[i]`` alone, bit for bit, or None where
+    that moment is not a finite float (``abs_moment`` raises for it)."""
     if p == 0:
         return [1.0] * len(laws)
     index = {}

@@ -22,7 +22,6 @@ from .bounds import (
     BoundParams,
     LawEvaluation,
     PairEvaluation,
-    choose_l,
     exponential_rate_certificate,
     pointwise_certificate,
     polynomial_rate_certificate,
@@ -311,16 +310,13 @@ def run_sweep(sc: Scenario) -> SweepReport:
     shift with h and add spurious jitter to the certified constants.  The
     grid keeps its meshes, radii and phase vectors, so every law of the
     sweep shares them.  Every row's pair is built up front (a pair that
-    raises is a failed row); one :meth:`LawEvaluation.solve_quantiles`
-    call then solves the quantiles of the gap's rule for all of the
-    sweep's laws, and one :meth:`LawEvaluation.solve_moments` call their
-    even moments of the orders the polynomial certificate reads, each
-    distinct mixture component once.  The sweep keeps one
-    :class:`LawEvaluation` per distinct reference law (found by ``==``),
-    so a reference law that stays fixed over the scale grid has its
-    quantiles, densities, envelopes and moments computed once; each row's
-    perturbed evaluation is dropped with its row.  Nothing is kept past
-    the call.
+    raises is a failed row); one :meth:`PairEvaluation.solve` call then
+    fills in batches the quantiles and moments that the certificates read
+    of all of the sweep's laws.  The sweep keeps one :class:`LawEvaluation`
+    per distinct reference law (found by ``==``), so a reference law that
+    stays fixed over the scale grid has its quantiles, densities,
+    envelopes and moments computed once; each row's perturbed evaluation
+    is dropped with its row.  Nothing is kept past the call.
     """
     a0, b0 = perturb_pair(sc, sc.h_grid[0])
     grid = common_grid(a0, b0, sc.box_sigmas, sc.resolution)
@@ -345,15 +341,7 @@ def run_sweep(sc: Scenario) -> SweepReport:
             return exc
 
     pairs = [build(h) for h in sc.h_grid]
-    evaluations = [
-        ev for pair in pairs if isinstance(pair, PairEvaluation) for ev in pair.laws
-    ]
-    LawEvaluation.solve_quantiles(evaluations)
-    # the even moments the polynomial certificate reads
-    p = sc.params.p_even
-    LawEvaluation.solve_moments(
-        evaluations, (2 * p, 2 * choose_l(sc.params.epsilon, p, 1))
-    )
+    PairEvaluation.solve([pair for pair in pairs if isinstance(pair, PairEvaluation)])
     rows, errors = [], []
     for i, h in enumerate(sc.h_grid):
         # the list lets go of each pair once its row is done

@@ -212,9 +212,9 @@ class PolyEnvelopeTable:
         object.__setattr__(self, "table", t)
 
     def get(self, k: int, l: int) -> float:
-        if k > self.max_k or l > self.max_l:
+        if not (0 <= k <= self.max_k and 0 <= l <= self.max_l):
             raise PreconditionError(
-                f"envelope table covers k <= {self.max_k}, l <= {self.max_l}"
+                f"envelope table covers 0 <= k <= {self.max_k}, 0 <= l <= {self.max_l}"
             )
         if k not in self.orders:
             raise PreconditionError(f"polynomial envelope missing order {k}")

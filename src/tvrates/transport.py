@@ -211,15 +211,8 @@ def _normal_rule(n_nodes: int):
 
 def normal_levels(n_nodes: int) -> np.ndarray:
     """The quantile levels at which the order-``n_nodes`` rule of
-    :func:`quantile_distance` reads both laws' quantile functions; an order
-    that is not an integer >= 1 raises PreconditionError."""
-    if isinstance(n_nodes, bool) or not (
-        isinstance(n_nodes, (int, np.integer)) and n_nodes >= 1
-    ):
-        raise PreconditionError(
-            f"a Gauss-Hermite rule order is an integer >= 1, got {n_nodes!r}"
-        )
-    return _normal_rule(int(n_nodes))[0]
+    :func:`wasserstein_1d` reads both laws' quantile functions."""
+    return _normal_rule(n_nodes)[0]
 
 
 # Smallest normal double.
@@ -265,28 +258,23 @@ def _rule_quantiles(laws, orders=QUANTILE_ORDERS) -> list:
     return [{n: next(values) for n in orders} for _ in laws]
 
 
-def quantile_distance(qa: dict, qb: dict, q: float) -> DistanceResult:
-    """W_q from two laws' :func:`_rule_quantiles`; the rule of order
-    ``QUANTILE_NODES`` is checked against the doubled one, which gives the
-    value."""
-    v1, v2 = (_quantile_wq(qa[n], qb[n], q, n) for n in QUANTILE_ORDERS)
-    return DistanceResult(v2, "quantile-quadrature", abs(v2 - v1))
-
-
 def wasserstein_1d(a, b, q: float) -> DistanceResult:
     """W_q via the quantile representation, for q > 1 between two 1-D
     mixtures.
 
     The unit-interval integral is computed under the normal substitution
     u = Phi(t) on a Gauss-Hermite rule, which removes the inverse-CDF blowup
-    at the endpoints; the error estimate comes from doubling the order.
-    Both laws are solved at both orders in one :func:`_rule_quantiles` call.
-    q <= 1 is rejected: the certificate machinery requires q > 1 (use
-    :func:`ot_exact` for discrete W_1).
+    at the endpoints.  Both laws are solved at both orders of
+    ``QUANTILE_ORDERS`` in one :func:`_rule_quantiles` call; the doubled
+    order gives the value, and its difference from the other order the
+    error estimate.  q <= 1 is rejected: the certificate machinery requires
+    q > 1 (use :func:`ot_exact` for discrete W_1).
     """
     _require_exponent(q, "quantile quadrature exponent q", 1.0, strict=True)
     _require_mixtures(a, b)
-    return quantile_distance(*_rule_quantiles((a, b)), q)
+    qa, qb = _rule_quantiles((a, b))
+    v1, v2 = (_quantile_wq(qa[n], qb[n], q, n) for n in QUANTILE_ORDERS)
+    return DistanceResult(v2, "quantile-quadrature", abs(v2 - v1))
 
 
 def _w1_cdf_1d(a: GaussianMixture, b: GaussianMixture) -> DistanceResult:
@@ -557,24 +545,19 @@ def _rounded_cost(kernel, u, v, rows, ma, mb, C):
     return cost
 
 
-def ot_entropic(
-    a: AtomSet,
-    b: AtomSet,
-    q: float = 2.0,
-    reg_schedule=None,
-    rtol: float = 5e-3,
-):
+def ot_entropic(a: AtomSet, b: AtomSet, q: float = 2.0, rtol: float = 5e-3):
     """Entropically regularized optimal transport with schedule annealing.
 
-    ``reg_schedule`` lists decreasing regularization weights relative to the
-    cost-matrix maximum, ending at the target epsilon.  The log potentials
-    ``f``, ``g`` warm-start each stage from the last.  Each stage builds one
-    kernel ``K = exp((f + g - C / max C) / eps)`` and sweeps in blocks of
-    ``MARGINAL_CHECK_EVERY`` scaling updates, each block starting from the
-    last block's scalings ``u``, ``v``.  The first ``PLAIN_BLOCKS`` blocks
-    of a stage run plain sweeps ``u = a / (K v)``, ``v = b / (K^T u)``;
-    then the per-sweep contraction kappa of the last two blocks' row errors
-    sets the over-relaxed sweeps ``u <- u (a / (u K v))^omega``,
+    The stages run at the decreasing regularization weights of
+    ``DEFAULT_REG_SCHEDULE``, relative to the cost-matrix maximum.  The log
+    potentials ``f``, ``g`` warm-start each stage from the last.  Each
+    stage builds one kernel ``K = exp((f + g - C / max C) / eps)`` and
+    sweeps in blocks of ``MARGINAL_CHECK_EVERY`` scaling updates, each block
+    starting from the last block's scalings ``u``, ``v``.  The first
+    ``PLAIN_BLOCKS`` blocks of a stage run plain sweeps ``u = a / (K v)``,
+    ``v = b / (K^T u)``; then the per-sweep contraction kappa of the last
+    two blocks' row errors sets the over-relaxed sweeps
+    ``u <- u (a / (u K v))^omega``,
     ``v <- v (b / (v K^T u))^omega`` with
     ``omega = min(OMEGA_MAX, 2 / (1 + sqrt(1 - kappa)))`` when
     0.5 < kappa < 1.  A block whose row error rises, or after which the
@@ -602,23 +585,13 @@ def ot_entropic(
     what is returned, only how many sweeps a stage takes: the value is
     always a rounded feasible plan's cost, and only the certificate accepts
     it.  The error estimate is that duality gap (in distance units).  An
-    empty schedule, a schedule entry that is not a finite number > 0, a
-    schedule that does not decrease and an ``rtol`` that is not a finite
-    number >= 0 raise :class:`PreconditionError` before any sweep.
+    ``rtol`` that is not a finite number >= 0 raises
+    :class:`PreconditionError` before any sweep.
     """
     _require_exponent(q, "cost exponent q", 1.0)
     _require_exponent(rtol, "relative accuracy rtol", 0.0)
     if len(a) < 1 or len(b) < 1:
         raise PreconditionError("atom sets must be non-empty")
-    schedule = DEFAULT_REG_SCHEDULE if reg_schedule is None else tuple(reg_schedule)
-    if not schedule:
-        raise PreconditionError("regularization schedule must not be empty")
-    if not all(math.isfinite(e) and e > 0 for e in schedule) or any(
-        e2 >= e1 for e1, e2 in zip(schedule, schedule[1:])
-    ):
-        raise PreconditionError(
-            "regularization schedule must be finite, positive, decreasing"
-        )
     C = _cost_matrix(a, b, q)
     scale = float(C.max())
     if scale == 0.0:
@@ -638,7 +611,7 @@ def ot_entropic(
     lo, hi = SCALING_RANGE
     target = MARGINAL_TOL
     with np.errstate(all="ignore"):
-        for eps in schedule:
+        for eps in DEFAULT_REG_SCHEDULE:
             kernel = None  # None: f and g hold every scaling so far
             omega, errs, last, rebuild = 1.0, [], math.inf, False
             for done in range(0, MAX_STAGE_SWEEPS, MARGINAL_CHECK_EVERY):

@@ -35,13 +35,14 @@ from tvrates.bounds import (
 from tvrates.bounds import LawEvaluation
 from tvrates.distributions import GaussianMixture, common_grid
 from tvrates.harness import default_scenarios, perturb_pair
-from tvrates.transport import _rule_quantiles, normal_levels, quantile_distance
+from tvrates.transport import _rule_quantiles, normal_levels, wasserstein_1d
 
 
 def assert_law_quantiles_match_order_calls(law):
-    ev = LawEvaluation(law, common_grid(law, law))
+    # the batch that solves both rule orders of the law at once
+    (solved,) = _rule_quantiles((law,))
     for n in (128, 256):
-        np.testing.assert_array_equal(ev.quantiles(n), law.quantile(normal_levels(n)))
+        np.testing.assert_array_equal(solved[n], law.quantile(normal_levels(n)))
 
 
 class TestGamma:
@@ -338,17 +339,27 @@ class TestPointwiseCertificate:
         self, std_normal, default_params, alpha
     ):
         # the grid's spectral derivative read 166 for alpha = 6 (sup 3.09)
-        # and 1.9e69 for alpha = 30, above that pair's rhs of 6.6e56
-        b = gaussian(0.1, 1.0)
-        pair = PairEvaluation(std_normal, b, default_params)
-        cert = pointwise_certificate(pair, alpha=alpha)
-        x = pair.grid.nodes()
-        diff = mixture_derivative_hermeval(std_normal, x, alpha) - (
-            mixture_derivative_hermeval(b, x, alpha)
-        )
-        want = np.max(np.abs(diff) * (1.0 + np.abs(x) ** 2))
-        assert abs(cert.lhs - want) <= 1e-8 * want
-        assert cert.satisfied
+        # and 1.9e69 for alpha = 30, above that pair's rhs of 6.6e56; the
+        # variances other than 1 check the factor s^(-alpha-1)
+        def mixture(means, variances):
+            return GaussianMixture([0.3, 0.7], means, variances)
+
+        pairs = [
+            (std_normal, gaussian(0.1, 1.0)),
+            (gaussian(0.0, 0.25), gaussian(0.1, 0.25)),
+            (gaussian(0.0, 4.0), gaussian(0.1, 4.0)),
+            (mixture([-1.0, 0.5], [0.25, 2.0]), mixture([-0.9, 0.5], [0.25, 2.0])),
+        ]
+        for a, b in pairs:
+            pair = PairEvaluation(a, b, default_params)
+            cert = pointwise_certificate(pair, alpha=alpha)
+            x = pair.grid.nodes()
+            diff = mixture_derivative_hermeval(a, x, alpha) - (
+                mixture_derivative_hermeval(b, x, alpha)
+            )
+            want = np.max(np.abs(diff) * (1.0 + np.abs(x) ** 2))
+            assert abs(cert.lhs - want) <= 1e-8 * want
+            assert cert.satisfied
 
     def test_derivative_out_of_float_range_is_typed(self, std_normal, default_params):
         # s^(-alpha-1) = 1e322 is past the float range, and so is its product
@@ -596,28 +607,15 @@ class TestPairEvaluation:
             [[[5.062545801172223]], [[24.00404293712036]], [[3.4933291820422534]]],
         ))
 
-    @pytest.mark.parametrize("n", [0, -3, 1.5, 256.0, True, "256", None])
-    def test_rule_order_outside_the_integers_is_typed(self, std_normal, n):
-        ev = LawEvaluation(std_normal, common_grid(std_normal, std_normal))
-        with pytest.raises(PreconditionError, match="rule order"):
-            ev.quantiles(n)
-        with pytest.raises(PreconditionError, match="rule order"):
-            LawEvaluation.solve_quantiles([ev], n)
-
-    @pytest.mark.parametrize("n", [1, 2, 64, np.int64(256)])
-    def test_any_rule_order_solves_on_demand(self, bimodal, n):
-        ev = LawEvaluation(bimodal, common_grid(bimodal, bimodal))
-        np.testing.assert_array_equal(ev.quantiles(n), bimodal.quantile(normal_levels(n)))
-
     @settings(max_examples=30, deadline=None)
     @given(
         data=st.data(),
         n=st.integers(1, 3),
         q=st.floats(1.05, 6.0),
     )
-    def test_gap_equals_quantile_distance_value(self, data, n, q):
-        # the gap reads the 256-node rule alone; quantile_distance solves
-        # both rule orders in one batch and takes its value from that rule
+    def test_gap_equals_wasserstein_1d_value(self, data, n, q):
+        # the gap reads the 256-node rule alone; wasserstein_1d solves both
+        # rule orders in one batch and takes its value from that rule
         laws = []
         for _ in range(2):
             weights = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
@@ -628,24 +626,58 @@ class TestPairEvaluation:
             ))
         a, b = laws
         pair = PairEvaluation(a, b, BoundParams(2.0, q, 0.1))
-        assert pair.gap == quantile_distance(*_rule_quantiles((a, b)), q).value
+        assert pair.gap == wasserstein_1d(a, b, q).value
 
-    def test_solve_moments_matches_abs_moment_and_keeps_overflow_typed(
+    def test_solve_matches_abs_moment_and_keeps_overflow_typed(
         self, std_normal, bimodal
     ):
+        # epsilon = 0.1 reads E|X|^4 and E|X|^150, epsilon = 0.045 E|X|^4
+        # and E|X|^346, which leaves the float range; a law gets only the
+        # orders of its own pairs
         grid = common_grid(std_normal, bimodal)
         evs = [LawEvaluation(law, grid) for law in (std_normal, bimodal, bimodal)]
-        # E|X|^346 of N(0, 1) leaves the float range
-        LawEvaluation.solve_moments(evs + evs[:1], (4, 150, 346))
+        pairs = [
+            PairEvaluation.of_laws(evs[0], evs[1], BoundParams(2, 2, 0.1)),
+            PairEvaluation.of_laws(evs[0], evs[2], BoundParams(2, 2, 0.045)),
+        ]
+        PairEvaluation.solve(pairs + pairs[:1])
         for ev in evs:
-            for m in (4, 150):
+            np.testing.assert_array_equal(
+                ev._kept["quantiles"], ev.law.quantile(normal_levels(256))
+            )
+        for ev, orders in zip(evs, ((4, 150), (4, 150), (4,))):
+            for m in orders:
                 assert ev._kept["abs_moment", m] == ev.law.abs_moment(m)
                 assert ev.abs_moment(m) == ev.law.abs_moment(m)
+        assert ("abs_moment", 150) not in evs[2]._kept
+        for ev in evs[::2]:
             assert ("abs_moment", 346) not in ev._kept
             with pytest.raises(PreconditionError, match="order 346"):
                 ev.abs_moment(346)
-        with pytest.raises(PreconditionError, match="even integers"):
-            LawEvaluation.solve_moments(evs, (3,))
+
+    def test_solved_pair_needs_no_recursion_for_its_polynomial_moments(
+        self, std_normal, default_params, monkeypatch
+    ):
+        # the batch and the certificate read their moment orders from one
+        # helper: an order that drifted apart would run the recursion again
+        # (c_ring's lower orders, E|X|^2 at q = 2, are not batched)
+        import tvrates.distributions as dmod
+
+        pair = PairEvaluation(std_normal, gaussian(0.1, 1.0), default_params)
+        PairEvaluation.solve([pair])
+        recursion, orders = dmod._norm_sq_moment, []
+
+        def counting(m, v, k):
+            orders.append(2 * k)
+            return recursion(m, v, k)
+
+        monkeypatch.setattr(dmod, "_norm_sq_moment", counting)
+        # a batch with nothing left to fill runs no recursion at all
+        PairEvaluation.solve([pair])
+        assert orders == []
+        cert = polynomial_rate_certificate(pair)
+        assert sorted(cert.ledger.moment_bounds) == [4, 150]
+        assert not set(orders) & set(cert.ledger.moment_bounds)
 
     def test_default_sweep_law_quantiles_match_one_order_calls(self):
         # each sweep evaluates its reference law once and each row's law

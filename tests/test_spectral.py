@@ -311,6 +311,10 @@ class TestEnvelopeOrders:
         tb = poly_envelope(cg_b, 4, 6, orders=(0, 2, 4))
         with pytest.raises(PreconditionError, match="missing order 2"):
             ta.get(2, 3)
+        # a negative index is outside the table, not numpy's count from the end
+        for k, l in ((0, -1), (-1, 0), (0, 7), (5, 0)):
+            with pytest.raises(PreconditionError, match="covers"):
+                ta.get(k, l)
         comb = ta.combine_max(tb)
         assert comb.orders == (0, 4)
         np.testing.assert_array_equal(comb.table, np.maximum(ta.table, tb.table[[0, 2]]))

@@ -291,14 +291,18 @@ class TestWasserstein1d:
         self, std_normal, bimodal, monkeypatch, mixed_k
     ):
         import tvrates.distributions as dmod
-        from tvrates.transport import QUANTILE_ORDERS, normal_levels, quantile_distance
+        from tvrates.transport import DistanceResult, _quantile_wq, normal_levels
 
+        # the value at the doubled rule order, its distance from the base
+        # order's the error estimate
         other = bimodal.translate(0.3) if mixed_k else gaussian(0.3, 1.5)
-        want = quantile_distance(
-            *({n: law.quantile(normal_levels(n)) for n in QUANTILE_ORDERS}
-              for law in (std_normal, other)),
-            2.5,
-        )
+
+        def rule_value(n):
+            u = normal_levels(n)
+            return _quantile_wq(std_normal.quantile(u), other.quantile(u), 2.5, n)
+
+        v1, v2 = rule_value(128), rule_value(256)
+        want = DistanceResult(v2, "quantile-quadrature", abs(v2 - v1))
         solver, bisect = dmod.mixture_quantiles, dmod._bisect
         calls = {"solver": [], "bisect": []}
 
@@ -711,17 +715,18 @@ class TestOtEntropic:
 
     @pytest.mark.parametrize("schedule", [(0.3, 1e-6), (1e-7,)])
     def test_kernel_underflow_takes_the_log_domain_guard(
-        self, sweep_counter, schedule
+        self, sweep_counter, monkeypatch, schedule
     ):
         # a drop to a tiny eps underflows whole kernel rows; the guard redoes
         # the block with log-sum-exp sweeps and the certificate still refuses
         a, b = map(uniform_cloud, benchmark_problems_seed0()["near"])
         certified, _, ref_gap, _ = sinkhorn_log_domain(a, b, 2, reg_schedule=schedule)
         assert not certified
+        monkeypatch.setattr(tvrates.transport, "DEFAULT_REG_SCHEDULE", schedule)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError) as info:
-                ot_entropic(a, b, 2, reg_schedule=schedule)
+                ot_entropic(a, b, 2)
         assert sweep_counter["log_half"] > 0
         gap = float(str(info.value).split("duality gap of ")[1].split()[0])
         assert abs(gap - ref_gap) <= 1e-9 * ref_gap
@@ -747,35 +752,20 @@ class TestOtEntropic:
             assert ent.err >= ent.value - exact - 1e-12
         assert raised <= 7
 
-    def test_marginal_exit_never_skips_the_certificate(self):
+    def test_marginal_exit_never_skips_the_certificate(self, monkeypatch):
         # one coarse stage meets the marginal exit but not the duality gap
         x = benchmark_cloud_seed0()
         a, b = uniform_cloud(x), uniform_cloud(x + 0.02)
+        monkeypatch.setattr(tvrates.transport, "DEFAULT_REG_SCHEDULE", (0.3,))
         with pytest.raises(ConvergenceError):
-            ot_entropic(a, b, 2, reg_schedule=(0.3,))
+            ot_entropic(a, b, 2)
 
-    def test_schedule_must_decrease(self):
-        rng = np.random.default_rng(2)
-        a = uniform_atoms(rng, 4, 1)
-        with pytest.raises(PreconditionError):
-            ot_entropic(a, a, 2, reg_schedule=(0.1, 0.2))
-
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"reg_schedule": ()}, "must not be empty"),
-            ({"reg_schedule": [0.1, math.nan]}, "finite, positive"),
-            ({"reg_schedule": [math.inf, 0.1]}, "finite, positive"),
-            ({"rtol": math.nan}, "rtol"),
-            ({"rtol": math.inf}, "rtol"),
-            ({"rtol": -1.0}, "rtol"),
-        ],
-    )
-    def test_bad_schedule_or_rtol_rejected(self, sweep_counter, kwargs, match):
+    @pytest.mark.parametrize("rtol", [math.nan, math.inf, -1.0])
+    def test_bad_rtol_rejected(self, sweep_counter, rtol):
         rng = np.random.default_rng(3)
         a, b = uniform_atoms(rng, 4, 1), uniform_atoms(rng, 5, 1, shift=1.0)
-        with pytest.raises(PreconditionError, match=match):
-            ot_entropic(a, b, 2, **kwargs)
+        with pytest.raises(PreconditionError, match="rtol"):
+            ot_entropic(a, b, 2, rtol=rtol)
         # rejected before any solver work
         assert sweep_counter["scaling"] == 0 and sweep_counter["log_half"] == 0
 
@@ -788,7 +778,9 @@ class TestOtEntropic:
         assert kernel_builds["stages"] > 0
         assert kernel_builds["kernel"] == kernel_builds["stages"]
 
-    def test_range_exit_folds_and_rebuilds(self, sweep_counter, kernel_builds):
+    def test_range_exit_folds_and_rebuilds(
+        self, sweep_counter, kernel_builds, monkeypatch
+    ):
         # after the drop to 0.03 the carried scalings leave SCALING_RANGE:
         # they are folded into the potentials and the kernel is rebuilt,
         # without a guard trip, and the iterates stay the log-domain ones
@@ -796,23 +788,25 @@ class TestOtEntropic:
         schedule = (0.3, 0.03)
         certified, _, ref_gap, _ = sinkhorn_log_domain(a, b, 2, reg_schedule=schedule)
         assert not certified
+        monkeypatch.setattr(tvrates.transport, "DEFAULT_REG_SCHEDULE", schedule)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError) as info:
-                ot_entropic(a, b, 2, reg_schedule=schedule)
+                ot_entropic(a, b, 2)
         assert sweep_counter["log_half"] == 0
         assert kernel_builds["kernel"] > kernel_builds["stages"]
         gap = float(str(info.value).split("duality gap of ")[1].split()[0])
         assert abs(gap - ref_gap) <= 1e-9 * ref_gap
 
-    def test_convergence_error_states_the_gap_relative_too(self):
+    def test_convergence_error_states_the_gap_relative_too(self, monkeypatch):
         # the absolute gap, then the gap relative to the cost beside the
         # relative target
         a, b = map(uniform_cloud, benchmark_problems_seed0()["near"])
         schedule = (0.3, 0.03)
         _, cost, gap, _ = sinkhorn_log_domain(a, b, 2, reg_schedule=schedule)
+        monkeypatch.setattr(tvrates.transport, "DEFAULT_REG_SCHEDULE", schedule)
         with pytest.raises(ConvergenceError) as info:
-            ot_entropic(a, b, 2, reg_schedule=schedule)
+            ot_entropic(a, b, 2)
         assert f"(relative {gap / cost:.1e}, target 5.0e-03 relative)" in str(info.value)
 
     def test_kernel_has_no_subnormal_entries(self):
