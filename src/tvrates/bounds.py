@@ -405,10 +405,11 @@ class PairEvaluation:
     A pair holds one :class:`LawEvaluation` per law (``laws``) and derives
     from them, on first use and then kept, the W_q gap (from the two laws'
     quantiles at the order ``GAP_NODES`` rule alone), rho_p and tv (one
-    refinement ladder over the two laws' kept densities) and the pair's
-    combined decay-envelope tables at derivative orders 0 and p_even, so
-    certificates built from one evaluation share them and a certificate
-    computes only what it reads.  :meth:`solve` fills in batches what the
+    refinement ladder over the two laws' kept densities), the pair's
+    combined decay-envelope tables at derivative orders 0 and p_even, C°
+    at p_even and the trivial moment bound on rho_p, so certificates built
+    from one evaluation share them and a certificate computes only what it
+    reads.  :meth:`solve` fills in batches what the
     certificates of many pairs read first.  Both laws live on the pair's
     common sigma-box grid; :meth:`of_laws` builds a pair from evaluations
     on another grid that other pairs share, as a sweep does for its
@@ -439,8 +440,8 @@ class PairEvaluation:
         """Fill what the certificates read of the laws of ``pairs``, each
         law evaluation once: the gap's quantiles in one solver call, and
         E|X|^m at each order m of :func:`_poly_moment_orders` from one
-        moment recursion per order over the distinct components of the laws
-        that lack it (none if no law does).  Each equals the law's own
+        moment recursion per order over the components of the laws that
+        lack it (none if no law does).  Each equals the law's own
         ``abs_moment(m)`` bit for bit; one past the float range is left
         unfilled, so reading it raises as ``abs_moment`` does."""
         _gap_quantiles([ev for pair in pairs for ev in pair.laws])
@@ -504,10 +505,22 @@ class PairEvaluation:
         K = self.params.p_even
         return la.exp_envelope(K).combine(lb.exp_envelope(K))
 
+    @cached_property
+    def _c_ring_p(self) -> float:
+        """C°_{p_even}, which every certificate reads."""
+        la, lb = self.laws
+        return c_ring(self.params.p_even, self.params.q, la.abs_moment, lb.abs_moment)
 
-def _trivial_rho_bound(a, b, p: float) -> float:
-    """rho_p(a, b) <= int (1 + |x|^p)(f_a + f_b) = 2 + E_a|X|^p + E_b|X|^p."""
-    return 2.0 + a.abs_moment(p) + b.abs_moment(p)
+    @cached_property
+    def _trivial_bound(self) -> float:
+        """rho_p(a, b) <= int (1 + |x|^p)(f_a + f_b) = 2 + E_a|X|^p + E_b|X|^p."""
+        la, lb = self.laws
+        return 2.0 + la.abs_moment(self.params.p) + lb.abs_moment(self.params.p)
+
+
+def _ledger(pair: PairEvaluation) -> ConstantLedger:
+    """A ledger opened as every certificate opens it: C°_0, C°_{p_even}, h_p."""
+    return ConstantLedger(c_ring={0: 1.0, pair.params.p_even: pair._c_ring_p}, h_p=1.0)
 
 
 def _identical_inputs(pair: PairEvaluation) -> bool:
@@ -557,15 +570,11 @@ def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
         return _zero_certificate(params, "lemma1-poly", l)
     envelopes = pair.poly_envelopes(l + 2)
 
-    ledger = ConstantLedger()
-    mom_a, mom_b = a.abs_moment, b.abs_moment
+    ledger = _ledger(pair)
     ledger.gamma[l] = gamma_k(l)
-    ledger.c_ring[0] = 1.0
-    ledger.c_ring[p] = c_ring(p, params.q, mom_a, mom_b)
-    ledger.h_p = 1.0
     orders = _poly_moment_orders(params)
     for m in orders:
-        ledger.moment_bounds[m] = float(max(mom_a(m), mom_b(m)))
+        ledger.moment_bounds[m] = float(max(a.abs_moment(m), b.abs_moment(m)))
     a_2p, a_2l = (ledger.moment_bounds[m] for m in orders)
     ledger.c_hat[(l, p)] = c_hat(l, p, ledger.c_ring[p], envelopes)
     ledger.c_hat[(l, 0)] = c_hat(l, 0, 1.0, envelopes)
@@ -586,8 +595,7 @@ def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
             rhs += supplement
         ledger.extra["branch"] = "rate"
     else:
-        triv = _trivial_rho_bound(a, b, params.p)
-        ledger.extra["trivial_bound"] = triv
+        triv = ledger.extra["trivial_bound"] = pair._trivial_bound
         ledger.extra["branch"] = "constant"
         rhs = triv * A
     ledger.validate()
@@ -652,10 +660,7 @@ def pointwise_certificate(pair: PairEvaluation, alpha: int = 0) -> BoundCertific
         )
     envelopes = pair.poly_envelopes(l + 2)
 
-    ledger = ConstantLedger()
-    ledger.c_ring[0] = 1.0
-    ledger.c_ring[p] = c_ring(p, params.q, a.abs_moment, b.abs_moment)
-    ledger.h_p = 1.0
+    ledger = _ledger(pair)
     gamma = ledger.gamma[l - k_a] = gamma_k(l - k_a)
     ledger.theta[(l, p)] = theta_exponent(l, p, 1)
     # x ** -1 is kept from the d-dimensional form: 1.0 / x can differ in the
@@ -718,10 +723,7 @@ def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundC
     s_fac = 1.0 if p <= 3 else 2.0
     lam = max(r_p, r_0, r / s_fac, p / s_fac)
 
-    ledger = ConstantLedger()
-    ledger.c_ring[0] = 1.0
-    ledger.c_ring[p] = c_ring(p, params.q, a.abs_moment, b.abs_moment)
-    ledger.h_p = 1.0
+    ledger = _ledger(pair)
     ledger.extra.update(
         {
             "r": r, "c_sharp": c_sharp, "r_p": r_p, "c_p": c_p, "r_0": r_0,
@@ -733,8 +735,7 @@ def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundC
 
     in_regime = 0.0 < A < math.exp(-lam)
     if not in_regime:
-        triv = _trivial_rho_bound(a, b, params.p)
-        ledger.extra["trivial_bound"] = triv
+        triv = ledger.extra["trivial_bound"] = pair._trivial_bound
         ledger.extra["branch"] = "constant"
         ledger.validate()
         rhs = triv * max(A, 1.0)

@@ -19,7 +19,7 @@ from .bounds import (
     pointwise_certificate,
     polynomial_rate_certificate,
 )
-from .distributions import GaussianMixture, common_grid, discretize
+from .distributions import DEFAULT_BOX_SIGMAS, GaussianMixture, common_grid, discretize
 from .errors import NumericalError, PreconditionError
 from .harness import Scenario, _check_formats, emit_report, run_sweep
 from .spectral import char_fn_grid, poly_envelope
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_env.add_argument("--K", type=int, default=4)
     p_env.add_argument("--L", type=int, default=6)
     p_env.add_argument("--resolution", type=int, default=None)
-    p_env.add_argument("--box-sigmas", type=float, default=10.0, dest="box_sigmas")
+    p_env.add_argument("--box-sigmas", type=float, default=DEFAULT_BOX_SIGMAS)
     p_env.set_defaults(func=_cmd_envelope)
 
     p_cert = sub.add_parser("certify", help="evaluate one bound certificate")

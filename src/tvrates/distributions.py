@@ -190,7 +190,7 @@ class GaussianMixture:
         if not np.all((w > 0) & (w <= 1)):
             raise PreconditionError("weights must lie in (0, 1]")
         if abs(w.sum() - 1.0) > 1e-12:
-            raise PreconditionError(f"weights sum to {w.sum()!r}, not 1")
+            raise PreconditionError(f"weights sum to {float(w.sum())!r}, not 1")
         if len(m) != len(w) or len(v) != len(w):
             raise PreconditionError("component count mismatch")
         if not np.all(np.isfinite(m)) or not np.all(np.isfinite(v)):
@@ -252,8 +252,9 @@ class GaussianMixture:
         """Mixture density at the points ``x`` (a scalar or any array)."""
         x = np.asarray(x, dtype=float)
         w, m, s, log_norm = self._columns(x)
-        z = (x - m) * (1.0 / s)
-        out = _sum_components(w * np.exp(-0.5 * (z * z) + log_norm))
+        with np.errstate(over="ignore"):  # z * z = inf gives exp(-inf) = 0 exactly
+            z = (x - m) * (1.0 / s)
+            out = _sum_components(w * np.exp(-0.5 * (z * z) + log_norm))
         return float(out) if x.ndim == 0 else out
 
     def char_fn(self, u) -> np.ndarray:
@@ -471,14 +472,14 @@ def mixture_quantiles(items) -> list:
     item ``i`` of the result is the law's quantiles at ``u`` (a float for
     a scalar level, else an array of ``u``'s shape).
 
-    The items are grouped by component count, so every level's CDF sums
-    the same number of terms in the same order, and each group is solved
-    in one bisection (:func:`_bisect`) in which every item keeps its own
-    bracket, tolerance and stopping test.  The bisection holds one row per
-    component over all levels of the group and adds the rows left to
-    right, as :meth:`GaussianMixture.cdf` does.  So an item's result does
-    not depend on the other items: it equals ``law.quantile(u)`` bit for
-    bit.
+    All items are solved in one bisection (:func:`_bisect`) in which every
+    item keeps its own bracket, tolerance and stopping test.  The
+    bisection holds one row per component over all levels and adds the
+    rows left to right, as :meth:`GaussianMixture.cdf` does; a law with
+    fewer components than the batch's largest count is padded with rows
+    of weight 0 after its own, each adding an exact +0.0.  So an item's
+    result does not depend on the other items: it equals
+    ``law.quantile(u)`` bit for bit.
     A level outside (0, 1), nan included, raises PreconditionError.
     """
     items = [(law, np.asarray(u, dtype=float)) for law, u in items]
@@ -486,23 +487,19 @@ def mixture_quantiles(items) -> list:
         # nan fails both comparisons, so it is rejected with the rest
         if not np.all((v > 0.0) & (v < 1.0)):
             raise PreconditionError("quantile level must lie in (0, 1)")
-    groups = {}
-    for i, (law, _) in enumerate(items):
-        groups.setdefault(law.n_components, []).append(i)
-    out = [None] * len(items)
-    for group in groups.values():
-        for i, x in zip(group, _bisect([items[i] for i in group])):
-            out[i] = x
-    return out
+    return _bisect(items) if items else []
 
 
 def _bisect(items) -> list:
-    """The bisection of :func:`mixture_quantiles` for items ``(law, levels)``
-    whose laws share one component count."""
-    distinct, los, his, tols, rows = [], [], [], [], []
-    for law, v in items:
+    """The bisection of :func:`mixture_quantiles`, for one or more items."""
+    distinct, los, his, tols = [], [], [], []
+    # each law's (mean, sd, weight) rows, padded with rows (0, 1, 0)
+    rows = np.zeros((3, max(law.n_components for law, _ in items), len(items)))
+    rows[1] = 1.0
+    for i, (law, v) in enumerate(items):
         # weights sum to 1 only within 1e-12: levels are fractions of their
-        # sum, and the upper bracket stops growing once the CDF reaches it
+        # sum, and the upper bracket grows only towards a level below the CDF's
+        # top, which past 7 components (numpy sums pairwise) can lie below it
         total = float(law.weights.sum())
         means, s = law._m, law._s
         # equal levels follow one trajectory, so each is bisected once
@@ -518,18 +515,18 @@ def _bisect(items) -> list:
         # expand the bracket until it surrounds every level of the item
         while levels.size and law.cdf(lo) >= levels[0]:
             lo -= (hi - lo)
-        while levels.size and (top := law.cdf(hi)) <= levels[-1] and top < total:
+        while levels.size and law.cdf(hi) <= levels[-1] < law.cdf(math.inf):
             hi += (hi - lo)
         distinct.append((levels, inverse))
         los.append(lo)
         his.append(hi)
         tols.append(1e-14 * max(1.0, abs(lo), abs(hi)))
-        rows.append((means, s, law.weights))
+        rows[:, :law.n_components, i] = means, s, law.weights
     sizes = np.array([levels.size for levels, _ in distinct])
     edges = np.concatenate([[0], np.cumsum(sizes)])
     levels = np.concatenate([lv for lv, _ in distinct])
     # each level's column carries its law's parameters, component-major
-    means, s, weights = (np.repeat(np.stack(p).T, sizes, axis=1) for p in zip(*rows))
+    means, s, weights = np.repeat(rows, sizes, axis=2)
     a, b = np.repeat(los, sizes), np.repeat(his, sizes)
     # the loop evaluates law.cdf(mid) inline, into buffers made once
     mid, width, cdf = np.empty_like(a), np.empty_like(a), np.empty_like(a)
@@ -618,28 +615,28 @@ def _norm_sq_moment(m, v, k: int) -> np.ndarray:
 
 
 def _even_moments(laws, p: int) -> list:
-    """E|X|^p of each mixture of ``laws`` for an even integer order p >= 0,
-    from one moment recursion over the laws' distinct (mean, variance)
-    components; :meth:`GaussianMixture.abs_moment` is the batch of one.
-    Entry i is the moment of ``laws[i]`` alone, bit for bit, or None where
-    that moment is not a finite float (``abs_moment`` raises for it)."""
+    """E|X|^p of each mixture of the non-empty list ``laws`` for an even
+    integer order p >= 0, from one moment recursion over the laws'
+    components laid end to end; :meth:`GaussianMixture.abs_moment` is the
+    batch of one.  Entry i is the moment of ``laws[i]`` alone, bit for bit,
+    or None where that moment is not a finite float (``abs_moment`` raises
+    for it)."""
     if p == 0:
         return [1.0] * len(laws)
-    index = {}
-    for law in laws:
-        for m, v in zip(law._m, law._v):
-            index.setdefault((float(m), float(v)), len(index))
-    m, v = np.array(list(index), dtype=float).reshape(-1, 2).T
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _norm_sq_moment(m, v, p // 2)
+            values = _norm_sq_moment(
+                np.concatenate([law._m for law in laws]),
+                np.concatenate([law._v for law in laws]),
+                p // 2,
+            )
     except OverflowError:
         return [None] * len(laws)
-    out = []
+    out, end = [], 0
     for law in laws:
-        terms = values[[index[float(m), float(v)] for m, v in zip(law._m, law._v)]]
+        start, end = end, end + law.n_components
         try:
-            out.append(law._finite_mean(lambda: terms, _moment_name(p)))
+            out.append(law._finite_mean(lambda: values[start:end], _moment_name(p)))
         except PreconditionError:
             out.append(None)
     return out
@@ -702,7 +699,7 @@ class GridDensity:
         mass = vals.sum() * self.grid.spacing
         if abs(mass - 1.0) > MASS_DEFECT_LIMIT:
             raise PreconditionError(
-                f"grid mass {mass!r} deviates from 1 beyond {MASS_DEFECT_LIMIT}"
+                f"grid mass {float(mass)!r} deviates from 1 beyond {MASS_DEFECT_LIMIT}"
             )
         vals = vals / mass
         vals.flags.writeable = False
@@ -768,7 +765,7 @@ class AtomSet:
         if np.any(m <= 0) or np.any(m > 1):
             raise PreconditionError("atom masses must lie in (0, 1]")
         if abs(m.sum() - 1.0) > 1e-12:
-            raise PreconditionError(f"atom masses sum to {m.sum()!r}, not 1")
+            raise PreconditionError(f"atom masses sum to {float(m.sum())!r}, not 1")
         loc.flags.writeable = False
         m = m.copy()
         m.flags.writeable = False

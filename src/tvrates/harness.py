@@ -26,7 +26,9 @@ from .bounds import (
     pointwise_certificate,
     polynomial_rate_certificate,
 )
-from .distributions import GaussianMixture, _is_pow2, common_grid
+from .distributions import (
+    DEFAULT_BOX_SIGMAS, GaussianMixture, _is_pow2, common_grid, gaussian,
+)
 from .errors import NumericalError, PreconditionError, TvratesError
 from .transport import ot_entropic
 
@@ -70,7 +72,7 @@ class Scenario:
     h_grid: tuple
     params: BoundParams
     resolution: int | None = None
-    box_sigmas: float = 10.0
+    box_sigmas: float = DEFAULT_BOX_SIGMAS
     contaminant: GaussianMixture | None = None
     smoothing_sigma: float = 1.0
     r_exp: float = 1.0
@@ -162,20 +164,14 @@ class Scenario:
             p=_real(doc["p"], "p"), q=_real(doc["q"], "q"),
             epsilon=_real(doc["epsilon"], "epsilon"),
         )
-        contaminant = _mixture(doc, "contaminant") if "contaminant" in doc else None
+        keys = ("resolution", "box_sigmas", "smoothing_sigma", "r_exp", "seed",
+                "entropic_check")
+        optional = {key: doc[key] for key in keys if key in doc}
+        if "contaminant" in doc:
+            optional["contaminant"] = _mixture(doc, "contaminant")
         return cls(
-            name=doc["name"],
-            base=base,
-            perturbation=doc["perturbation"],
-            h_grid=doc["h_grid"],
-            params=params,
-            resolution=doc.get("resolution"),
-            box_sigmas=doc.get("box_sigmas", 10.0),
-            contaminant=contaminant,
-            smoothing_sigma=doc.get("smoothing_sigma", 1.0),
-            r_exp=doc.get("r_exp", 1.0),
-            seed=doc.get("seed", 0),
-            entropic_check=doc.get("entropic_check", False),
+            name=doc["name"], base=base, perturbation=doc["perturbation"],
+            h_grid=doc["h_grid"], params=params, **optional,
         )
 
 
@@ -312,31 +308,20 @@ def run_sweep(sc: Scenario) -> SweepReport:
     sweep shares them.  Every row's pair is built up front (a pair that
     raises is a failed row); one :meth:`PairEvaluation.solve` call then
     fills in batches the quantiles and moments that the certificates read
-    of all of the sweep's laws.  The sweep keeps one :class:`LawEvaluation`
-    per distinct reference law (found by ``==``), so a reference law that
-    stays fixed over the scale grid has its quantiles, densities,
-    envelopes and moments computed once; each row's perturbed evaluation
-    is dropped with its row.  Nothing is kept past the call.
+    of all of the sweep's laws.  :func:`perturb_pair` returns the same
+    reference law at every scale, so the sweep builds one
+    :class:`LawEvaluation` of it, whose quantiles, densities, envelopes
+    and moments every row shares; each row's perturbed evaluation is
+    dropped with its row.  Nothing outlives the call.
     """
     a0, b0 = perturb_pair(sc, sc.h_grid[0])
     grid = common_grid(a0, b0, sc.box_sigmas, sc.resolution)
-    kept = []
-
-    def evaluate(law, keep):
-        for ev in kept:
-            if ev.law == law:
-                return ev
-        ev = LawEvaluation(law, grid)
-        if keep:
-            kept.append(ev)
-        return ev
+    reference = LawEvaluation(a0, grid)
 
     def build(h):
         try:
-            a, b = perturb_pair(sc, h)
-            return PairEvaluation.of_laws(
-                evaluate(a, keep=True), evaluate(b, keep=False), sc.params
-            )
+            b = perturb_pair(sc, h)[1]
+            return PairEvaluation.of_laws(reference, LawEvaluation(b, grid), sc.params)
         except TvratesError as exc:
             return exc
 
@@ -388,8 +373,6 @@ def default_scenarios() -> list[Scenario]:
     under a percent (the scale grids differ per family because the laws
     themselves drift with h at different speeds).
     """
-    from .distributions import gaussian
-
     params = BoundParams(p=2.0, q=2.0, epsilon=0.1)
     base = gaussian(0.0, 1.0)
     grids = {

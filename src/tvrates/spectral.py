@@ -88,7 +88,7 @@ class CharGrid:
             mags = np.abs(vals)
             if mags.max() > 1.0 + 1e-8:
                 raise PreconditionError(
-                    f"|phi| reaches {mags.max()!r} > 1 + 1e-8 on the grid"
+                    f"|phi| reaches {float(mags.max())!r} > 1 + 1e-8 on the grid"
                 )
             if abs(vals[len(vals) // 2] - 1.0) > 1e-8:
                 raise PreconditionError("phi(0) differs from 1 beyond 1e-8")

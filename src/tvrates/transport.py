@@ -238,12 +238,8 @@ def _quantile_wq(xa, xb, q: float, n_nodes: int) -> float:
     return m * float(np.sum(w * (diff / m) ** q) / math.sqrt(math.pi)) ** (1.0 / q)
 
 
-# Order of the Gauss-Hermite rule that W_q quadrature checks against the
-# rule of twice its order.
-QUANTILE_NODES = 128
-
-# The two rule orders at which W_q quadrature reads both laws' quantiles.
-QUANTILE_ORDERS = (QUANTILE_NODES, 2 * QUANTILE_NODES)
+# The Gauss-Hermite rule orders of W_q quadrature: the error check, the value.
+QUANTILE_ORDERS = (128, 256)
 
 
 def _rule_quantiles(laws, orders=QUANTILE_ORDERS) -> list:

@@ -240,7 +240,7 @@ def quantile_bisection(law, u, cdf=None):
     hi = float(np.max(law.means[:, 0] + 10.0 * s))
     while cdf(lo) >= levels.min():
         lo -= hi - lo
-    while (top := cdf(hi)) <= levels.max() and top < float(law.weights.sum()):
+    while cdf(hi) <= levels.max() < cdf(np.inf):
         hi += hi - lo
     a = np.full(u.shape, lo)
     b = np.full(u.shape, hi)

@@ -85,11 +85,31 @@ class TestDist:
         assert code == 0
         assert json.loads(out)["value"] > 0.7658
 
-    def test_precondition_exit_code(self, mixture_files, capsys):
+    def test_precondition_exit_code(self, mixture_files, capsys, tmp_path):
         a, b = mixture_files
         code, _ = run_cli(capsys, "dist", "--a", a, "--b", b,
                           "--metric", "wq", "--q", "1")
         assert code == 2
+        # the message shows the sum as a plain float
+        doc = GaussianMixture([0.5, 0.5], [0.0, 1.0], [1.0, 1.0]).to_json()
+        doc["components"][1]["w"] = 0.6
+        heavy = tmp_path / "heavy.json"
+        heavy.write_text(json.dumps(doc))
+        assert main(["dist", "--a", a, "--b", str(heavy), "--metric", "wq"]) == 2
+        err = capsys.readouterr().err
+        assert err == "precondition violation: weights sum to 1.1, not 1\n"
+
+    def test_law_past_the_grid_is_one_line(self, mixture_files, capsys, tmp_path):
+        # N(0, 1) against N(1e300, 1): the density underflows to 0 on the
+        # common grid without an overflow warning, and the grid mass is typed
+        a, _ = mixture_files
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps(gaussian(1e300, 1.0).to_json()))
+        assert main(["dist", "--a", a, "--b", str(far), "--metric", "tv"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "precondition violation: grid mass 0.0 deviates from 1 beyond 1e-06\n"
+        )
 
     @pytest.mark.parametrize(
         "field, edit",

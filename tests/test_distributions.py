@@ -93,6 +93,15 @@ class TestDensity:
         with pytest.raises(PreconditionError, match="one-dimensional"):
             gaussian([0.0, 0.0], np.eye(2))
 
+    def test_far_from_every_component_is_exactly_zero(self, std_normal):
+        # z * z overflows there; exp(-inf) = 0 is the exact value, and the
+        # overflow raises no warning
+        assert std_normal.pdf(1e200) == 0.0
+        np.testing.assert_array_equal(
+            std_normal.pdf(np.array([-1e200, 0.0, 1e300])),
+            [0.0, std_normal.pdf(0.0), 0.0],
+        )
+
     def test_vectorized_matches_oracle(self, bimodal):
         xs = np.linspace(-5, 5, 101)
         oracle = mixture_pdf([0.5, 0.5], [-1.0, 1.0], [1.0, 1.0])
@@ -371,19 +380,25 @@ class TestQuantile:
         short = GaussianMixture(
             [0.5, 0.4999999999995], [[-1.0], [1.0]], [[[1.0]], [[1.0]]]
         )
+        # eight weights whose left-to-right sum, the top of the CDF, is
+        # 1 - 2^-53 while numpy's pairwise sum is 1: the top level
+        # 1 - 1e-16 of the weight sum lies at the top of the CDF
+        eight = GaussianMixture([0.05] * 6 + [0.35] * 2, np.arange(8.0), np.ones(8))
 
         def deadline(signum, frame):
-            raise TimeoutError("wasserstein_1d did not return within 5 s")
+            raise TimeoutError("the quantile solver did not return within 5 s")
 
         previous = signal.signal(signal.SIGALRM, deadline)
         signal.setitimer(signal.ITIMER_REAL, 5.0)
         try:
             got = wasserstein_1d(std_normal, short, 2).value
+            top = eight.quantile(1.0 - 1e-16)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
         want = wasserstein_1d(std_normal, bimodal, 2).value
         np.testing.assert_allclose(got, want, rtol=1e-9)
+        assert abs(eight.cdf(top) - (1.0 - 1e-16)) <= 1e-12
 
     @pytest.mark.parametrize("mean", [1e18, -1e18, 1e300])
     def test_bracket_below_float_resolution_terminates(self, std_normal, mean):
@@ -476,7 +491,11 @@ class TestQuantile:
         # laws of mixed component counts in one batch, a law met twice, and
         # rule-order, duplicated, scalar and empty levels: every item must
         # equal its law's own quantile call and the np.where oracle
-        pool = st.one_of(mixtures_1d(), st.sampled_from(JOINT_STOP_COUNTEREXAMPLES))
+        # K up to 10 pads 1-component laws past numpy's 7-component switch
+        pool = st.one_of(
+            mixtures_1d(), mixtures_1d(max_k=10),
+            st.sampled_from(JOINT_STOP_COUNTEREXAMPLES),
+        )
         laws = data.draw(st.lists(pool, min_size=1, max_size=5))
         level = st.floats(1e-16, 1.0 - 1e-16)
         levels = st.one_of(
@@ -570,7 +589,7 @@ class TestSampling:
 
 class TestValidationAndJson:
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^weights sum to 1\.1, not 1$"):
             GaussianMixture([0.5, 0.6], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
 
     def test_covariance_must_be_positive_definite(self):
@@ -591,7 +610,7 @@ class TestValidationAndJson:
         assert back == bimodal
 
     def test_atom_masses_validated(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^atom masses sum to 0\.5, not 1$"):
             AtomSet(np.array([[0.0]]), np.array([0.5]))
         with pytest.raises(PreconditionError):
             AtomSet(np.array([[np.inf]]), np.array([1.0]))

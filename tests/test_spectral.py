@@ -105,7 +105,7 @@ class TestCharGrid:
 
     def test_characteristic_invariants_enforced(self, std_normal):
         f = grid_of(std_normal, 256)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^\|phi\| reaches 2\.0 > 1 "):
             CharGrid(f.grid, np.full(f.grid.n, 2.0 + 0j))
 
     def test_analytic_grid_agrees_with_fft(self, bimodal):

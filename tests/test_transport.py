@@ -322,8 +322,8 @@ class TestWasserstein1d:
         monkeypatch.setattr(GaussianMixture, "quantile", forbidden)
         assert wasserstein_1d(std_normal, other, 2.5) == want
         assert calls["solver"] == [[128, 256, 128, 256]]
-        # one bisection per component count
-        assert calls["bisect"] == ([2, 2] if mixed_k else [4])
+        # one bisection, whatever the component counts
+        assert calls["bisect"] == [4]
 
     def test_grid_density_inputs_rejected(self, std_normal):
         f = discretize(std_normal, SpaceGrid(-10.5, 10.5, 4096))
