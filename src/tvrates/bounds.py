@@ -41,20 +41,21 @@ from .distributions import (
     _even_moments,
     common_grid,
     discretize,
+    mixture_quantiles,
 )
 from .errors import PreconditionError, ResolutionError
 from .spectral import (
     ExpEnvelopeTable,
-    PolyEnvelopeTable,
+    _poly_entry,
+    _stack_of,
     char_fn_grid,
     exp_envelope,
-    poly_envelope,
 )
 from .transport import (
     QUANTILE_ORDERS,
     _quantile_wq,
     _require_exponent,
-    _rule_quantiles,
+    normal_levels,
     refine_weighted_l1,
 )
 
@@ -188,18 +189,23 @@ def theta_exponent(l: int, p: float, d: int) -> float:
 
 
 def choose_l(epsilon: float, p: float, d: int) -> int:
-    """Smallest integer l with theta_{l,p} >= 1 - epsilon, via
+    """The paper's truncation order l with theta_{l,p} >= 1 - epsilon:
     ceil((d + sqrt(1-eps)(p+d)) / (1 - sqrt(1-eps))), guarded to l > d.
 
-    The ceiling is taken with a 1e-9 downward nudge (the exact ratio can land
-    on an integer, e.g. epsilon = 0.19, p = 0, d = 1 gives exactly 19, and
-    float round-off would otherwise push it to 20); the subsequent bump loop
-    restores the guarantee in the rare case the nudge undershoots.
+    This is a sufficient choice, not the smallest such l: it makes each
+    factor (l - d) / (l + p + d) and l / (l + 1) of theta at least
+    sqrt(1 - eps).  At eps = 0.1, p = 2 it returns 75, while theta_47 =
+    0.9008 already.  The ceiling is taken with a 1e-9 downward nudge (the
+    exact ratio can land on an integer, e.g. epsilon = 0.19, p = 0, d = 1
+    gives exactly 19, and float round-off would otherwise push it to 20);
+    the bump loop restores the guarantee should the nudge undershoot,
+    which no sampled (eps, p, d) has made it do.  Below eps ~ 1.1e-16,
+    1 - sqrt(1 - eps) rounds to 0 and l is past the float range.
     """
     if not 0 < epsilon < 1:
         raise PreconditionError("epsilon must lie in (0, 1)")
     root = math.sqrt(1.0 - epsilon)
-    ratio = (d + root * (p + d)) / (1.0 - root)
+    ratio = (d + root * (p + d)) / (1.0 - root) if root < 1.0 else math.inf
     # theta_exponent forms l^2, which must stay a float; nan fails too
     if not ratio * ratio < math.inf:
         raise PreconditionError(
@@ -222,10 +228,10 @@ def choose_M(A: float, l: int) -> float:
     return A ** (-1.0 / (l + 1.0))
 
 
-def c_hat(l: int, p: int, c_ring_p: float, b_table: PolyEnvelopeTable) -> float:
+def c_hat(l: int, c_ring_p: float, b_pl: float) -> float:
     """Pointwise product constant Chat_{l,p} = (2 / (2 pi))
-    (C°_p |B_1| + b_{p,l} gamma_l), with |B_1| the unit-ball volume."""
-    b_pl = b_table.get(p, l)
+    (C°_p |B_1| + b_{p,l} gamma_l), with |B_1| the unit-ball volume and
+    b_{p,l} the pair's frequency-side envelope entry."""
     return 2.0 / (2.0 * math.pi) * (c_ring_p * _UNIT_BALL + b_pl * gamma_k(l))
 
 
@@ -339,13 +345,14 @@ class LawEvaluation:
     The quantiles at the levels of the gap's Gauss-Hermite rule (order
     ``GAP_NODES``), the law discretized on ``grid`` refined ``level``
     times (the grid keeps the refined grids and their meshes, so every law
-    on it shares them), its characteristic grid, its decay-envelope tables
-    at derivative orders 0 and K (the only orders the certificates read)
-    and its absolute and exponential moments are each computed on first
-    use and then kept, so every pair that holds this evaluation shares
-    them.  :meth:`PairEvaluation.solve` fills the quantiles and the even
-    moments of many evaluations in batches, as a sweep does for all of its
-    laws.  Concurrent first uses recompute the same deterministic value.
+    on it shares them), its characteristic grid, its frequency-side
+    envelope entries b_{k,l} and exponential-decay table (both off one
+    derivative stack at orders 0 and K, the only orders the certificates
+    read) and its absolute and exponential moments are each computed on
+    first use and then kept, so every pair that holds this evaluation
+    shares them.  :meth:`PairEvaluation.solve` fills the quantiles and the
+    even moments of many evaluations in batches, as a sweep does for all of
+    its laws.  Concurrent first uses recompute the same deterministic value.
     """
 
     def __init__(self, law: GaussianMixture, grid: SpaceGrid):
@@ -367,11 +374,11 @@ class LawEvaluation:
     def char_grid(self):
         return char_fn_grid(self.density(0))
 
-    def poly_envelope(self, K: int, L: int) -> PolyEnvelopeTable:
-        """The frequency-side table at derivative orders 0 and K, l <= L."""
+    def envelope(self, K: int, k: int, l: int) -> float:
+        """The frequency-side entry b_{k,l} at derivative order k in (0, K)."""
         return self._keep(
-            ("poly_envelope", K, L),
-            lambda: poly_envelope(self.char_grid, K, L, orders=(0, K)),
+            ("envelope", K, k, l),
+            lambda: _poly_entry(_stack_of(self.char_grid, K, (0, K)), k, l),
         )
 
     def exp_envelope(self, K: int) -> ExpEnvelopeTable:
@@ -390,12 +397,13 @@ class LawEvaluation:
 
 def _gap_quantiles(evaluations) -> list:
     """The quantiles at the gap's rule of each law evaluation, solved in
-    one :func:`tvrates.transport._rule_quantiles` call for those that lack
-    them, each evaluation once, and then kept."""
+    one :func:`tvrates.distributions.mixture_quantiles` call for those that
+    lack them, each evaluation once, and then kept."""
     todo = {id(ev): ev for ev in evaluations if "quantiles" not in ev._kept}
-    solved = _rule_quantiles([ev.law for ev in todo.values()], (GAP_NODES,))
+    levels = normal_levels(GAP_NODES)
+    solved = mixture_quantiles([(ev.law, levels) for ev in todo.values()])
     for ev, quantiles in zip(todo.values(), solved):
-        ev._kept["quantiles"] = quantiles[GAP_NODES]
+        ev._kept["quantiles"] = quantiles
     return [ev._kept["quantiles"] for ev in evaluations]
 
 
@@ -406,11 +414,12 @@ class PairEvaluation:
     from them, on first use and then kept, the W_q gap (from the two laws'
     quantiles at the order ``GAP_NODES`` rule alone), rho_p and tv (one
     refinement ladder over the two laws' kept densities), the pair's
-    combined decay-envelope tables at derivative orders 0 and p_even, C°
-    at p_even and the trivial moment bound on rho_p, so certificates built
-    from one evaluation share them and a certificate computes only what it
-    reads.  :meth:`solve` fills in batches what the
-    certificates of many pairs read first.  Both laws live on the pair's
+    envelope entries b_{k,l} (the larger of its laws' entries) and
+    exponential table at derivative orders 0 and p_even, C° at p_even and
+    the trivial moment bound on rho_p, so certificates built from one
+    evaluation share them and a certificate computes only what it reads.
+    :meth:`solve` fills in batches what the certificates of many pairs
+    read first.  Both laws live on the pair's
     common sigma-box grid; :meth:`of_laws` builds a pair from evaluations
     on another grid that other pairs share, as a sweep does for its
     reference law.  Concurrent first uses recompute the same deterministic
@@ -433,7 +442,6 @@ class PairEvaluation:
     def _setup(self, la, lb, params):
         self.laws = (la, lb)
         self.a, self.b, self.params, self.grid = la.law, lb.law, params, la.grid
-        self._poly_envelopes = {}
 
     @staticmethod
     def solve(pairs) -> None:
@@ -465,7 +473,7 @@ class PairEvaluation:
         if self.a == self.b:
             return 0.0
         qa, qb = _gap_quantiles(self.laws)
-        return _quantile_wq(qa, qb, self.params.q, GAP_NODES)
+        return _quantile_wq(qa, qb, self.params.q)
 
     @cached_property
     def distances(self) -> tuple:
@@ -487,16 +495,12 @@ class PairEvaluation:
     def tv(self) -> float:
         return self.distances[1].value
 
-    def poly_envelopes(self, L: int) -> PolyEnvelopeTable:
-        """Frequency-side table valid for both laws, k in (0, p_even),
-        l <= L."""
-        if L not in self._poly_envelopes:
-            la, lb = self.laws
-            K = self.params.p_even
-            self._poly_envelopes[L] = la.poly_envelope(K, L).combine_max(
-                lb.poly_envelope(K, L)
-            )
-        return self._poly_envelopes[L]
+    def envelope(self, k: int, l: int) -> float:
+        """Frequency-side entry b_{k,l} valid for both laws, k in (0,
+        p_even): the larger of the two laws' entries."""
+        la, lb = self.laws
+        K = self.params.p_even
+        return max(la.envelope(K, k, l), lb.envelope(K, k, l))
 
     @cached_property
     def exp_envelopes(self) -> ExpEnvelopeTable:
@@ -556,7 +560,7 @@ def _poly_moment_orders(params: BoundParams) -> tuple:
 def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
     """Certificate for rho_p <= (2 Cbar_{l,p} + Cbar_{l,0}) A^{theta_{l,p}}.
 
-    The envelopes are the pair's frequency-side table.  The measured left
+    The envelopes are the pair's frequency-side entries.  The measured left
     side uses the original weight power; when that power is not an even
     integer the right side carries the supplement 2 Cbar_{l,0} A^{theta_{l,0}}
     coming from rho_p <= rho_{p_even} + 2 tv.
@@ -568,7 +572,7 @@ def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
     A = pair.gap
     if _identical_inputs(pair):
         return _zero_certificate(params, "lemma1-poly", l)
-    envelopes = pair.poly_envelopes(l + 2)
+    b_p, b_0 = pair.envelope(p, l), pair.envelope(0, l)
 
     ledger = _ledger(pair)
     ledger.gamma[l] = gamma_k(l)
@@ -576,8 +580,8 @@ def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:
     for m in orders:
         ledger.moment_bounds[m] = float(max(a.abs_moment(m), b.abs_moment(m)))
     a_2p, a_2l = (ledger.moment_bounds[m] for m in orders)
-    ledger.c_hat[(l, p)] = c_hat(l, p, ledger.c_ring[p], envelopes)
-    ledger.c_hat[(l, 0)] = c_hat(l, 0, 1.0, envelopes)
+    ledger.c_hat[(l, p)] = c_hat(l, ledger.c_ring[p], b_p)
+    ledger.c_hat[(l, 0)] = c_hat(l, 1.0, b_0)
     ledger.c_bar[(l, p)] = c_bar(ledger.c_hat[(l, p)], a_2p, a_2l)
     ledger.c_bar[(l, 0)] = c_bar(ledger.c_hat[(l, 0)], 1.0, a_2l)
     ledger.theta[(l, p)] = theta_exponent(l, p, 1)
@@ -658,7 +662,7 @@ def pointwise_certificate(pair: PairEvaluation, alpha: int = 0) -> BoundCertific
             f"the order-{k_a} pointwise left side leaves the float range; "
             "lower alpha or the weight power"
         )
-    envelopes = pair.poly_envelopes(l + 2)
+    b_p, b_0 = pair.envelope(p, l), pair.envelope(0, l)
 
     ledger = _ledger(pair)
     gamma = ledger.gamma[l - k_a] = gamma_k(l - k_a)
@@ -668,10 +672,10 @@ def pointwise_certificate(pair: PairEvaluation, alpha: int = 0) -> BoundCertific
     inv_two_pi = (2.0 * math.pi) ** -1
     # weighted part: |(f_a - f_b)^{(alpha)}| |x|^p
     k_weighted = inv_two_pi * (
-        2.0 * ledger.c_ring[p] * _UNIT_BALL + 2.0 * envelopes.get(p, l) * gamma
+        2.0 * ledger.c_ring[p] * _UNIT_BALL + 2.0 * b_p * gamma
     )
     # flat part: |(f_a - f_b)^{(alpha)}| alone, via plain inversion
-    k_flat = inv_two_pi * (2.0 * _UNIT_BALL + 2.0 * envelopes.get(0, l) * gamma)
+    k_flat = inv_two_pi * (2.0 * _UNIT_BALL + 2.0 * b_0 * gamma)
     flat_factor = 1.0 if params.p_is_even_integer else 2.0
     k_total = k_weighted + flat_factor * k_flat
     ledger.extra["k_weighted"] = k_weighted

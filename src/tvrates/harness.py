@@ -156,6 +156,14 @@ class Scenario:
             doc = json.loads(doc)
         if not isinstance(doc, dict):
             raise PreconditionError("a scenario must be a JSON object")
+        keys = ("resolution", "box_sigmas", "smoothing_sigma", "r_exp", "seed",
+                "entropic_check", "contaminant")
+        unknown = sorted(set(doc).difference(REQUIRED_FIELDS, keys))
+        if unknown:
+            raise PreconditionError(
+                f"unknown scenario fields {unknown}; the known fields are "
+                f"{list(REQUIRED_FIELDS + keys)}"
+            )
         for key in REQUIRED_FIELDS:
             if key not in doc:
                 raise PreconditionError(f"scenario field {key} is missing")
@@ -164,8 +172,6 @@ class Scenario:
             p=_real(doc["p"], "p"), q=_real(doc["q"], "q"),
             epsilon=_real(doc["epsilon"], "epsilon"),
         )
-        keys = ("resolution", "box_sigmas", "smoothing_sigma", "r_exp", "seed",
-                "entropic_check")
         optional = {key: doc[key] for key in keys if key in doc}
         if "contaminant" in doc:
             optional["contaminant"] = _mixture(doc, "contaminant")

@@ -220,22 +220,6 @@ class PolyEnvelopeTable:
             raise PreconditionError(f"polynomial envelope missing order {k}")
         return float(self.table[self.orders.index(k), l])
 
-    def combine_max(self, other: "PolyEnvelopeTable") -> "PolyEnvelopeTable":
-        """Entrywise maximum over the orders both tables hold: a
-        per-distribution bound valid for a pair."""
-        if self.side != other.side:
-            raise PreconditionError("cannot combine tables from different sides")
-        ks = [k for k in self.orders if k in other.orders]
-        l = min(self.max_l, other.max_l)
-        return PolyEnvelopeTable(
-            self.side, min(self.max_k, other.max_k), l,
-            np.maximum(
-                self.table[[self.orders.index(k) for k in ks], : l + 1],
-                other.table[[other.orders.index(k) for k in ks], : l + 1],
-            ),
-            tuple(ks),
-        )
-
     def to_json(self) -> dict:
         return {
             "side": self.side,
@@ -381,20 +365,21 @@ def _check_diff_stability(weight_mag, dual_radii, K: int):
         )
 
 
-def _resolved_log_maxima(mag, log_weight, L: int) -> np.ndarray:
-    """Entry l (0 <= l <= L): max over resolved nodes of
-    log(mag) + l * log(1 + radius); all -inf when mag vanishes."""
+def _poly_entry(stack, k: int, l: int) -> float:
+    """The entry b_{k,l} of a derivative stack (of :func:`_stack_of`): the
+    maximum over the resolved nodes of |g| (1 + r)^l, for the order-k
+    magnitude |g| and the nodes' radii r; 0 when g vanishes."""
+    _, _, radii, mags = stack
+    mag = mags[k]
     top = mag.max()
     if top == 0.0:
-        return np.full(L + 1, -math.inf)
+        return 0.0
     mask = mag >= top * RESOLVED_FLOOR
-    logs, lw = np.log(mag[mask]), log_weight[mask]
-    # a block of l values at a time keeps the temporaries near 2**20 entries
-    step = max(1, 2**20 // logs.size)
-    return np.concatenate([
-        (logs + np.arange(l0, min(l0 + step, L + 1))[:, None] * lw).max(axis=1)
-        for l0 in range(0, L + 1, step)
-    ])
+    # exp is monotone, so the exp of the largest log is the largest entry
+    log_max = (np.log(mag[mask]) + l * np.log1p(radii)[mask]).max()
+    if log_max > LOG_FLOAT_MAX:
+        raise ResolutionError("envelope entries overflowed; lower the weight power")
+    return math.exp(log_max)
 
 
 def poly_envelope(obj, K: int, L: int, *, orders=None) -> PolyEnvelopeTable:
@@ -403,23 +388,16 @@ def poly_envelope(obj, K: int, L: int, *, orders=None) -> PolyEnvelopeTable:
     Entry (k, l) is the grid maximum of |g^{(k)}(x)| (1+|x|)^l, restricted
     to the resolved band, for every l <= L and every derivative order k of
     ``orders`` (each k <= K unless given; the order-K stability guard
-    applies either way).  Density-side
-    input produces the space-domain table; characteristic input produces the
-    frequency-domain table.
+    applies either way), each the :func:`_poly_entry` that certificates
+    read.  Density-side input produces the space-domain table;
+    characteristic input produces the frequency-domain table.
     """
     if K < 0 or L < 0:
         raise PreconditionError("coverage bounds must be >= 0")
     orders = _held_orders(K, orders)
-    side, grid, radii, stacks = _stack_of(obj, K, orders)
-    log_weight = np.log1p(radii)
-    table = np.zeros((len(orders), L + 1))
-    for row, k in zip(table, orders):
-        # exp is monotone, so the exp of the largest log is the largest entry
-        logs = _resolved_log_maxima(stacks[k], log_weight, L)
-        if logs.max() > LOG_FLOAT_MAX:
-            raise ResolutionError("envelope entries overflowed; lower the weight power")
-        row[:] = [math.exp(v) for v in logs]
-    return PolyEnvelopeTable(side, K, L, table, orders)
+    stack = _stack_of(obj, K, orders)
+    table = [[_poly_entry(stack, k, l) for l in range(L + 1)] for k in orders]
+    return PolyEnvelopeTable(stack[0], K, L, table, orders)
 
 
 def exp_envelope(obj: CharGrid, K: int, *, orders=None) -> ExpEnvelopeTable:
@@ -429,8 +407,10 @@ def exp_envelope(obj: CharGrid, K: int, *, orders=None) -> ExpEnvelopeTable:
     The tail rate is fitted by least squares on the log magnitude over the
     outer quarter of the resolved band and then halved as a safety margin;
     c_k integrates |g_k| exp(r_k |u|) over the resolved band and adds the
-    fitted-tail remainder beyond it.  A non-negative fitted slope raises
-    :class:`DecayError`: the exponential-envelope hypothesis is not certified.
+    fitted-tail remainder beyond it.  Unless the resolved band ends below
+    the top frequency and the fitted line falls by ln 10 or more across its
+    window (facts round-off cannot flip), :class:`DecayError` says the
+    exponential-envelope hypothesis is not certified.
     """
     from scipy import integrate  # not loaded on import
 
@@ -451,10 +431,12 @@ def exp_envelope(obj: CharGrid, K: int, *, orders=None) -> ExpEnvelopeTable:
         x = radii[fit_mask]
         y = np.log(g[fit_mask])
         slope, intercept = np.polyfit(x, y, 1)
-        if slope >= 0:
+        drop = -slope * (x.max() - x.min())
+        if not (u_res < radii.max() and drop >= math.log(10.0)):
             raise DecayError(
-                f"order-{k} tail slope {slope:.3g} is not negative; "
-                "exponential-envelope hypothesis not certified"
+                f"order-{k} tail falls by {drop:.3g} in log, band end {u_res:.4g} of "
+                f"top frequency {radii.max():.4g}; exponential-envelope hypothesis "
+                "not certified"
             )
         r_k = -0.5 * slope
         body = float(np.sum(g[resolved] * np.exp(r_k * radii[resolved])) * dvol)

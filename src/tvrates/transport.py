@@ -219,12 +219,13 @@ def normal_levels(n_nodes: int) -> np.ndarray:
 _TINY = float(np.finfo(float).tiny)
 
 
-def _quantile_wq(xa, xb, q: float, n_nodes: int) -> float:
+def _quantile_wq(xa, xb, q: float) -> float:
     """int_0^1 |Qa - Qb|^q du with u = Phi(t), by Gauss-Hermite after
-    t = sqrt(2) s, to the power 1/q.  When a nonzero term |Qa - Qb|^q or the
-    sum leaves the normal float range (large q), m = max |Qa - Qb| is
-    factored out: W = m (sum w (|Qa - Qb| / m)^q / sqrt(pi))^(1/q)."""
-    w = _normal_rule(n_nodes)[1]
+    t = sqrt(2) s on the rule of order ``len(xa)``, to the power 1/q.  When
+    a nonzero term |Qa - Qb|^q or the sum leaves the normal float range
+    (large q), m = max |Qa - Qb| is factored out:
+    W = m (sum w (|Qa - Qb| / m)^q / sqrt(pi))^(1/q)."""
+    w = _normal_rule(len(xa))[1]
     diff = np.abs(xa - xb)
     with np.errstate(over="ignore"):
         g = diff**q
@@ -242,18 +243,6 @@ def _quantile_wq(xa, xb, q: float, n_nodes: int) -> float:
 QUANTILE_ORDERS = (128, 256)
 
 
-def _rule_quantiles(laws, orders=QUANTILE_ORDERS) -> list:
-    """For each mixture of ``laws``, its quantiles at
-    ``normal_levels(n)`` for every rule order ``n`` of ``orders`` (both
-    orders of ``QUANTILE_ORDERS`` unless given), as a dict keyed by ``n``;
-    every law's levels are solved in one
-    :func:`tvrates.distributions.mixture_quantiles` call, in which each
-    law's orders are items with their own stopping tests."""
-    levels = [normal_levels(n) for n in orders]
-    values = iter(mixture_quantiles([(law, u) for law in laws for u in levels]))
-    return [{n: next(values) for n in orders} for _ in laws]
-
-
 def wasserstein_1d(a, b, q: float) -> DistanceResult:
     """W_q via the quantile representation, for q > 1 between two 1-D
     mixtures.
@@ -261,15 +250,18 @@ def wasserstein_1d(a, b, q: float) -> DistanceResult:
     The unit-interval integral is computed under the normal substitution
     u = Phi(t) on a Gauss-Hermite rule, which removes the inverse-CDF blowup
     at the endpoints.  Both laws are solved at both orders of
-    ``QUANTILE_ORDERS`` in one :func:`_rule_quantiles` call; the doubled
-    order gives the value, and its difference from the other order the
-    error estimate.  q <= 1 is rejected: the certificate machinery requires
+    ``QUANTILE_ORDERS`` in one
+    :func:`tvrates.distributions.mixture_quantiles` call, in which each
+    law's orders are items with their own stopping tests; the doubled order
+    gives the value, and its difference from the other order the error
+    estimate.  q <= 1 is rejected: the certificate machinery requires
     q > 1 (use :func:`ot_exact` for discrete W_1).
     """
     _require_exponent(q, "quantile quadrature exponent q", 1.0, strict=True)
     _require_mixtures(a, b)
-    qa, qb = _rule_quantiles((a, b))
-    v1, v2 = (_quantile_wq(qa[n], qb[n], q, n) for n in QUANTILE_ORDERS)
+    levels = [normal_levels(n) for n in QUANTILE_ORDERS]
+    qa1, qa2, qb1, qb2 = mixture_quantiles([(law, u) for law in (a, b) for u in levels])
+    v1, v2 = _quantile_wq(qa1, qb1, q), _quantile_wq(qa2, qb2, q)
     return DistanceResult(v2, "quantile-quadrature", abs(v2 - v1))
 
 

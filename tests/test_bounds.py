@@ -10,7 +10,6 @@ from reference import mc_pair_moment, mixture_derivative_hermeval
 from tvrates import (
     BoundParams,
     PairEvaluation,
-    PolyEnvelopeTable,
     PreconditionError,
     ResolutionError,
     TvratesError,
@@ -33,16 +32,17 @@ from tvrates.bounds import (
     theta_exponent,
 )
 from tvrates.bounds import LawEvaluation
-from tvrates.distributions import GaussianMixture, common_grid
+from tvrates.distributions import GaussianMixture, common_grid, mixture_quantiles
 from tvrates.harness import default_scenarios, perturb_pair
-from tvrates.transport import _rule_quantiles, normal_levels, wasserstein_1d
+from tvrates.transport import normal_levels, wasserstein_1d
 
 
 def assert_law_quantiles_match_order_calls(law):
     # the batch that solves both rule orders of the law at once
-    (solved,) = _rule_quantiles((law,))
-    for n in (128, 256):
-        np.testing.assert_array_equal(solved[n], law.quantile(normal_levels(n)))
+    orders = (128, 256)
+    solved = mixture_quantiles([(law, normal_levels(n)) for n in orders])
+    for n, quantiles in zip(orders, solved):
+        np.testing.assert_array_equal(quantiles, law.quantile(normal_levels(n)))
 
 
 class TestGamma:
@@ -159,37 +159,23 @@ class TestThetaAndChoices:
         assert choose_M(lo, 8) >= choose_M(hi, 8) >= 1.0
 
 
-def _const_table(value, max_k=2, max_l=8):
-    return PolyEnvelopeTable(
-        "frequency", max_k, max_l, np.full((max_k + 1, max_l + 1), float(value))
-    )
-
-
 class TestChatCbar:
     def test_worked_example(self):
-        # l=3, p=2, C-ring=10, b=5: prefactor 2/(2 pi), first term
+        # l=3, C-ring=10, b=5: prefactor 2/(2 pi), first term
         # 10 * sqrt(pi)/Gamma(3/2) = 20, gamma_3 = 1 -> 25/pi
-        tab = _const_table(5.0)
-        np.testing.assert_allclose(c_hat(3, 2, 10.0, tab), 25.0 / math.pi)
+        np.testing.assert_allclose(c_hat(3, 10.0, 5.0), 25.0 / math.pi)
 
     def test_degenerate_ledger(self):
-        tab = PolyEnvelopeTable("frequency", 2, 4, np.zeros((3, 5)))
-        assert c_hat(3, 2, 0.0, tab) == 0.0
+        assert c_hat(3, 0.0, 0.0) == 0.0
 
     def test_second_worked_example(self):
-        # l=4, p=2, C-ring=1, b=1: gamma_4 = 2/3 -> (1/pi)(2 + 2/3)
-        tab = _const_table(1.0)
-        np.testing.assert_allclose(c_hat(4, 2, 1.0, tab), (1.0 / math.pi) * (8.0 / 3.0))
+        # l=4, C-ring=1, b=1: gamma_4 = 2/3 -> (1/pi)(2 + 2/3)
+        np.testing.assert_allclose(c_hat(4, 1.0, 1.0), (1.0 / math.pi) * (8.0 / 3.0))
 
     def test_c_bar_assembly(self):
         # Cbar = Chat * vball + 2 sqrt(a_2p a_2l)
         got = c_bar(5.0, 4.0, 9.0)
         np.testing.assert_allclose(got, 5.0 * 2.0 + 2.0 * 6.0)
-
-    def test_missing_coverage_rejected(self):
-        tab = _const_table(1.0, max_k=2, max_l=3)
-        with pytest.raises(PreconditionError):
-            c_hat(5, 2, 1.0, tab)
 
 
 class TestPolynomialCertificate:
@@ -254,11 +240,9 @@ class TestPolynomialCertificate:
         grid = tv.common_grid(std_normal, b)
         fa = discretize(std_normal, grid)
         fb = discretize(b, grid)
-        pair = poly_envelope(char_fn_grid(fa), 2, 80).combine_max(
-            poly_envelope(char_fn_grid(fb), 2, 80)
-        )
         l = choose_l(default_params.epsilon, 2, 1)
-        chat = c_hat(l, 2, c_ring(2, 2.0, std_normal.abs_moment, b.abs_moment), pair)
+        b_pl = max(poly_envelope(char_fn_grid(f), 2, l).get(2, l) for f in (fa, fb))
+        chat = c_hat(l, c_ring(2, 2.0, std_normal.abs_moment, b.abs_moment), b_pl)
         gap = tv.wasserstein_1d(std_normal, b, 2).value
         x = grid.nodes()
         lhs = np.abs((std_normal.pdf(x) - b.pdf(x)) * x**2).max()

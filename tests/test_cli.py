@@ -240,6 +240,10 @@ class TestCertify:
             (("--regime", "pointwise", "--alpha", "1,1"), "alpha"),
             (("--regime", "lemma1", "--p", "1e308"), "weight power p"),
             (("--regime", "pointwise", "--p", "1e308"), "weight power p"),
+            # 1 - sqrt(1 - 1e-17) rounds to 0: the truncation order has no value
+            (("--regime", "lemma1", "--eps", "1e-17"), "l past the float range"),
+            (("--regime", "lemma2", "--eps", "1e-17"), "l past the float range"),
+            (("--regime", "pointwise", "--eps", "1e-17"), "l past the float range"),
         ],
     )
     def test_bad_option_is_one_line_precondition(
@@ -251,6 +255,36 @@ class TestCertify:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("precondition violation:")
         assert field in err
+
+    @pytest.mark.parametrize("regime", ["lemma1", "pointwise"])
+    def test_truncation_order_past_the_envelope_range_is_one_line(
+        self, mixture_files, capsys, tmp_path, regime
+    ):
+        # eps = 1e-12 gives l = 7999288858562: the one entry b_{p,l} the
+        # certificate reads overflows, and no table of l columns is built
+        a, _ = mixture_files
+        b = tmp_path / "near.json"
+        b.write_text(json.dumps(gaussian(0.1, 1.0).to_json()))
+        assert_overflow_within_deadline(
+            capsys, ["certify", "--a", a, "--b", str(b), "--eps", "1e-12",
+                     "--regime", regime]
+        )
+
+    @pytest.mark.parametrize("eps, l", [("0.0231", 342), ("0.023125", 341),
+                                        ("0.023175", 341)])
+    def test_unread_envelope_orders_do_not_refuse(
+        self, mixture_files, capsys, tmp_path, eps, l
+    ):
+        # b_{k,l+1} and b_{k,l+2} overflow here, but the certificate reads
+        # only b_{p,l} and b_{0,l}
+        a, _ = mixture_files
+        b = tmp_path / "near.json"
+        b.write_text(json.dumps(gaussian(0.1, 1.0).to_json()))
+        code, out = run_cli(capsys, "certify", "--a", a, "--b", str(b),
+                            "--eps", eps, "--regime", "pointwise")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["l"] == l and doc["satisfied"] is True
 
     def test_weight_power_past_the_derivative_range_is_one_line(
         self, mixture_files, capsys
@@ -336,6 +370,8 @@ class TestSweep:
             ("name", 5),
             ("box_sigmas", 1e308),
             ("p", 1e308),
+            # a misspelt optional field must not fall back to its default
+            ("box_sigma", 3.0),
         ],
     )
     def test_bad_field_is_one_line_precondition(self, tmp_path, capsys, field, value):

@@ -422,6 +422,17 @@ class TestQuantile:
         x = gaussian(1e17, 1.0).quantile(0.3)
         assert abs(x - 1e17) <= 64.0
 
+    def test_upper_bracket_grows_to_a_far_narrow_component(self):
+        # mean + 10 sd of the far component rounds to 1e12, where the CDF is
+        # 0.75: the bracket must grow to [-10, 2e12 + 10] before it holds 0.9
+        law = GaussianMixture([0.5, 0.5], [0.0, 1e12], [1.0, 1e-16])
+        assert law.cdf(1e12) == 0.75
+        u = np.array([0.9])
+        x = law.quantile(u)
+        np.testing.assert_array_equal(x, quantile_bisection(law, u))
+        tol = 1e-14 * (2e12 + 10.0)
+        assert law.cdf(x[0] - tol) < 0.9 <= law.cdf(x[0] + tol)
+
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(1, 3))

@@ -143,6 +143,7 @@ class TestRunSweep:
         counted = {
             spectral.char_fn_grid: "char_fn_grid",
             spectral.poly_envelope: "poly_envelope",
+            spectral._poly_entry: "envelope_entry",
             spectral.exp_envelope: "exp_envelope",
             spectral._derivative_stack: "derivative_stack",
             distributions.discretize: "discretize",
@@ -197,9 +198,12 @@ class TestRunSweep:
             names = [name for name, _, _ in per_sweep[0]]
             # both envelopes of a law read the one derivative stack its char
             # grid keeps
-            for name in ("char_fn_grid", "derivative_stack", "poly_envelope",
-                         "exp_envelope"):
+            for name in ("char_fn_grid", "derivative_stack", "exp_envelope"):
                 assert names.count(name) == n + 1
+            # the certificates read two entries of each law, b_{p,l} and
+            # b_{0,l}, and build no table
+            assert names.count("envelope_entry") == 2 * (n + 1)
+            assert "poly_envelope" not in names
             ref = law_key(sc.base)
             laws = {ref} | {law_key(perturb_pair(sc, h)[1]) for h in sc.h_grid}
             assert len(laws) == n + 1
@@ -218,6 +222,35 @@ class TestRunSweep:
             ]
             assert len(discretized) == len(set(discretized))
             assert sum(law == ref for law, _ in discretized) >= 2  # level 0 and 1
+
+    def test_default_sweep_branch_census(self, monkeypatch):
+        # which inequality each default row certifies, per certificate
+        import tvrates.harness as hmod
+        from tvrates import default_scenarios
+
+        branches = []  # (regime, branch) per certificate, in build order
+        for name in ("polynomial_rate_certificate", "exponential_rate_certificate",
+                     "pointwise_certificate"):
+            def recording(pair, *args, _build=getattr(hmod, name), **kwargs):
+                cert = _build(pair, *args, **kwargs)
+                branches.append((cert.regime, cert.ledger.extra["branch"]))
+                return cert
+
+            monkeypatch.setattr(hmod, name, recording)
+        census = {}
+        for sc in default_scenarios():
+            branches.clear()
+            assert len(run_sweep(sc).rows) == len(sc.h_grid) == 5
+            for key in branches:
+                census[key] = census.get(key, 0) + 1
+            # criterion 9 reads the three smallest scales: all polylog
+            lemma2 = [branch for regime, branch in branches if regime == "lemma2-exp"]
+            assert lemma2[-3:] == ["polylog"] * 3
+        assert census == {
+            ("lemma1-poly", "rate"): 18, ("lemma1-poly", "constant"): 2,
+            ("lemma2-exp", "polylog"): 12, ("lemma2-exp", "constant"): 8,
+            ("pointwise", "rate"): 18, ("pointwise", "constant"): 2,
+        }
 
     def test_sweep_computes_grid_geometry_once_per_grid(self, monkeypatch):
         from tvrates.distributions import SpaceGrid

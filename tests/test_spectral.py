@@ -24,7 +24,7 @@ from tvrates import (
 )
 from reference import delta_p_char_closed_form, poly_table_loop
 from tvrates import common_grid, default_scenarios
-from tvrates.bounds import LawEvaluation
+from tvrates.bounds import BoundParams, LawEvaluation, PairEvaluation
 from tvrates.harness import perturb_pair
 from tvrates.spectral import (
     LOG_FLOAT_MAX,
@@ -244,12 +244,6 @@ class TestPolyEnvelope:
             (k, l): tab.table[k, l] for k in range(3) for l in range(4)
         }
 
-    def test_pair_combination_is_entrywise_max(self, std_normal, bimodal):
-        ta = poly_envelope(grid_of(std_normal), 2, 2)
-        tb = poly_envelope(grid_of(bimodal), 2, 2)
-        comb = ta.combine_max(tb)
-        np.testing.assert_array_equal(comb.table, np.maximum(ta.table, tb.table))
-
     def test_default_laws_match_per_l_loop_bit_for_bit(self):
         # every law of the default sweep, on its sweep grid, at the order
         # and weight power (l = 77) the certificates read
@@ -306,7 +300,9 @@ class TestEnvelopeOrders:
     def test_missing_order_is_typed_and_pairs_keep_common_orders(
         self, std_normal, bimodal
     ):
-        cg_a, cg_b = (char_fn_grid(grid_of(law)) for law in (std_normal, bimodal))
+        grid = common_grid(std_normal, bimodal, 10.0, 4096)
+        la, lb = (LawEvaluation(law, grid) for law in (std_normal, bimodal))
+        cg_a, cg_b = la.char_grid, lb.char_grid
         ta = poly_envelope(cg_a, 4, 6, orders=(0, 4))
         tb = poly_envelope(cg_b, 4, 6, orders=(0, 2, 4))
         with pytest.raises(PreconditionError, match="missing order 2"):
@@ -315,10 +311,12 @@ class TestEnvelopeOrders:
         for k, l in ((0, -1), (-1, 0), (0, 7), (5, 0)):
             with pytest.raises(PreconditionError, match="covers"):
                 ta.get(k, l)
-        comb = ta.combine_max(tb)
-        assert comb.orders == (0, 4)
-        np.testing.assert_array_equal(comb.table, np.maximum(ta.table, tb.table[[0, 2]]))
-        assert [e["k"] for e in comb.to_json()["entries"]] == [0] * 7 + [4] * 7
+        assert [e["k"] for e in ta.to_json()["entries"]] == [0] * 7 + [4] * 7
+        # a pair's entry is the larger of its laws' table entries, bit for bit
+        pair = PairEvaluation.of_laws(la, lb, BoundParams(p=4.0, q=2.0, epsilon=0.1))
+        for k in (0, 4):
+            for l in range(7):
+                assert pair.envelope(k, l) == max(ta.get(k, l), tb.get(k, l))
         with pytest.raises(PreconditionError, match="missing order 2"):
             exp_envelope(cg_a, 4, orders=(0, 4)).get(2)
 
@@ -350,6 +348,19 @@ class TestExpEnvelope:
         flat = CharGrid(grid, np.exp(1j * 0.3 * u))
         with pytest.raises(DecayError):
             exp_envelope(flat, 0)
+
+    def test_tail_resolved_to_the_top_frequency_rejected(self):
+        # on the common grid of N(0.1, 0.25) and 0.9 N(0, 1) + 0.1 N(2, 1),
+        # the narrow law's order-6 magnitudes stay resolved up to the top
+        # frequency, where round-off gives the flat tail a negative slope
+        narrow = gaussian(0.1, 0.25)
+        blend = GaussianMixture([0.9, 0.1], [0.0, 2.0], [1.0, 1.0])
+        grid = common_grid(narrow, blend)
+        with pytest.raises(DecayError, match="order-6 tail"):
+            exp_envelope(char_fn_grid(discretize(narrow, grid)), 6, orders=(0, 6))
+        # the blend's order-6 tail decays inside the grid, and fits
+        fitted = exp_envelope(char_fn_grid(discretize(blend, grid)), 6, orders=(0, 6))
+        assert set(fitted.rates) == {0, 6}
 
     def test_rate_scales_with_width(self):
         # phi_sigma(u) = phi_1(sigma u), so the fitted tail rate doubles

@@ -299,7 +299,7 @@ class TestWasserstein1d:
 
         def rule_value(n):
             u = normal_levels(n)
-            return _quantile_wq(std_normal.quantile(u), other.quantile(u), 2.5, n)
+            return _quantile_wq(std_normal.quantile(u), other.quantile(u), 2.5)
 
         v1, v2 = rule_value(128), rule_value(256)
         want = DistanceResult(v2, "quantile-quadrature", abs(v2 - v1))
