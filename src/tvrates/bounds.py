@@ -46,10 +46,10 @@ from .distributions import (
 from .errors import PreconditionError, ResolutionError
 from .spectral import (
     ExpEnvelopeTable,
-    _poly_entry,
-    _stack_of,
+    _derivative_stack,
+    _exp_entry,
+    _poly_entries,
     char_fn_grid,
-    exp_envelope,
 )
 from .transport import (
     QUANTILE_ORDERS,
@@ -304,7 +304,8 @@ class ConstantLedger:
 class BoundCertificate:
     """A fully evaluated inequality instance: measured left side, assembled
     right side, the gap A it was driven by, and the complete constant ledger.
-    ``satisfied`` is always exactly ``lhs <= rhs``."""
+    ``satisfied`` is always exactly ``lhs <= rhs``; a right side past the
+    float range would hold for every left side, so it is refused."""
 
     params: BoundParams
     regime: str
@@ -315,6 +316,13 @@ class BoundCertificate:
     rhs: float
     ledger: ConstantLedger
     provenance: str = "empirical"
+
+    def __post_init__(self):
+        if not math.isfinite(self.rhs):
+            raise PreconditionError(
+                f"the {self.regime} right side {float(self.rhs)!r} is not a finite "
+                "float; raise epsilon or lower the weight power"
+            )
 
     @property
     def satisfied(self) -> bool:
@@ -345,14 +353,15 @@ class LawEvaluation:
     The quantiles at the levels of the gap's Gauss-Hermite rule (order
     ``GAP_NODES``), the law discretized on ``grid`` refined ``level``
     times (the grid keeps the refined grids and their meshes, so every law
-    on it shares them), its characteristic grid, its frequency-side
-    envelope entries b_{k,l} and exponential-decay table (both off one
-    derivative stack at orders 0 and K, the only orders the certificates
-    read) and its absolute and exponential moments are each computed on
-    first use and then kept, so every pair that holds this evaluation
-    shares them.  :meth:`PairEvaluation.solve` fills the quantiles and the
-    even moments of many evaluations in batches, as a sweep does for all of
-    its laws.  Concurrent first uses recompute the same deterministic value.
+    on it shares them), its characteristic grid, one derivative stack per
+    guard order K at derivative orders 0 and K (the only orders the
+    certificates read), the frequency-side entries b_{k,l} and
+    exponential-decay entries read off that stack, and its absolute and
+    exponential moments are each computed on first use and then kept, so
+    every pair that holds this evaluation shares them.
+    :meth:`PairEvaluation.solve` fills the quantiles and the even moments
+    of many evaluations in batches, as a sweep does for all of its laws.
+    Concurrent first uses recompute the same deterministic value.
     """
 
     def __init__(self, law: GaussianMixture, grid: SpaceGrid):
@@ -370,23 +379,32 @@ class LawEvaluation:
             lambda: discretize(self.law, self.grid.refined(2**level)),
         )
 
-    @cached_property
+    @property
     def char_grid(self):
-        return char_fn_grid(self.density(0))
+        return self._keep("char_grid", lambda: char_fn_grid(self.density(0)))
+
+    def _stack(self, K: int):
+        return self._keep(
+            ("stack", K), lambda: _derivative_stack(self.char_grid, K, (0, K))
+        )
 
     def envelope(self, K: int, k: int, l: int) -> float:
         """The frequency-side entry b_{k,l} at derivative order k in (0, K)."""
         return self._keep(
-            ("envelope", K, k, l),
-            lambda: _poly_entry(_stack_of(self.char_grid, K, (0, K)), k, l),
+            ("envelope", K, k, l), lambda: _poly_entries(self._stack(K), k, (l,))[0]
         )
 
-    def exp_envelope(self, K: int) -> ExpEnvelopeTable:
-        """The exponential-decay table at derivative orders 0 and K."""
-        return self._keep(
-            ("exp_envelope", K),
-            lambda: exp_envelope(self.char_grid, K, orders=(0, K)),
-        )
+    def exp_entries(self, K: int) -> ExpEnvelopeTable:
+        """The exponential-decay entries at derivative orders 0, then K."""
+
+        def fit():
+            stack = self._stack(K)
+            rates, integrals, sups = {}, {}, {}
+            for k in (0, K):
+                rates[k], integrals[k], sups[k] = _exp_entry(stack, k)
+            return ExpEnvelopeTable(rates, integrals, sups)
+
+        return self._keep(("exp_entries", K), fit)
 
     def abs_moment(self, m: float) -> float:
         return self._keep(("abs_moment", m), lambda: self.law.abs_moment(m))
@@ -415,7 +433,7 @@ class PairEvaluation:
     quantiles at the order ``GAP_NODES`` rule alone), rho_p and tv (one
     refinement ladder over the two laws' kept densities), the pair's
     envelope entries b_{k,l} (the larger of its laws' entries) and
-    exponential table at derivative orders 0 and p_even, C° at p_even and
+    exponential entries at derivative orders 0 and p_even, C° at p_even and
     the trivial moment bound on rho_p, so certificates built from one
     evaluation share them and a certificate computes only what it reads.
     :meth:`solve` fills in batches what the certificates of many pairs
@@ -503,11 +521,17 @@ class PairEvaluation:
         return max(la.envelope(K, k, l), lb.envelope(K, k, l))
 
     @cached_property
-    def exp_envelopes(self) -> ExpEnvelopeTable:
-        """Exponential-decay table valid for both laws, k in (0, p_even)."""
-        la, lb = self.laws
-        K = self.params.p_even
-        return la.exp_envelope(K).combine(lb.exp_envelope(K))
+    def exp_entries(self) -> ExpEnvelopeTable:
+        """Exponential-decay entries valid for both laws, k in (0, p_even):
+        the smaller of the laws' rates, their integrals and sups summed.
+        Law a's entries are fitted first, so a failing fit of law a is the
+        error raised."""
+        ea, eb = (ev.exp_entries(self.params.p_even) for ev in self.laws)
+        return ExpEnvelopeTable(
+            {k: min(ea.rates[k], eb.rates[k]) for k in ea.rates},
+            {k: ea.integrals[k] + eb.integrals[k] for k in ea.rates},
+            {k: ea.sups[k] + eb.sups[k] for k in ea.rates},
+        )
 
     @cached_property
     def _c_ring_p(self) -> float:
@@ -717,13 +741,13 @@ def exponential_rate_certificate(pair: PairEvaluation, r: float = 1.0) -> BoundC
     A = pair.gap
     if _identical_inputs(pair):
         return _zero_certificate(params, "lemma2-exp", 2)
-    exp_envelopes = pair.exp_envelopes
+    entries = pair.exp_entries
     c_sharp = a.exp_abs_moment(r) + b.exp_abs_moment(r)
 
-    r_p, c_p = exp_envelopes.get(p)
-    r_0, c_0 = exp_envelopes.get(0)
-    s_p = exp_envelopes.sups[p]
-    s_0 = exp_envelopes.sups[0]
+    r_p, c_p = entries.get(p)
+    r_0, c_0 = entries.get(0)
+    s_p = entries.sups[p]
+    s_0 = entries.sups[0]
     s_fac = 1.0 if p <= 3 else 2.0
     lam = max(r_p, r_0, r / s_fac, p / s_fac)
 

@@ -75,10 +75,6 @@ class CharGrid:
     space_grid: SpaceGrid
     values: np.ndarray
     is_characteristic: bool = True
-    # derivative stacks by guard order K and derivative orders, built on
-    # first use by both envelope estimators (see _stack_of); derived data,
-    # so not part of the value
-    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -183,27 +179,22 @@ def weighted_diff_reconstruct(a, b, p: int):
 @dataclass(frozen=True)
 class PolyEnvelopeTable:
     """Constants c_{k,l} >= sup over the grid of |g^{(k)}(x)| (1+|x|)^l for
-    the derivative orders k of ``orders`` and all l <= max_l.
+    all k <= max_k and l <= max_l.
 
     ``side`` is "density" (space-domain input) or "frequency"
-    (characteristic-function input).  ``orders`` lists the orders the
-    table holds, ascending and at most ``max_k``, one table row each; it
-    defaults to every k <= max_k.  Entries are empirical grid maxima.
+    (characteristic-function input).  Entries are empirical grid maxima.
     """
 
     side: str
     max_k: int
     max_l: int
-    table: np.ndarray  # shape (len(orders), max_l + 1)
-    orders: tuple = None
+    table: np.ndarray  # shape (max_k + 1, max_l + 1)
 
     def __post_init__(self):
         if self.side not in ("density", "frequency"):
             raise PreconditionError("side must be 'density' or 'frequency'")
-        orders = _held_orders(self.max_k, self.orders)
-        object.__setattr__(self, "orders", orders)
         t = np.asarray(self.table, dtype=float)
-        if t.shape != (len(orders), self.max_l + 1):
+        if t.shape != (self.max_k + 1, self.max_l + 1):
             raise PreconditionError("table shape does not match coverage")
         if not np.all(np.isfinite(t)) or np.any(t < 0):
             raise PreconditionError("envelope constants must be finite and >= 0")
@@ -212,38 +203,25 @@ class PolyEnvelopeTable:
         object.__setattr__(self, "table", t)
 
     def get(self, k: int, l: int) -> float:
-        if not (0 <= k <= self.max_k and 0 <= l <= self.max_l):
+        # bool is an int, and numpy would index with it or with a float
+        if not all(
+            isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in (k, l)
+        ) or not (0 <= k <= self.max_k and 0 <= l <= self.max_l):
             raise PreconditionError(
-                f"envelope table covers 0 <= k <= {self.max_k}, 0 <= l <= {self.max_l}"
+                f"envelope table covers integers 0 <= k <= {self.max_k}, "
+                f"0 <= l <= {self.max_l}"
             )
-        if k not in self.orders:
-            raise PreconditionError(f"polynomial envelope missing order {k}")
-        return float(self.table[self.orders.index(k), l])
+        return float(self.table[k, l])
 
     def to_json(self) -> dict:
         return {
             "side": self.side,
             "entries": [
                 {"k": k, "l": l, "c": float(row[l])}
-                for k, row in zip(self.orders, self.table)
+                for k, row in enumerate(self.table)
                 for l in range(self.max_l + 1)
             ],
         }
-
-
-def _held_orders(K: int, orders) -> tuple:
-    """``orders`` as an ascending tuple of distinct derivative orders in
-    0..K, every such order when None; PreconditionError otherwise."""
-    if orders is None:
-        return tuple(range(K + 1))
-    held = tuple(sorted(set(orders)))
-    if not held or not all(
-        isinstance(k, (int, np.integer)) and 0 <= k <= K for k in held
-    ):
-        raise PreconditionError(
-            f"envelope orders must be integers in 0..{K}, got {orders!r}"
-        )
-    return tuple(int(k) for k in held)
 
 
 @dataclass(frozen=True)
@@ -251,7 +229,10 @@ class ExpEnvelopeTable:
     """Exponential-decay constants per derivative order k: rates r_k > 0 and
     integrals c_k >= int |g_k(u)| exp(r_k |u|) du, where g_k is the order-k
     derivative.  ``sups`` additionally records the
-    grid supremum of g_k (used by the certificate engine)."""
+    grid supremum of g_k (used by the certificate engine).  A pair of laws
+    holds the table of common rates min(r, r') with integrals and sups
+    summed: lowering the rate only decreases each integral, so the sum at
+    the common rate stays a valid upper bound."""
 
     rates: dict = field(default_factory=dict)
     integrals: dict = field(default_factory=dict)
@@ -267,34 +248,22 @@ class ExpEnvelopeTable:
             raise PreconditionError(f"exponential envelope missing order {k}")
         return self.rates[k], self.integrals[k]
 
-    def combine(self, other: "ExpEnvelopeTable") -> "ExpEnvelopeTable":
-        """Pair table: common rate min(r, r'), integrals and sups summed.
-        Lowering the rate only decreases each integral, so the sum at the
-        common rate stays a valid upper bound."""
-        ks = sorted(set(self.rates) & set(other.rates))
-        rates = {k: min(self.rates[k], other.rates[k]) for k in ks}
-        integrals = {k: self.integrals[k] + other.integrals[k] for k in ks}
-        sups = {k: self.sups.get(k, 0.0) + other.sups.get(k, 0.0) for k in ks}
-        return ExpEnvelopeTable(rates, integrals, sups)
-
 
 # ---------------------------------------------------------------------------
 # envelope estimation
 # ---------------------------------------------------------------------------
 
-def _derivative_stack(obj, K: int, orders=None):
+def _derivative_stack(obj, K: int, orders):
     """Per-order spectral derivative magnitudes of the object, for the
-    derivative orders ``orders`` (every k <= K when None) under the order-K
-    stability guard.
+    derivative orders ``orders`` under the order-K stability guard.
 
     Returns (side, grid, coord_radii, stacks) where stacks[k] is the
     |order-k derivative| array and coord_radii is |x| (density side) or
-    |u| (frequency side) at the nodes.  The arrays are read-only, so a
-    :class:`CharGrid` can keep the stack for every reader.  Orders are
-    built one at a time; the first whose magnitudes leave the float range
-    raises :class:`ResolutionError`.
+    |u| (frequency side) at the nodes.  The arrays are read-only, so one
+    stack can serve every reader.  Orders are built one at a time, in the
+    given order; the first whose magnitudes leave the float range raises
+    :class:`ResolutionError`.
     """
-    orders = _held_orders(K, orders)
     if isinstance(obj, GridDensity):
         side = "density"
         grid = obj.grid
@@ -336,17 +305,6 @@ def _derivative_stack(obj, K: int, orders=None):
     return side, grid, radii, stacks
 
 
-def _stack_of(obj, K: int, orders: tuple):
-    """The derivative stack of ``obj`` at ``orders`` under the order-K
-    guard; a :class:`CharGrid` builds each such stack once and keeps it, so
-    its polynomial and exponential envelopes read one stack."""
-    if not isinstance(obj, CharGrid):
-        return _derivative_stack(obj, K, orders)
-    if (K, orders) not in obj._stacks:
-        obj._stacks[K, orders] = _derivative_stack(obj, K, orders)
-    return obj._stacks[K, orders]
-
-
 def _check_diff_stability(weight_mag, dual_radii, K: int):
     """Nyquist-style guard: order-K spectral differentiation is unstable when
     the transform still carries resolved content at the band edge."""
@@ -365,87 +323,98 @@ def _check_diff_stability(weight_mag, dual_radii, K: int):
         )
 
 
-def _poly_entry(stack, k: int, l: int) -> float:
-    """The entry b_{k,l} of a derivative stack (of :func:`_stack_of`): the
-    maximum over the resolved nodes of |g| (1 + r)^l, for the order-k
-    magnitude |g| and the nodes' radii r; 0 when g vanishes."""
+def _poly_entries(stack, k: int, ls) -> list:
+    """The entries b_{k,l} at each order l of ``ls`` of a derivative stack
+    (of :func:`_derivative_stack`): the maximum over the resolved nodes of
+    |g| (1 + r)^l, for the order-k magnitude |g| and the nodes' radii r;
+    0 when g vanishes."""
     _, _, radii, mags = stack
     mag = mags[k]
     top = mag.max()
     if top == 0.0:
-        return 0.0
+        return [0.0 for _ in ls]
     mask = mag >= top * RESOLVED_FLOOR
-    # exp is monotone, so the exp of the largest log is the largest entry
-    log_max = (np.log(mag[mask]) + l * np.log1p(radii)[mask]).max()
-    if log_max > LOG_FLOAT_MAX:
-        raise ResolutionError("envelope entries overflowed; lower the weight power")
-    return math.exp(log_max)
+    log_mag, log_radii = np.log(mag[mask]), np.log1p(radii)[mask]
+    entries = []
+    for l in ls:
+        # exp is monotone, so the exp of the largest log is the largest entry
+        log_max = (log_mag + l * log_radii).max()
+        if log_max > LOG_FLOAT_MAX:
+            raise ResolutionError("envelope entries overflowed; lower the weight power")
+        entries.append(math.exp(log_max))
+    return entries
 
 
-def poly_envelope(obj, K: int, L: int, *, orders=None) -> PolyEnvelopeTable:
+def poly_envelope(obj, K: int, L: int) -> PolyEnvelopeTable:
     """Empirical polynomial decay table of a grid object.
 
     Entry (k, l) is the grid maximum of |g^{(k)}(x)| (1+|x|)^l, restricted
-    to the resolved band, for every l <= L and every derivative order k of
-    ``orders`` (each k <= K unless given; the order-K stability guard
-    applies either way), each the :func:`_poly_entry` that certificates
-    read.  Density-side input produces the space-domain table;
-    characteristic input produces the frequency-domain table.
+    to the resolved band, for every k <= K and l <= L: the
+    :func:`_poly_entries` that certificates read.  Density-side input
+    produces the space-domain table; characteristic input produces the
+    frequency-domain table.
     """
     if K < 0 or L < 0:
         raise PreconditionError("coverage bounds must be >= 0")
-    orders = _held_orders(K, orders)
-    stack = _stack_of(obj, K, orders)
-    table = [[_poly_entry(stack, k, l) for l in range(L + 1)] for k in orders]
-    return PolyEnvelopeTable(stack[0], K, L, table, orders)
+    stack = _derivative_stack(obj, K, range(K + 1))
+    table = [_poly_entries(stack, k, range(L + 1)) for k in range(K + 1)]
+    return PolyEnvelopeTable(stack[0], K, L, table)
 
 
-def exp_envelope(obj: CharGrid, K: int, *, orders=None) -> ExpEnvelopeTable:
-    """Fit exponential decay constants (r_k, c_k) for the derivative orders
-    k of ``orders`` (each k <= K unless given) of a characteristic grid.
+def _exp_entry(stack, k: int) -> tuple:
+    """Exponential decay constants (r_k, c_k, sup_k) of the order-k
+    magnitudes of a frequency-side derivative stack.
 
     The tail rate is fitted by least squares on the log magnitude over the
     outer quarter of the resolved band and then halved as a safety margin;
     c_k integrates |g_k| exp(r_k |u|) over the resolved band and adds the
-    fitted-tail remainder beyond it.  Unless the resolved band ends below
-    the top frequency and the fitted line falls by ln 10 or more across its
-    window (facts round-off cannot flip), :class:`DecayError` says the
-    exponential-envelope hypothesis is not certified.
+    fitted-tail remainder beyond it; sup_k is the grid maximum of |g_k|.
+    Unless the resolved band ends below the top frequency and the fitted
+    line falls by ln 10 or more across its window (facts round-off cannot
+    flip), :class:`DecayError` says the exponential-envelope hypothesis is
+    not certified.
     """
     from scipy import integrate  # not loaded on import
 
+    _, grid, radii, stacks = stack
+    g = stacks[k]
+    top = g.max()
+    resolved = g >= top * RESOLVED_FLOOR
+    u_res = radii[resolved].max()
+    fit_mask = resolved & (radii >= 0.75 * u_res) & (radii > 0)
+    if fit_mask.sum() < 8:
+        raise ResolutionError("too few resolved nodes for a tail fit")
+    x = radii[fit_mask]
+    y = np.log(g[fit_mask])
+    slope, intercept = np.polyfit(x, y, 1)
+    drop = -slope * (x.max() - x.min())
+    if not (u_res < radii.max() and drop >= math.log(10.0)):
+        raise DecayError(
+            f"order-{k} tail falls by {drop:.3g} in log, band end {u_res:.4g} of "
+            f"top frequency {radii.max():.4g}; exponential-envelope hypothesis "
+            "not certified"
+        )
+    r_k = -0.5 * slope
+    dvol = grid.freq_spacing
+    body = float(np.sum(g[resolved] * np.exp(r_k * radii[resolved])) * dvol)
+    decay = slope + r_k  # = slope / 2 < 0
+    tail, _ = integrate.quad(
+        lambda t: math.exp(intercept + decay * t), u_res, math.inf
+    )
+    # the fitted tail holds on both half-lines
+    return float(r_k), body + 2.0 * tail, float(top)
+
+
+def exp_envelope(obj: CharGrid, K: int) -> ExpEnvelopeTable:
+    """Exponential decay constants (r_k, c_k) and sups of a characteristic
+    grid for every derivative order k <= K, each the :func:`_exp_entry`
+    that certificates read."""
     if not isinstance(obj, CharGrid):
         raise PreconditionError("exponential envelopes require a CharGrid")
-    orders = _held_orders(K, orders)
-    _, grid, radii, stacks = _stack_of(obj, K, orders)
-    dvol = grid.freq_spacing
+    if K < 0:
+        raise PreconditionError("coverage bounds must be >= 0")
+    stack = _derivative_stack(obj, K, range(K + 1))
     rates, integrals, sups = {}, {}, {}
-    for k in orders:
-        g = stacks[k]
-        top = g.max()
-        resolved = g >= top * RESOLVED_FLOOR
-        u_res = radii[resolved].max()
-        fit_mask = resolved & (radii >= 0.75 * u_res) & (radii > 0)
-        if fit_mask.sum() < 8:
-            raise ResolutionError("too few resolved nodes for a tail fit")
-        x = radii[fit_mask]
-        y = np.log(g[fit_mask])
-        slope, intercept = np.polyfit(x, y, 1)
-        drop = -slope * (x.max() - x.min())
-        if not (u_res < radii.max() and drop >= math.log(10.0)):
-            raise DecayError(
-                f"order-{k} tail falls by {drop:.3g} in log, band end {u_res:.4g} of "
-                f"top frequency {radii.max():.4g}; exponential-envelope hypothesis "
-                "not certified"
-            )
-        r_k = -0.5 * slope
-        body = float(np.sum(g[resolved] * np.exp(r_k * radii[resolved])) * dvol)
-        decay = slope + r_k  # = slope / 2 < 0
-        tail, _ = integrate.quad(
-            lambda t: math.exp(intercept + decay * t), u_res, math.inf
-        )
-        rates[k] = float(r_k)
-        # the fitted tail holds on both half-lines
-        integrals[k] = body + 2.0 * tail
-        sups[k] = float(top)
+    for k in range(K + 1):
+        rates[k], integrals[k], sups[k] = _exp_entry(stack, k)
     return ExpEnvelopeTable(rates, integrals, sups)

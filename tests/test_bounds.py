@@ -24,6 +24,8 @@ from tvrates import (
 from tvrates import rho_p as rho_p_distance
 from tvrates.bounds import (
     _UNIT_BALL,
+    BoundCertificate,
+    ConstantLedger,
     c_bar,
     c_hat,
     c_ring,
@@ -361,6 +363,37 @@ class TestPointwiseCertificate:
         assert got.to_json() == pointwise_certificate(pair, alpha=1).to_json()
 
 
+@pytest.mark.parametrize(
+    "b", [gaussian(0.05, 1.21), GaussianMixture([0.9, 0.1], [0.0, 2.0], [1.0, 1.0])],
+    ids=["wide", "blend"],
+)
+def test_truncation_orders_near_the_float_edge_give_finite_certificates(std_normal, b):
+    # around l = 344 the entry b_{2,l} is finite but the pointwise constant
+    # 2 b_{2,l} gamma_l overflowed to an rhs of inf that "held"; where the
+    # edge falls moves with the numpy kernels, so scan the orders around it
+    grid = common_grid(std_normal, b)
+    laws = LawEvaluation(std_normal, grid), LawEvaluation(b, grid)
+    for l in range(336, 351):
+        root = (l - 1.5) / (l + 2.5)  # the ratio of choose_l lands in (l - 1, l]
+        params = BoundParams(p=2.0, q=2.0, epsilon=1.0 - root * root)
+        assert choose_l(params.epsilon, 2, 1) == l
+        pair = PairEvaluation.of_laws(*laws, params)
+        for certify in (pointwise_certificate, polynomial_rate_certificate):
+            try:
+                cert = certify(pair)
+            except TvratesError as exc:
+                assert isinstance(exc, PreconditionError)  # exit 2 from the CLI
+            else:
+                assert cert.l == l and math.isfinite(cert.rhs)
+
+
+@pytest.mark.parametrize("rhs", [math.inf, math.nan])
+def test_non_finite_right_side_refused(default_params, rhs):
+    with pytest.raises(PreconditionError, match="pointwise right side .* not a finite"):
+        BoundCertificate(default_params, "pointwise", 344, 1.0, 0.1, 1.0, rhs,
+                         ConstantLedger())
+
+
 class TestExponentialCertificate:
     def test_identical_inputs(self, std_normal, default_params):
         cert = exponential_rate_certificate(
@@ -488,11 +521,24 @@ class TestPairEvaluation:
         import tvrates.bounds as bmod
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("exp_envelope called")
+            raise AssertionError("_exp_entry called")
 
-        monkeypatch.setattr(bmod, "exp_envelope", forbidden)
+        monkeypatch.setattr(bmod, "_exp_entry", forbidden)
         pair = PairEvaluation(std_normal, gaussian(0.1, 1.0), default_params)
         assert polynomial_rate_certificate(pair).satisfied
+
+    @pytest.mark.parametrize("integral", [math.inf, 1e308])
+    def test_infinite_exp_integral_refused_per_law_and_per_pair(
+        self, std_normal, default_params, monkeypatch, integral
+    ):
+        # inf is refused with the law's entries, 1e308 when the pair sums
+        # two of them: neither reaches the ledger
+        import tvrates.bounds as bmod
+
+        monkeypatch.setattr(bmod, "_exp_entry", lambda stack, k: (1.0, integral, 1.0))
+        pair = PairEvaluation(std_normal, gaussian(0.1, 1.0), default_params)
+        with pytest.raises(PreconditionError, match="c finite"):
+            exponential_rate_certificate(pair)
 
     @pytest.mark.parametrize(
         "h, params",

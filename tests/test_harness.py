@@ -143,8 +143,9 @@ class TestRunSweep:
         counted = {
             spectral.char_fn_grid: "char_fn_grid",
             spectral.poly_envelope: "poly_envelope",
-            spectral._poly_entry: "envelope_entry",
+            spectral._poly_entries: "envelope_entries",
             spectral.exp_envelope: "exp_envelope",
+            spectral._exp_entry: "exp_entry",
             spectral._derivative_stack: "derivative_stack",
             distributions.discretize: "discretize",
         }
@@ -196,14 +197,15 @@ class TestRunSweep:
             # no evaluation outlives its sweep: the second sweep repeats the work
             assert per_sweep[0] == per_sweep[1]
             names = [name for name, _, _ in per_sweep[0]]
-            # both envelopes of a law read the one derivative stack its char
-            # grid keeps
-            for name in ("char_fn_grid", "derivative_stack", "exp_envelope"):
+            # both envelopes of a law read the one derivative stack its
+            # evaluation keeps
+            for name in ("char_fn_grid", "derivative_stack"):
                 assert names.count(name) == n + 1
-            # the certificates read two entries of each law, b_{p,l} and
-            # b_{0,l}, and build no table
-            assert names.count("envelope_entry") == 2 * (n + 1)
-            assert "poly_envelope" not in names
+            # the certificates read two entries of each law per envelope,
+            # at orders p_even and 0, and build no table
+            assert names.count("envelope_entries") == 2 * (n + 1)
+            assert names.count("exp_entry") == 2 * (n + 1)
+            assert "poly_envelope" not in names and "exp_envelope" not in names
             ref = law_key(sc.base)
             laws = {ref} | {law_key(perturb_pair(sc, h)[1]) for h in sc.h_grid}
             assert len(laws) == n + 1

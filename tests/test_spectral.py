@@ -30,6 +30,8 @@ from tvrates.spectral import (
     LOG_FLOAT_MAX,
     RESOLVED_FLOOR,
     _derivative_stack,
+    _exp_entry,
+    _poly_entries,
     exp_envelope,
     forward_transform,
     inverse_transform,
@@ -253,13 +255,14 @@ class TestPolyEnvelope:
             K, L = sc.params.p_even, 77
             for law in [ref] + [perturb_pair(sc, h)[1] for h in sc.h_grid]:
                 cg = LawEvaluation(law, grid).char_grid
-                _, _, radii, stacks = _derivative_stack(cg, K)
+                _, _, radii, stacks = _derivative_stack(cg, K, range(K + 1))
                 want = poly_table_loop(stacks, radii, K, L, RESOLVED_FLOOR, LOG_FLOAT_MAX)
                 np.testing.assert_array_equal(poly_envelope(cg, K, L).table, want)
 
 
 class TestEnvelopeOrders:
-    """Tables at chosen derivative orders, as the certificates read them."""
+    """Public tables cover every order k <= K; the certificates read entries
+    at orders 0 and K off one stack of those two orders."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -279,56 +282,60 @@ class TestEnvelopeOrders:
             full = poly_envelope(obj, K, 12)
         except ResolutionError:
             return
-        part = poly_envelope(obj, K, 12, orders=(K, 0))
-        assert part.orders == (0, K) and (part.max_k, part.max_l) == (K, 12)
-        np.testing.assert_array_equal(part.table, full.table[[0, K]])
+        stack = _derivative_stack(obj, K, (0, K))
+        assert set(stack[3]) == {0, K}
         for k in (0, K):
-            assert part.get(k, 7) == full.get(k, 7)
+            assert _poly_entries(stack, k, range(13)) == full.table[k].tolist()
+            assert _poly_entries(stack, k, (7,)) == [full.get(k, 7)]
         if side == "density":
             return
-        exp_part = exp_envelope(obj, K, orders=(0, K))
-        assert set(exp_part.rates) == set(exp_part.integrals) == set(exp_part.sups) == {0, K}
         try:
-            exp_full = exp_envelope(char_fn_grid(dens), K)
+            exp_full = exp_envelope(obj, K)
         except (DecayError, ResolutionError):
             # an unread order's tail fit may fail where orders 0 and K fit
             return
         for k in (0, K):
-            assert exp_part.get(k) == exp_full.get(k)
-            assert exp_part.sups[k] == exp_full.sups[k]
+            assert _exp_entry(stack, k) == (*exp_full.get(k), exp_full.sups[k])
 
     def test_missing_order_is_typed_and_pairs_keep_common_orders(
         self, std_normal, bimodal
     ):
         grid = common_grid(std_normal, bimodal, 10.0, 4096)
         la, lb = (LawEvaluation(law, grid) for law in (std_normal, bimodal))
-        cg_a, cg_b = la.char_grid, lb.char_grid
-        ta = poly_envelope(cg_a, 4, 6, orders=(0, 4))
-        tb = poly_envelope(cg_b, 4, 6, orders=(0, 2, 4))
-        with pytest.raises(PreconditionError, match="missing order 2"):
-            ta.get(2, 3)
-        # a negative index is outside the table, not numpy's count from the end
-        for k, l in ((0, -1), (-1, 0), (0, 7), (5, 0)):
-            with pytest.raises(PreconditionError, match="covers"):
-                ta.get(k, l)
-        assert [e["k"] for e in ta.to_json()["entries"]] == [0] * 7 + [4] * 7
+        ta, tb = (poly_envelope(ev.char_grid, 4, 6) for ev in (la, lb))
+        assert [e["k"] for e in ta.to_json()["entries"]] == [
+            k for k in range(5) for _ in range(7)
+        ]
         # a pair's entry is the larger of its laws' table entries, bit for bit
         pair = PairEvaluation.of_laws(la, lb, BoundParams(p=4.0, q=2.0, epsilon=0.1))
         for k in (0, 4):
             for l in range(7):
                 assert pair.envelope(k, l) == max(ta.get(k, l), tb.get(k, l))
+        # the pair's exponential entries hold orders 0 and p_even alone
+        assert set(pair.exp_entries.rates) == {0, 4}
         with pytest.raises(PreconditionError, match="missing order 2"):
-            exp_envelope(cg_a, 4, orders=(0, 4)).get(2)
+            pair.exp_entries.get(2)
+        with pytest.raises(PreconditionError, match="missing order 5"):
+            exp_envelope(la.char_grid, 4).get(5)
 
-    @pytest.mark.parametrize("orders", [(), (0, 5), (-1, 2), (1.5,), ("0",)])
+    @pytest.mark.parametrize("orders", [
+        # a non-integer or bool order is outside the table, not numpy's
+        # index or its error
+        ("get", 2, 2.5), ("get", 1.5, 2), ("get", True, 0), ("get", 0, np.float64(1)),
+        # a negative index is outside the table, not numpy's count from the end
+        ("get", 0, -1), ("get", -1, 0), ("get", 0, 7), ("get", 5, 0),
+        ("poly", -1, 6), ("poly", 4, -1), ("exp", -1, None),
+    ])
     def test_orders_outside_the_coverage_rejected(self, std_normal, orders):
         cg = char_fn_grid(grid_of(std_normal, 1024))
-        with pytest.raises(PreconditionError, match="orders"):
-            poly_envelope(cg, 4, 6, orders=orders)
-        with pytest.raises(PreconditionError, match="orders"):
-            exp_envelope(cg, 4, orders=orders)
-        with pytest.raises(PreconditionError, match="orders"):
-            PolyEnvelopeTable("frequency", 4, 6, np.zeros((len(orders), 7)), orders)
+        call, k, l = orders
+        with pytest.raises(PreconditionError, match="cover"):
+            if call == "get":
+                poly_envelope(cg, 4, 6).get(k, l)
+            elif call == "poly":
+                poly_envelope(cg, k, l)
+            else:
+                exp_envelope(cg, k)
 
 
 class TestExpEnvelope:
@@ -356,11 +363,11 @@ class TestExpEnvelope:
         narrow = gaussian(0.1, 0.25)
         blend = GaussianMixture([0.9, 0.1], [0.0, 2.0], [1.0, 1.0])
         grid = common_grid(narrow, blend)
+        ln, lb = (LawEvaluation(law, grid) for law in (narrow, blend))
         with pytest.raises(DecayError, match="order-6 tail"):
-            exp_envelope(char_fn_grid(discretize(narrow, grid)), 6, orders=(0, 6))
+            ln.exp_entries(6)
         # the blend's order-6 tail decays inside the grid, and fits
-        fitted = exp_envelope(char_fn_grid(discretize(blend, grid)), 6, orders=(0, 6))
-        assert set(fitted.rates) == {0, 6}
+        assert set(lb.exp_entries(6).rates) == {0, 6}
 
     def test_rate_scales_with_width(self):
         # phi_sigma(u) = phi_1(sigma u), so the fitted tail rate doubles
@@ -373,12 +380,17 @@ class TestExpEnvelope:
         assert r2 >= r1
 
     def test_pair_combination_bounds_both(self, std_normal, bimodal):
-        ea = exp_envelope(char_fn_grid(grid_of(std_normal)), 2)
-        eb = exp_envelope(char_fn_grid(grid_of(bimodal)), 2)
-        comb = ea.combine(eb)
-        for k in range(3):
+        grid = common_grid(std_normal, bimodal)
+        la, lb = (LawEvaluation(law, grid) for law in (std_normal, bimodal))
+        pair = PairEvaluation.of_laws(la, lb, BoundParams(p=2.0, q=2.0, epsilon=0.1))
+        comb, ea, eb = pair.exp_entries, la.exp_entries(2), lb.exp_entries(2)
+        full = exp_envelope(la.char_grid, 2)
+        for k in (0, 2):
             assert comb.rates[k] == min(ea.rates[k], eb.rates[k])
             assert comb.integrals[k] >= max(ea.integrals[k], eb.integrals[k])
+            assert comb.sups[k] == ea.sups[k] + eb.sups[k]
+            # each law's entries are its full table's, bit for bit
+            assert (*ea.get(k), ea.sups[k]) == (*full.get(k), full.sups[k])
 
     def test_rate_without_integral_rejected(self):
         with pytest.raises(PreconditionError):

@@ -1,5 +1,6 @@
-"""A fixed grid of ``tvrates certify`` and ``tvrates dist`` calls, for
-checking that a change leaves the command-line output byte for byte alone.
+"""A fixed grid of ``tvrates certify``, ``tvrates dist`` and ``tvrates
+envelope`` calls, for checking that a change leaves the command-line output
+byte for byte alone.
 
     PYTHONPATH=src python tools/cli_grid.py OUT
 
@@ -65,6 +66,11 @@ REGIMES = (
     ["--regime", "pointwise", "--alpha", "3"],
 )
 
+# envelope tables: one law per kind above, each side, small and wide
+# coverage (the widest overflows on some laws) at two resolutions
+ENVELOPE_LAWS = ("n01", "bimodal", "three", "narrow", "wide", "blend")
+COVERAGE = ((0, 0), (2, 3), (4, 6), (6, 12), (2, 80), (6, 400))
+
 
 def calls():
     """Every argv of the grid, in a fixed order."""
@@ -85,6 +91,11 @@ def calls():
         yield ["certify", *laws, "--regime", "lemma1"]
         for metric in ("wq", "tv"):
             yield ["dist", *laws, "--metric", metric]
+    for law, side, (K, L), resolution in itertools.product(
+        ENVELOPE_LAWS, ("density", "frequency"), COVERAGE, ([], ["--resolution", "1024"])
+    ):
+        yield ["envelope", "--input", f"{law}.json", "--side", side,
+               "--K", str(K), "--L", str(L), *resolution]
 
 
 def run(argv) -> dict:
