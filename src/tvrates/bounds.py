@@ -465,7 +465,7 @@ class PairEvaluation:
     def solve(pairs) -> None:
         """Fill what the certificates read of the laws of ``pairs``, each
         law evaluation once: the gap's quantiles in one solver call, and
-        E|X|^m at each order m of :func:`_poly_moment_orders` from one
+        E|X|^m at each order m of :func:`_even_moment_orders` from one
         moment recursion per order over the components of the laws that
         lack it (none if no law does).  Each equals the law's own
         ``abs_moment(m)`` bit for bit; one past the float range is left
@@ -473,7 +473,7 @@ class PairEvaluation:
         _gap_quantiles([ev for pair in pairs for ev in pair.laws])
         todo = {}
         for pair in pairs:
-            for m in _poly_moment_orders(pair.params):
+            for m in _even_moment_orders(pair.params):
                 for ev in pair.laws:
                     if ("abs_moment", m) not in ev._kept:
                         todo.setdefault(m, {})[id(ev)] = ev
@@ -579,6 +579,21 @@ def _poly_moment_orders(params: BoundParams) -> tuple:
     that the polynomial certificate reads."""
     p = params.p_even
     return 2 * p, 2 * choose_l(params.epsilon, p, 1)
+
+
+def _even_moment_orders(params: BoundParams) -> tuple:
+    """The even integer orders m > 0 of E|X|^m that a pair's certificates
+    read: those of :func:`_poly_moment_orders`, the trivial bound's p and
+    the orders at which :func:`c_ring` reads C°_{p_even}, taken from a
+    call of ``c_ring`` itself.  Odd orders keep the per-law closed form."""
+    read = [*_poly_moment_orders(params), params.p]
+
+    def probe(m):
+        read.append(m)
+        return 1.0
+
+    c_ring(params.p_even, params.q, probe, probe)
+    return tuple(sorted({int(m) for m in read if m > 0 and m % 2 == 0}))
 
 
 def polynomial_rate_certificate(pair: PairEvaluation) -> BoundCertificate:

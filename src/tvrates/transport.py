@@ -49,7 +49,7 @@ __all__ = [
     "fm_upper",
 ]
 
-# Largest cost matrix the exact solver will build.
+# Largest cost matrix the assignment path of ot_exact (d > 1) will build.
 OT_SIZE_LIMIT = 1_000_000
 
 
@@ -75,29 +75,6 @@ class DistanceResult:
 
     def to_json(self) -> dict:
         return {"value": self.value, "method": self.method, "err": self.err}
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """Coupling matrix between two atom sets; marginals verified to 1e-9."""
-
-    row_marginal: AtomSet
-    col_marginal: AtomSet
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (len(self.row_marginal), len(self.col_marginal)):
-            raise PreconditionError("plan shape does not match marginals")
-        if m.min() < -1e-12:
-            raise PreconditionError("plan entries must be >= 0")
-        if np.abs(m.sum(axis=1) - self.row_marginal.masses).max() > 1e-9:
-            raise PreconditionError("row sums do not match the row marginal")
-        if np.abs(m.sum(axis=0) - self.col_marginal.masses).max() > 1e-9:
-            raise PreconditionError("column sums do not match the column marginal")
-        m = np.maximum(m, 0.0)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
 
 def _require_exponent(x: float, name: str, low: float, strict: bool = False):
@@ -282,6 +259,41 @@ def _w1_cdf_1d(a: GaussianMixture, b: GaussianMixture) -> DistanceResult:
 # discrete optimal transport
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class TransportPlan:
+    """Coupling between two atom sets as its support cells: cell i moves
+    ``masses[i]`` >= 0 from row atom ``rows[i]`` to column atom ``cols[i]``;
+    marginals verified to 1e-9, the dense read-only ``matrix`` built on read."""
+
+    row_marginal: AtomSet
+    col_marginal: AtomSet
+    rows: np.ndarray
+    cols: np.ndarray
+    masses: np.ndarray
+
+    def __post_init__(self):
+        for name in ("rows", "cols", "masses"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        rows, cols, masses = self.rows, self.cols, self.masses
+        if rows.ndim != 1 or not rows.shape == cols.shape == masses.shape:
+            raise PreconditionError("plan cells must be three arrays of one length")
+        if not (masses >= 0).all():  # the negated test also rejects NaN
+            raise PreconditionError("plan masses must be >= 0")
+        for idx, side in ((rows, self.row_marginal), (cols, self.col_marginal)):
+            # np.bincount would grow its output past an index out of range
+            if idx.dtype.kind not in "iu" or not ((idx >= 0) & (idx < len(side))).all():
+                raise PreconditionError(f"indices must be integers in [0, {len(side)})")
+            if np.abs(np.bincount(idx, masses, len(side)) - side.masses).max() > 1e-9:
+                raise PreconditionError("plan cells do not match the marginals")
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        plan = np.zeros((len(self.row_marginal), len(self.col_marginal)))
+        np.add.at(plan, (self.rows, self.cols), self.masses)
+        plan.flags.writeable = False
+        return plan
+
+
 def _cost_matrix(a: AtomSet, b: AtomSet, q: float) -> np.ndarray:
     if a.d != b.d:
         raise PreconditionError("atom sets have different dimensions")
@@ -336,10 +348,7 @@ def _ot_sorted_1d(a: AtomSet, b: AtomSet, q: float):
     rows = ia[np.searchsorted(ca[:-1], levels)]
     cols = ib[np.searchsorted(cb[:-1], levels)]
     cost = float(pieces @ np.abs(a.locations[rows, 0] - b.locations[cols, 0]) ** q)
-    # every level is a breakpoint of one side, so no cell repeats
-    plan = np.zeros((len(a), len(b)))
-    plan[rows, cols] = pieces
-    return cost, plan, 0.0
+    return cost, (rows, cols, pieces), 0.0
 
 
 def _ot_assignment(a: AtomSet, b: AtomSet, q: float):
@@ -358,11 +367,9 @@ def _ot_assignment(a: AtomSet, b: AtomSet, q: float):
 
     C = _cost_matrix(a, b, q)
     rows, cols = linear_sum_assignment(C)
-    plan = np.zeros_like(C)
-    plan[rows, cols] = a.masses
-    cost = float(np.sum(plan * C))
+    cost = float(a.masses @ C[rows, cols])
     dist = _reassignment_distances(C, cols)
-    return cost, plan, max(cost - _dual_value(C, -dist, a, b), 0.0)
+    return cost, (rows, cols, a.masses), max(cost - _dual_value(C, -dist, a, b), 0.0)
 
 
 def _reassignment_distances(C: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -371,13 +378,11 @@ def _reassignment_distances(C: np.ndarray, cols: np.ndarray) -> np.ndarray:
     Bellman-Ford rounds, fewer once a round changes nothing."""
     matched = C[:, cols]
     edges = matched - np.diag(matched)[None, :]
-    n = len(cols)
-    dist, relaxed, paths = np.zeros(n), np.empty(n), np.empty_like(edges)
-    for _ in range(n):
-        np.add(dist[:, None], edges, out=paths)
-        paths.min(axis=0, out=relaxed)
-        # edges[k, k] = 0, so relaxed <= dist: no decrease means no change
-        if not (relaxed < dist).any():
+    (dist, relaxed), paths = np.zeros((2, len(cols))), np.empty_like(edges)
+    for _ in range(len(cols)):
+        np.minimum.reduce(np.add(dist[:, None], edges, out=paths), axis=0, out=relaxed)
+        # edges[k, k] = 0 keeps relaxed <= dist, and no -0.0 or nan arises
+        if relaxed.tobytes() == dist.tobytes():  # no entry decreased
             break
         dist, relaxed = relaxed, dist
     return dist
@@ -389,34 +394,29 @@ def ot_exact(a: AtomSet, b: AtomSet, q: float = 2.0):
     In dimension one the plan is the north-west-corner rule on the stably
     sorted supports (the monotone coupling), exact for any masses and sizes
     in O((n + m) log(n + m)); ``err`` is 0.  In higher dimensions it takes
-    only two sets of n atoms whose masses are all equal, matched as an
-    assignment problem (``linear_sum_assignment``) with ``err`` the duality
-    gap against a feasible dual, in distance units; any other pair raises
-    :class:`PreconditionError` before any solve.  Returns
+    two sets of n atoms of equal mass, n^2 <= ``OT_SIZE_LIMIT``, matched as
+    an assignment problem (``linear_sum_assignment``) with ``err`` the
+    duality gap against a feasible dual, in distance units; any other pair
+    raises :class:`PreconditionError` before any solve.  Returns
     ``(DistanceResult, TransportPlan)`` with the distance
-    ``W_q = cost^{1/q}`` and the plan in the callers' atom order.
+    ``W_q = cost^{1/q}`` and the plan's cells in the callers' atom order.
     """
     _require_exponent(q, "cost exponent q", 1.0)
     if a.d != b.d:
         raise PreconditionError("atom sets have different dimensions")
-    n, m = len(a), len(b)
-    if n * m > OT_SIZE_LIMIT:
-        raise PreconditionError(
-            f"cost matrix size {n * m} exceeds the limit {OT_SIZE_LIMIT}"
-        )
-    w = a.masses[0]
-    if a.d == 1:
-        solve = _ot_sorted_1d
-    elif n == m and (a.masses == w).all() and (b.masses == w).all():
-        solve = _ot_assignment
-    else:
+    n, m, w = len(a), len(b), a.masses[0]
+    if a.d > 1 and not (n == m and (a.masses == w).all() and (b.masses == w).all()):
         raise PreconditionError(
             "exact OT in d > 1 needs two sets of n atoms of equal mass "
             f"(an assignment); got n = {n}, m = {m}"
             + ("" if n != m else " with unequal masses")
         )
-    cost, plan, gap = solve(a, b, q)
-    return _gap_distance(cost, gap, q, "exact-ot"), TransportPlan(a, b, plan)
+    if a.d > 1 and n * m > OT_SIZE_LIMIT:
+        raise PreconditionError(
+            f"cost matrix size {n * m} exceeds the limit {OT_SIZE_LIMIT}"
+        )
+    cost, cells, gap = (_ot_sorted_1d if a.d == 1 else _ot_assignment)(a, b, q)
+    return _gap_distance(cost, gap, q, "exact-ot"), TransportPlan(a, b, *cells)
 
 
 # Annealing schedule, relative to the cost maximum.  The deep tail costs

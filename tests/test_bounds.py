@@ -690,7 +690,6 @@ class TestPairEvaluation:
     ):
         # the batch and the certificate read their moment orders from one
         # helper: an order that drifted apart would run the recursion again
-        # (c_ring's lower orders, E|X|^2 at q = 2, are not batched)
         import tvrates.distributions as dmod
 
         pair = PairEvaluation(std_normal, gaussian(0.1, 1.0), default_params)
@@ -707,7 +706,11 @@ class TestPairEvaluation:
         assert orders == []
         cert = polynomial_rate_certificate(pair)
         assert sorted(cert.ledger.moment_bounds) == [4, 150]
-        assert not set(orders) & set(cert.ledger.moment_bounds)
+        # nor does any certificate: C°_2 reads E|X|^2 and E|X|^4, the
+        # trivial bound E|X|^2, all from the batch
+        exponential_rate_certificate(pair)
+        pointwise_certificate(pair)
+        assert orders == []
 
     def test_default_sweep_law_quantiles_match_one_order_calls(self):
         # each sweep evaluates its reference law once and each row's law

@@ -31,6 +31,7 @@ from tvrates import (
     PairEvaluation,
     PreconditionError,
     SpaceGrid,
+    TransportPlan,
     discretize,
     fm_upper,
     gaussian,
@@ -408,12 +409,48 @@ class TestOtExact:
             wac = ot_exact(a, c, 2)[0].value
             assert wac <= wab + wbc + 1e-9
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        # only the assignment builds a dense cost matrix, so only it is
+        # limited, and it refuses before building one
+        monkeypatch.setattr(tvrates.transport, "_cost_matrix", None)
         rng = np.random.default_rng(0)
-        big = uniform_atoms(rng, 1025, 1)
-        other = uniform_atoms(rng, 1024, 1)
-        with pytest.raises(PreconditionError):
+        big = uniform_atoms(rng, 1001, 2)
+        other = uniform_atoms(rng, 1001, 2)
+        with pytest.raises(
+            PreconditionError, match="cost matrix size 1002001 exceeds the limit 1000000"
+        ):
             ot_exact(big, other, 2)
+
+    def assert_sorted_plan(self, a, b):
+        res, plan = ot_exact(a, b, 2)
+        assert res.err == 0.0
+        assert plan.rows.shape == plan.cols.shape == plan.masses.shape
+        assert len(plan.masses) <= len(a) + len(b) - 1
+        for idx, side in ((plan.rows, a), (plan.cols, b)):
+            sums = np.bincount(idx, plan.masses, len(side))
+            np.testing.assert_allclose(sums, side.masses, rtol=0, atol=1e-12)
+
+    def test_sorted_1d_past_the_assignment_limit(self):
+        # 1.1e6 cells in a dense plan, more than OT_SIZE_LIMIT
+        rng = np.random.default_rng(12)
+        a = AtomSet(rng.normal(size=(1100, 1)), rng.dirichlet(np.ones(1100)))
+        b = AtomSet(rng.normal(size=(1000, 1)) + 0.3, rng.dirichlet(np.ones(1000)))
+        self.assert_sorted_plan(a, b)
+
+    def test_sorted_1d_memory_is_linear(self):
+        # a dense 20000 x 20000 plan would take 3.2 GB
+        import tracemalloc
+
+        rng = np.random.default_rng(13)
+        a = uniform_atoms(rng, 20_000, 1)
+        b = uniform_atoms(rng, 20_000, 1, shift=0.5, scale=2.0)
+        tracemalloc.start()
+        try:
+            self.assert_sorted_plan(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     @pytest.mark.parametrize("shift", [0.02, 0.4])
     def test_benchmark_translate_pairs_match_assignment(self, shift):
@@ -459,10 +496,10 @@ class TestOtExact:
             return AtomSet(x[:, None], rng.dirichlet(np.ones(k)))
 
         a, b = atoms(n), atoms(m)
-        cost, plan, gap = tvrates.transport._ot_sorted_1d(a, b, 2.0)
+        cost, cells, gap = tvrates.transport._ot_sorted_1d(a, b, 2.0)
         ref_cost, ref_plan = north_west_corner_add_at(a, b, 2.0)
         assert cost == ref_cost and gap == 0.0
-        np.testing.assert_array_equal(plan, ref_plan)
+        np.testing.assert_array_equal(TransportPlan(a, b, *cells).matrix, ref_plan)
 
     @pytest.mark.parametrize("seed", [*range(8), "embedded-translate"])
     def test_lp_err_is_a_duality_gap(self, seed):
@@ -597,6 +634,32 @@ class TestOtExact:
         with pytest.raises(PreconditionError, match="unequal masses"):
             ot_exact(uneven, uniform_cloud(x + 0.5), 2)
         assert len(calls) == 33
+
+    @pytest.mark.parametrize(
+        "rows, cols, masses, message",
+        [
+            ([0, 1], [1], [0.5, 0.5], "three arrays of one length"),
+            ([0.0, 1.0], [1, 0], [0.5, 0.5], r"integers in \[0, 2\)"),
+            ([0, 1], [1, 2], [0.5, 0.5], r"integers in \[0, 2\)"),
+            ([-1, 1], [1, 0], [0.5, 0.5], r"integers in \[0, 2\)"),
+            ([0, 1, 1], [1, 0, 0], [0.5, 0.75, -0.25], "masses must be >= 0"),
+            ([0, 1], [1, 0], [0.5, math.nan], "masses must be >= 0"),
+            ([0, 1], [1, 0], [0.25, 0.75], "do not match the marginals"),
+        ],
+        ids=["lengths", "non-integer", "past-n", "negative", "mass", "nan", "sums"],
+    )
+    def test_plan_rejects_malformed_cells(self, rows, cols, masses, message):
+        # without the index checks np.bincount would grow its output
+        pair = AtomSet(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        with pytest.raises(PreconditionError, match=message):
+            TransportPlan(pair, pair, np.array(rows), np.array(cols), np.array(masses))
+
+    def test_plan_matrix_is_read_only_and_sums_repeated_cells(self):
+        pair = AtomSet(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        plan = TransportPlan(pair, pair, [0, 0, 1], [0, 0, 1], [0.25, 0.25, 0.5])
+        np.testing.assert_array_equal(plan.matrix, [[0.5, 0.0], [0.0, 0.5]])
+        assert not plan.matrix.flags.writeable
+        assert isinstance(plan.rows, np.ndarray) and plan.rows.dtype.kind == "i"
 
     def test_plan_marginals(self):
         rng = np.random.default_rng(11)
